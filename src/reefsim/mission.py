@@ -51,7 +51,6 @@ class MissionPlan:
     waypoints: tuple[tuple[float, float], ...]
     altitude_setpoint_m: float = 1.0
     drift_duration_s: float = 10.0
-    drift_at_every_waypoint: bool = True
     imaging_period_s: float = 0.5
     audio_fs_hz: int = 96_000
 
@@ -279,7 +278,7 @@ def execute(
             if arrived:
                 wp_index += 1
                 wp_deadline = t + mission_config.waypoint_timeout_s
-                if plan.drift_at_every_waypoint and plan.drift_duration_s > 0:
+                if plan.drift_duration_s > 0:
                     mode = DRIFT
                     drift_steps_left = round(plan.drift_duration_s / dt)
                     window = synthesize_audio(
@@ -442,6 +441,12 @@ def load_log(path: str | Path) -> MissionLog:
             log.abort_reason = payload["abort_reason"]
             saw_end = True
         elif kind == "record":
+            cell_id = int(payload["cell_id"])
+            if not 0 <= cell_id < log.grid_nx * log.grid_ny:
+                raise DataError(f"record at t={payload['t']} in {path} has cell_id {cell_id} outside the grid")
+            words = payload.get("words")
+            if words is not None and not (isinstance(words, list) and all(type(c) is int and c >= 0 for c in words)):
+                raise DataError(f"record at t={payload['t']} in {path} has word counts that are not non-negative integers")
             audio_ref = None
             if "audio" in payload:
                 a = payload["audio"]
@@ -467,8 +472,8 @@ def load_log(path: str | Path) -> MissionLog:
                     true_pose=tuple(payload["true_pose"]),
                     est_mean=tuple(payload["est_mean"]),
                     est_cov_diag=tuple(payload["est_cov_diag"]),
-                    cell_id=int(payload["cell_id"]),
-                    words=payload.get("words"),
+                    cell_id=cell_id,
+                    words=words,
                     audio=audio_ref,
                 )
             )

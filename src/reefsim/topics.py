@@ -14,12 +14,23 @@ that empty out (topic 0 always survives).
 
 Topics are reported by stable labels assigned at creation; retirement
 compacts internal indices but never reuses a label.
+
+Both entry points share one sampling kernel, which mirrors the count rows
+it touches into Python lists for the duration of a call and writes them
+back at the end.  Every token draw consumes exactly one uniform and opening
+a topic consumes none, so the uniforms of a whole call (one ``observe`` or
+one refine sweep) are drawn up front with a single ``rng.random(n)``; the
+stream is the same as one ``rng.random()`` per token.  The denominators and
+neighborhood counts are updated by +-1 in place, never recomputed mid-call,
+so every double matches the one-token-at-a-time formulation.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +87,7 @@ class TopicModel:
 
     # -- structure ----------------------------------------------------------
 
-    def _neighborhood(self, cell: int) -> np.ndarray:
+    def _neighborhood(self, cell: int) -> list[int]:
         """The cell plus its existing grid 4-neighbors."""
         ix, iy = cell % self.grid_nx, cell // self.grid_nx
         cells = [cell]
@@ -88,7 +99,7 @@ class TopicModel:
             cells.append(cell - self.grid_nx)
         if iy < self.grid_ny - 1:
             cells.append(cell + self.grid_nx)
-        return np.array(cells)
+        return cells
 
     @property
     def token_count(self) -> int:
@@ -124,21 +135,67 @@ class TopicModel:
 
     # -- inference ----------------------------------------------------------
 
-    def _draw_topic(self, word: int, mn_alpha: np.ndarray, buf: np.ndarray, rng: np.random.Generator) -> int:
-        """Sample the conditional; an index of ``n_topics`` means "open a
-        new topic".  ``mn_alpha`` is the neighborhood count vector + alpha."""
+    def _sample_tokens(self, start: int, resample: bool, rng: np.random.Generator) -> None:
+        """Draw a topic for every token from index ``start`` on, in order.
+
+        With ``resample`` each token's current assignment is first removed
+        from the counts; otherwise the token is new and its stored topic is
+        a placeholder.  A draw of index ``n_topics`` opens a new topic.
+        """
         cfg = self.config
-        k = self.n_topics
-        size = k + 1 if k < cfg.max_topics else k
-        view = buf[:size]
-        np.add(self._word_topic[word, :k], cfg.beta, out=view[:k])
-        view[:k] /= self._denom[:k]
-        view[:k] *= mn_alpha[:k]
-        if size > k:
-            view[k] = cfg.gamma / self.vocab_size
-        view.cumsum(out=view)
-        u = rng.random() * view[size - 1]
-        return int(view.searchsorted(u, side="right"))
+        beta, alpha = cfg.beta, cfg.alpha
+        new_weight = cfg.gamma / self.vocab_size
+        unused_denom = self.vocab_size * beta
+        tok_cell, tok_word, tok_topic = self._tok_cell, self._tok_word, self._tok_topic
+        cells = set(tok_cell[start:])
+        word_rows = {w: self._word_topic[w].tolist() for w in set(tok_word[start:])}
+        cell_rows = {c: self._cell_topic[c].tolist() for c in {n for c in cells for n in self._neighbors[c]}}
+        # denom and mn_alpha hold one entry per active topic, so zip() over
+        # them ignores the unused columns of the full-width rows.
+        denom = self._denom[: self.n_topics].tolist()
+
+        current_cell = -1
+        for i, u in enumerate(rng.random(len(tok_word) - start).tolist(), start):
+            cell = tok_cell[i]
+            if cell != current_cell:
+                current_cell = cell
+                cell_row = cell_rows[cell]
+                neighborhood = zip(*(cell_rows[c] for c in self._neighbors[cell]))
+                mn_alpha = [sum(col) + alpha for col in islice(neighborhood, len(denom))]
+            row = word_rows[tok_word[i]]
+            if resample:
+                old = tok_topic[i]
+                row[old] -= 1
+                denom[old] -= 1
+                cell_row[old] -= 1
+                mn_alpha[old] -= 1
+
+            total = 0.0
+            cum = []
+            for n, d, m in zip(row, denom, mn_alpha):
+                total += (n + beta) / d * m
+                cum.append(total)
+            if len(cum) < cfg.max_topics:
+                total += new_weight
+                cum.append(total)
+            k = bisect_right(cum, u * total)
+            if k == self.n_topics:
+                k = self._create_topic()
+                denom.append(unused_denom)
+                mn_alpha.append(alpha)  # no counts yet anywhere
+
+            row[k] += 1
+            denom[k] += 1
+            cell_row[k] += 1
+            mn_alpha[k] += 1
+            tok_topic[i] = k
+
+        for w, row in word_rows.items():
+            self._word_topic[w] = row
+        for c in cells:
+            self._cell_topic[c] = cell_rows[c]
+        self._topic_total[:] = self._word_topic.sum(axis=0)
+        self._denom[: self.n_topics] = denom
 
     def _create_topic(self) -> int:
         k = self.n_topics
@@ -160,22 +217,11 @@ class TopicModel:
         if not 0 <= cell_id < self.n_cells:
             raise ValueError(f"cell_id {cell_id} outside grid")
 
-        neighborhood = self._neighbors[cell_id]
-        mn_alpha = self._cell_topic[neighborhood].sum(axis=0) + self.config.alpha
-        buf = np.empty(self.config.max_topics + 1)
-        for word in np.repeat(np.arange(self.vocab_size), histogram):
-            word = int(word)
-            k = self._draw_topic(word, mn_alpha, buf, rng)
-            if k == self.n_topics:
-                k = self._create_topic()
-            self._word_topic[word, k] += 1
-            self._topic_total[k] += 1
-            self._denom[k] += 1
-            self._cell_topic[cell_id, k] += 1
-            mn_alpha[k] += 1
-            self._tok_cell.append(cell_id)
-            self._tok_word.append(word)
-            self._tok_topic.append(k)
+        words = np.repeat(np.arange(self.vocab_size), histogram).tolist()
+        self._tok_cell.extend([cell_id] * len(words))
+        self._tok_word.extend(words)
+        self._tok_topic.extend([0] * len(words))
+        self._sample_tokens(self.token_count - len(words), False, rng)
 
     def gibbs_refine(self, n_sweeps: int, rng: np.random.Generator) -> None:
         """Resample every token assignment ``n_sweeps`` times.
@@ -187,36 +233,8 @@ class TopicModel:
         """
         if self.token_count == 0:
             raise DataError("model has no tokens to refine")
-        buf = np.empty(self.config.max_topics + 1)
-        tok_cell, tok_word, tok_topic = self._tok_cell, self._tok_word, self._tok_topic
-
         for _ in range(n_sweeps):
-            current_cell = -1
-            mn_alpha = None
-            for i in range(len(tok_word)):
-                cell = tok_cell[i]
-                if cell != current_cell:
-                    current_cell = cell
-                    mn_alpha = self._cell_topic[self._neighbors[cell]].sum(axis=0) + self.config.alpha
-                word = tok_word[i]
-                old = tok_topic[i]
-
-                self._word_topic[word, old] -= 1
-                self._topic_total[old] -= 1
-                self._denom[old] -= 1
-                self._cell_topic[cell, old] -= 1
-                mn_alpha[old] -= 1
-
-                k = self._draw_topic(word, mn_alpha, buf, rng)
-                if k == self.n_topics:
-                    k = self._create_topic()
-
-                self._word_topic[word, k] += 1
-                self._topic_total[k] += 1
-                self._denom[k] += 1
-                self._cell_topic[cell, k] += 1
-                mn_alpha[k] += 1
-                tok_topic[i] = k
+            self._sample_tokens(0, True, rng)
             self._retire_empty_topics()
 
     def _retire_empty_topics(self) -> None:

@@ -170,6 +170,10 @@ def _apparent_radii(config: TargetConfig, view_bearing: float, target_heading: f
     return horizontal, width_r
 
 
+class CameraInsideBody(ValueError):
+    """The camera sits inside the body it projects, at zero range."""
+
+
 def project_target(
     camera: Camera,
     vehicle_pose: tuple[float, float, float, float],
@@ -180,7 +184,8 @@ def project_target(
     """Project the target body into the image; None when out of view.
 
     Out of view means the center is behind the camera or projects outside
-    the frame.  Raises for a degenerate zero-range target.
+    the frame.  Raises :class:`CameraInsideBody` for a degenerate
+    zero-range target.
     """
     camera.validate()
     vx, vy, vz, psi = vehicle_pose
@@ -193,7 +198,7 @@ def project_target(
     distance = float(np.sqrt(forward**2 + right**2 + down**2))
     h_radius, v_radius = _apparent_radii(config, np.arctan2(dy, dx), target_heading)
     if distance <= max(h_radius, v_radius):
-        raise ValueError("target at zero range (camera inside the body)")
+        raise CameraInsideBody("target at zero range (camera inside the body)")
     if forward <= 0:
         return None
 
@@ -205,6 +210,15 @@ def project_target(
     w = 2.0 * camera.fx * np.tan(np.arcsin(h_radius / distance))
     h = 2.0 * camera.fy * np.tan(np.arcsin(v_radius / distance))
     return BBox(cx=float(u), cy=float(v), w=float(w), h=float(h), frame_w=camera.width_px, frame_h=camera.height_px)
+
+
+def _frame_box(*args) -> BBox | None:
+    """:func:`project_target` for one episode frame: a body the camera is
+    inside is not seen that frame."""
+    try:
+        return project_target(*args)
+    except CameraInsideBody:
+        return None
 
 
 @dataclass
@@ -334,7 +348,8 @@ def run_tracking_episode(
     frame rate; dynamics integrate at their own step with zero-order-hold
     commands.  After ``hold_s`` without a box the command zeroes; after
     ``lost_after_s`` without the target in view, a LOST event is logged (it
-    clears if the target comes back into view).
+    clears if the target comes back into view).  A body the camera has
+    closed inside of is out of view for that frame.
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
@@ -377,7 +392,7 @@ def run_tracking_episode(
         t = step * dt
         if t + 1e-9 >= next_frame_time:
             pose = (vehicle.x, vehicle.y, vehicle.z, vehicle.psi)
-            true_box = project_target(camera, pose, (target.x, target.y, target.z), target_cfg, target.heading)
+            true_box = _frame_box(camera, pose, (target.x, target.y, target.z), target_cfg, target.heading)
             distractor_box = None
             if target_cfg.distractor is not None:
                 offset = target_cfg.distractor.offset_m
@@ -392,7 +407,7 @@ def run_tracking_episode(
                     body_length_m=max(0.3 * target_cfg.body_length_m, 0.1),
                     body_aspect=1.0,
                 )
-                distractor_box = project_target(camera, pose, companion, companion_cfg)
+                distractor_box = _frame_box(camera, pose, companion, companion_cfg)
 
             observed = simulate_tracker(true_box, distractor_box, tracking_config, tracker_state, rng)
 

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -24,6 +26,9 @@ SMALL_CONFIG = {
     "topics": {"gibbs_sweeps": 5},
     "episode": {"duration_s": 20.0},
 }
+
+
+GOLDEN_DIGESTS = Path(__file__).parent / "golden_cli_digests.json"
 
 
 def write_config(tmp_path: Path, data: dict | None = None) -> Path:
@@ -197,6 +202,28 @@ class TestSurveyAnalyzeTrack:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("words", -1), ("words", 1.5), ("cell_id", 10_000)],
+        ids=["negative-word-count", "fractional-word-count", "cell-outside-grid"],
+    )
+    def test_analyze_corrupt_imaging_record_is_data_error(self, workspace, tmp_path, key, bad) -> None:
+        _, config, _, survey_out = workspace
+        corrupt = tmp_path / "corrupt"
+        shutil.copytree(survey_out, corrupt)
+        log_path = corrupt / "mission_log.jsonl"
+        lines = log_path.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if '"words"' in line)
+        record = json.loads(lines[i])
+        record[key] = [bad, *record["words"][1:]] if key == "words" else bad
+        lines[i] = json.dumps(record)
+        log_path.write_text("\n".join(lines) + "\n")
+        result = CliRunner().invoke(
+            main,
+            ["analyze", "--log", str(log_path), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "r")],
+        )
+        assert result.exit_code == 3, result.output
+
     def test_track_outputs_and_reproducibility(self, workspace, tmp_path) -> None:
         _, config, world_out, _ = workspace
         runner = CliRunner()
@@ -222,6 +249,40 @@ class TestSurveyAnalyzeTrack:
             ["track", "--world", str(world_out / "world.json"), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "o")],
         )
         assert result.exit_code == 2
+
+
+def run_all_commands(runner, workspace, out: Path) -> dict[str, str]:
+    """sha256 of every artifact of the four commands, keyed by path under
+    ``out`` (world-gen and survey outputs come from the shared workspace)."""
+    _, config, world_out, survey_out = workspace
+    for command, flag, source, seed in (
+        ("analyze", "--log", survey_out / "mission_log.jsonl", "0"),
+        ("track", "--world", world_out / "world.json", "5"),
+    ):
+        result = runner.invoke(
+            main, [command, flag, str(source), "--config", str(config), "--seed", seed, "--out", str(out / command)]
+        )
+        assert result.exit_code == 0, result.output
+    digests = {}
+    for name, root in (("world-gen", world_out), ("survey", survey_out), ("analyze", out / "analyze"), ("track", out / "track")):
+        digests.update({f"{name}/{path}": digest for path, digest in tree_hashes(root).items()})
+    return digests
+
+
+class TestGoldenDigests:
+    """Every CLI artifact of SMALL_CONFIG, pinned byte for byte.
+
+    A change that moves a random stream or the arithmetic on purpose must
+    regenerate ``golden_cli_digests.json`` and say so in CHANGES.md.  The
+    pins hold for the numpy release stored beside them: its generators and
+    float formatting are what the bytes depend on.
+    """
+
+    def test_artifacts_match_pinned_digests(self, runner, workspace, tmp_path) -> None:
+        golden = json.loads(GOLDEN_DIGESTS.read_text())
+        if np.__version__ != golden["numpy"]:
+            pytest.skip(f"digests pinned with numpy {golden['numpy']}, installed numpy is {np.__version__}")
+        assert run_all_commands(runner, workspace, tmp_path) == golden["artifacts"]
 
 
 class TestHelp:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -143,6 +146,35 @@ class TestGibbsRefine:
             after = perplexity(model, heldout)
             improved += after <= before
         assert improved >= 0.9 * n_seeds
+
+
+def golden_run(max_topics: int) -> tuple[TopicModel, str]:
+    """Seeded observe + refine on a small banded grid; returns the model and
+    the sha256 of (token topics, labels, n_topics, next uniform)."""
+    appearance = block_appearance(3, 24)
+    truth = striped_world(6, 6)
+    rng = substream(21, "golden")
+    model = TopicModel(24, 6, 6, TopicsConfig(max_topics=max_topics))
+    survey_pass(model, truth, appearance, rng, images_per_cell=2)
+    model.gibbs_refine(5, rng)
+    state = [model._tok_topic, model.labels, model.n_topics, rng.random().hex()]
+    return model, hashlib.sha256(json.dumps(state).encode()).hexdigest()
+
+
+class TestGoldenStream:
+    """Pinned sampler output: any change to the draw order, the arithmetic
+    of the conditional or the number of uniforms consumed shows up here."""
+
+    def test_at_the_topic_cap(self) -> None:
+        # max_topics=3 keeps the sampler at the cap, with no new-topic weight.
+        model, digest = golden_run(3)
+        assert model.n_topics == 3
+        assert digest == "d31bb87cca10a4d5db07e99c142f9a1af68b0e7331aac4c216feb65244505e8c"
+
+    def test_with_topic_creation_and_retirement(self) -> None:
+        model, digest = golden_run(20)
+        assert model._next_label > model.n_topics  # some topic retired
+        assert digest == "5ae16714ca375fa23332cb3b0bcb5c4223032812bbef65d1a89b94f7c8422d2e"
 
 
 class TestHabitatDistribution:

@@ -3,10 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reefsim import tracking
 from reefsim.rng import substream
 from reefsim.tracking import (
     BBox,
     Camera,
+    CameraInsideBody,
     DistractorConfig,
     TargetConfig,
     TrackerState,
@@ -198,6 +200,33 @@ class TestTrackingEpisode:
         away = steady_range(speed=0.05, bearing_deg=0.0)  # swimming directly away, seen end-on
         broadside = steady_range(speed=0.0, bearing_deg=90.0)  # viewed from abeam
         assert away < 0.7 * broadside
+
+    def test_camera_inside_target_is_not_seen(self, monkeypatch) -> None:
+        # Benthic episode 24003 on world 24 closes to ~0.6 m of the 1.2 m
+        # glider.  Those frames get no box and the episode runs to the end.
+        world = generate_world(WorldConfig(width_m=60.0, height_m=60.0, snap_rates_per_s=(0.0, 0.0, 0.0)), seed=24)
+        config = TrackingConfig(
+            target=TargetConfig(
+                kind="benthic-glider",
+                speed_mps=0.15,
+                heading_walk_sigma=0.05,
+                distractor=DistractorConfig(switch_prob_per_s=0.02, mean_lock_s=3.0),
+            )
+        )
+        inside = []
+
+        def spy(*args):
+            try:
+                return project_target(*args)
+            except CameraInsideBody:
+                inside.append(args)
+                raise
+
+        monkeypatch.setattr(tracking, "project_target", spy)
+        log = run_tracking_episode(world, VehicleConfig(), config, 300.0, seed=24003)
+        assert inside
+        assert len(log.frames) == 4501
+        assert log.summary(config.camera)["central_fraction"] > 0.9
 
     def test_duration_must_be_positive(self, open_world) -> None:
         with pytest.raises(ValueError):
