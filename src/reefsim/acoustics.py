@@ -94,9 +94,7 @@ def stft(samples: np.ndarray, fs: int, window: int = 1024, hop: int = 512) -> Sp
     if n < window:
         raise ValueError(f"need at least {window} samples, got {n}")
 
-    n_frames = (n - window) // hop + 1
-    idx = np.arange(window)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = samples[idx] * hann_window(window)[None, :]
+    frames = np.lib.stride_tricks.sliding_window_view(samples, window)[::hop] * hann_window(window)
     power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
     return Spectrogram(power=power, fs=fs, window=window, hop=hop)
 
@@ -123,16 +121,15 @@ class SnapDetection:
     threshold_sigma: float
 
 
-def _refine_peak_time(energy: np.ndarray, peak: int, baseline: float, spec: Spectrogram) -> float:
+def _refine_peak_time(energy: np.ndarray, peak: int, baseline: float, spec: Spectrogram, times: np.ndarray) -> float:
     """Sub-frame timing of an impulsive peak.
 
     With 50 % overlap a short burst excites exactly two adjacent frames with
     Hann-squared weights, so the energy ratio of the peak and its larger
     neighbor inverts in closed form to the burst position.  Falls back to an
     energy centroid (and finally the frame center) for other hop sizes or
-    degenerate neighborhoods.
+    degenerate neighborhoods.  ``times`` is ``spec.frame_times``.
     """
-    times = spec.frame_times
     if peak == 0 or peak == len(energy) - 1:
         return float(times[peak])
     e_prev = energy[peak - 1] - baseline
@@ -206,7 +203,8 @@ def detect_snaps(
             kept.append(c)
 
     baseline = np.quantile(energy, BACKGROUND_QUANTILE)
-    times = np.array(sorted(_refine_peak_time(energy, c, baseline, spec) for c in kept))
+    frame_times = spec.frame_times
+    times = np.array(sorted(_refine_peak_time(energy, c, baseline, spec, frame_times) for c in kept))
     return SnapDetection(times, len(kept), len(kept) / duration, band_hz, threshold_sigma)
 
 

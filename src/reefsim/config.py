@@ -9,6 +9,7 @@ output directory so results are reproducible from the artifact alone.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -147,6 +148,18 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError("audio_fs_hz must be at least 48000")
     if config.episode.duration_s <= 0:
         raise ConfigError("episode duration_s must be positive")
+    if config.mission.words_per_image < 1:
+        raise ConfigError("mission words_per_image must be at least 1")
+    noise = config.noise
+    for f in fields(noise):
+        sigma = getattr(noise, f.name)
+        if f.name.endswith("_sigma") and not (math.isfinite(sigma) and sigma >= 0):
+            raise ConfigError(f"noise {f.name} must be finite and non-negative")
+    # The EKF fuses these channels, and a Kalman update needs R > 0.
+    if noise.depth_sigma == 0 or noise.heading_sigma == 0:
+        raise ConfigError("noise depth_sigma and heading_sigma must be positive")
+    if noise.usbl_enabled and noise.usbl_period_s > 0 and noise.usbl_sigma == 0:
+        raise ConfigError("noise usbl_sigma must be positive while USBL fixes are enabled")
 
 
 def load_config(path: str | Path | None) -> RunConfig:

@@ -227,8 +227,8 @@ def execute(
 
     def clamp_to_world(s: VehicleState) -> VehicleState:
         eps = 1e-6
-        x = float(np.clip(s.x, 0.0, world.width_m - eps))
-        y = float(np.clip(s.y, 0.0, world.height_m - eps))
+        x = min(max(s.x, 0.0), world.width_m - eps)
+        y = min(max(s.y, 0.0), world.height_m - eps)
         if x == s.x and y == s.y:
             return s
         return VehicleState(x=x, y=y, z=s.z, psi=s.psi, u=s.u, v=s.v, w=s.w, yaw_rate=s.yaw_rate)
@@ -482,5 +482,8 @@ def load_log(path: str | Path) -> MissionLog:
     if not saw_end:
         raise DataError(f"mission log {path} is truncated (no end marker)")
 
-    log.validate()
+    try:
+        log.validate()
+    except ValueError as exc:
+        raise DataError(f"mission log {path}: {exc}") from exc
     return log

@@ -16,6 +16,8 @@ the filter's process noise.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +86,18 @@ class Command:
     yaw_rate: float = 0.0
 
     def finite(self) -> bool:
-        return all(np.isfinite([self.surge, self.sway, self.heave, self.yaw_rate]))
+        return all(math.isfinite(value) for value in (self.surge, self.sway, self.heave, self.yaw_rate))
+
+
+def _clip(value: float, lo: float, hi: float) -> float:
+    """``np.clip`` for one Python float, without the array round trip."""
+    return min(max(value, lo), hi)
+
+
+@functools.lru_cache(maxsize=8)
+def _relaxation(dt: float, tau_s: float) -> float:
+    """Fraction of the setpoint gap a first-order lag closes in ``dt``."""
+    return float(1.0 - np.exp(-dt / tau_s))
 
 
 def step_dynamics(state: VehicleState, command: Command, dt: float, config: VehicleConfig) -> VehicleState:
@@ -100,17 +113,17 @@ def step_dynamics(state: VehicleState, command: Command, dt: float, config: Vehi
         raise ValueError("command contains non-finite values")
 
     c = config
-    alpha = 1.0 - np.exp(-dt / c.tau_s)
+    alpha = _relaxation(dt, c.tau_s)
 
-    u_sp = np.clip(command.surge, -c.v_max_mps, c.v_max_mps)
-    v_sp = np.clip(command.sway, -c.v_max_mps, c.v_max_mps)
-    w_sp = np.clip(command.heave, -c.heave_max_mps, c.heave_max_mps)
-    r_sp = np.clip(command.yaw_rate, -c.yaw_rate_max, c.yaw_rate_max)
+    u_sp = _clip(command.surge, -c.v_max_mps, c.v_max_mps)
+    v_sp = _clip(command.sway, -c.v_max_mps, c.v_max_mps)
+    w_sp = _clip(command.heave, -c.heave_max_mps, c.heave_max_mps)
+    r_sp = _clip(command.yaw_rate, -c.yaw_rate_max, c.yaw_rate_max)
 
-    u = float(np.clip(state.u + alpha * (u_sp - state.u), -c.v_max_mps, c.v_max_mps))
-    v = float(np.clip(state.v + alpha * (v_sp - state.v), -c.v_max_mps, c.v_max_mps))
-    w = float(np.clip(state.w + alpha * (w_sp - state.w), -c.heave_max_mps, c.heave_max_mps))
-    r = float(np.clip(state.yaw_rate + alpha * (r_sp - state.yaw_rate), -c.yaw_rate_max, c.yaw_rate_max))
+    u = float(_clip(state.u + alpha * (u_sp - state.u), -c.v_max_mps, c.v_max_mps))
+    v = float(_clip(state.v + alpha * (v_sp - state.v), -c.v_max_mps, c.v_max_mps))
+    w = float(_clip(state.w + alpha * (w_sp - state.w), -c.heave_max_mps, c.heave_max_mps))
+    r = float(_clip(state.yaw_rate + alpha * (r_sp - state.yaw_rate), -c.yaw_rate_max, c.yaw_rate_max))
 
     cos_psi, sin_psi = np.cos(state.psi), np.sin(state.psi)
     return VehicleState(
@@ -229,18 +242,26 @@ def ekf_predict(
     jacobian[0, 3] = dt * (-u * sin_psi - v * cos_psi)
     jacobian[1, 3] = dt * (u * cos_psi - v * sin_psi)
 
-    s_v, s_r = noise.dvl_velocity_sigma, noise.yaw_rate_sigma
-    q = dt * dt * np.diag([s_v**2, s_v**2, s_v**2, s_r**2])
-
+    q = _process_noise(dt, noise.dvl_velocity_sigma, noise.yaw_rate_sigma)
     cov = _symmetrize(jacobian @ est.cov @ jacobian.T + q)
     return EkfEstimate(mean, cov)
 
 
-_MEASUREMENT_ROWS = {
-    "usbl": np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]),
-    "depth": np.array([[0.0, 0.0, 1.0, 0.0]]),
-    "heading": np.array([[0.0, 0.0, 0.0, 1.0]]),
-}
+@functools.lru_cache(maxsize=8)
+def _process_noise(dt: float, s_v: float, s_r: float) -> np.ndarray:
+    q = dt * dt * np.diag([s_v**2, s_v**2, s_v**2, s_r**2])
+    q.setflags(write=False)
+    return q
+
+
+# Multi-axis channels and their measurement matrices ``h``.
+_MEASUREMENT_ROWS = {"usbl": np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])}
+
+# Single-axis channels and the state index each observes.
+_SCALAR_CHANNELS = {"depth": 2, "heading": 3}
+
+_IDENTITY = np.eye(4)
+_IDENTITY.setflags(write=False)
 
 
 def ekf_update(est: EkfEstimate, kind: str, value, r) -> EkfEstimate:
@@ -250,7 +271,16 @@ def ekf_update(est: EkfEstimate, kind: str, value, r) -> EkfEstimate:
     "depth" observes z, "heading" observes psi with the innovation wrapped.
     ``r`` is the measurement covariance (scalar or matrix), required to be
     positive definite.
+
+    Depth and heading take a closed form: their ``h`` only selects state
+    ``k``, so ``S = P[k, k] + r``, the gain is column ``k`` of ``P`` times
+    ``1 / S``, and ``I - K h`` is the identity with column ``k`` replaced.
+    Each entry is computed with the same operations in the same order as the
+    matrix form, so both give bit-identical results; the Joseph product
+    stays a matmul because BLAS may fuse its multiply-adds.
     """
+    if kind in _SCALAR_CHANNELS:
+        return _scalar_update(est, kind, value, r)
     if kind not in _MEASUREMENT_ROWS:
         raise ValueError(f"unknown measurement kind: {kind!r}")
     h = _MEASUREMENT_ROWS[kind]
@@ -268,18 +298,42 @@ def ekf_update(est: EkfEstimate, kind: str, value, r) -> EkfEstimate:
         raise ValueError("measurement covariance must be positive definite")
 
     innovation = z - h @ est.mean
-    if kind == "heading":
-        innovation[0] = wrap_angle(innovation[0])
-
     s = h @ est.cov @ h.T + r_mat
     gain = est.cov @ h.T @ np.linalg.inv(s)
     mean = est.mean + gain @ innovation
     mean[3] = wrap_angle(mean[3])
 
     # Joseph form keeps the covariance symmetric PSD under roundoff.
-    identity = np.eye(4)
-    factor = identity - gain @ h
+    factor = _IDENTITY - gain @ h
     cov = _symmetrize(factor @ est.cov @ factor.T + gain @ r_mat @ gain.T)
+    return EkfEstimate(mean, cov)
+
+
+def _scalar_update(est: EkfEstimate, kind: str, value, r) -> EkfEstimate:
+    """The depth and heading update of :func:`ekf_update` in closed form."""
+    k = _SCALAR_CHANNELS[kind]
+    z = np.asarray(value, dtype=np.float64)
+    if z.size != 1 or z.ndim > 1:
+        raise ValueError(f"{kind} measurement must have shape (1,)")
+    r_arr = np.asarray(r, dtype=np.float64)
+    if r_arr.size != 1 or r_arr.ndim > 2:
+        raise ValueError("measurement covariance has wrong shape")
+    r = r_arr.item()
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError("measurement covariance must be positive definite")
+
+    innovation = z.item() - est.mean[k]
+    if kind == "heading":
+        innovation = wrap_angle(innovation)
+
+    p = est.cov
+    gain = p[:, k] * (1.0 / (p[k, k] + r))
+    mean = est.mean + gain * innovation
+    mean[3] = wrap_angle(mean[3])
+
+    factor = _IDENTITY.copy()
+    factor[:, k] -= gain
+    cov = _symmetrize(factor @ p @ factor.T + (gain * r)[:, None] * gain[None, :])
     return EkfEstimate(mean, cov)
 
 
@@ -290,10 +344,10 @@ def altitude_hold_command(altitude: float, valid: bool, setpoint: float, config:
     invalid (DVL out of range) the controller falls back to holding depth:
     zero heave with the flag set.
     """
-    if not valid or not np.isfinite(altitude):
+    if not valid or not math.isfinite(altitude):
         return 0.0, True
     heave = config.k_altitude * (setpoint - altitude)
-    return float(np.clip(heave, -config.heave_max_mps, config.heave_max_mps)), False
+    return float(_clip(heave, -config.heave_max_mps, config.heave_max_mps)), False
 
 
 def waypoint_command(est_mean: np.ndarray, waypoint: tuple[float, float], config: VehicleConfig) -> tuple[Command, bool]:
@@ -311,7 +365,7 @@ def waypoint_command(est_mean: np.ndarray, waypoint: tuple[float, float], config
         return Command(), True
 
     bearing_error = wrap_angle(np.arctan2(dy, dx) - est_mean[3])
-    yaw_rate = float(np.clip(config.k_waypoint_yaw * bearing_error, -config.yaw_rate_max, config.yaw_rate_max))
-    surge = float(np.clip(config.k_waypoint_surge * distance, 0.0, config.cruise_speed_mps))
+    yaw_rate = float(_clip(config.k_waypoint_yaw * bearing_error, -config.yaw_rate_max, config.yaw_rate_max))
+    surge = float(_clip(config.k_waypoint_surge * distance, 0.0, config.cruise_speed_mps))
     surge *= max(0.0, float(np.cos(bearing_error)))
     return Command(surge=surge, yaw_rate=yaw_rate), False

@@ -13,6 +13,12 @@ synthesizes hydrophone audio for a listener position: snap events arrive as
 a Poisson process whose rate sums the per-cell emission rates attenuated by
 geometric spreading ``1 / (1 + r^2)``, each event rendered as a short
 band-limited decaying noise burst on top of Gaussian background noise.
+
+A window's bursts are rendered as one batch.  The batch takes its noise from
+a single ``rng.standard_normal((n_snaps, m))`` draw, which consumes the
+stream exactly as ``n_snaps`` successive draws of ``m`` would, and adds the
+bursts into the window in snap order; so a batch equals rendering and adding
+the bursts one by one, bit for bit.
 """
 
 from __future__ import annotations
@@ -343,20 +349,25 @@ def expected_snap_rate(world: GridWorld, x: float, y: float) -> float:
     return float(np.sum(world.snap_rate / (1.0 + r2)))
 
 
+def make_snap_bursts(fs: int, n_snaps: int, rng: np.random.Generator) -> np.ndarray:
+    """``(n_snaps, m)`` unit-peak snap waveforms: ~1 ms of exponentially
+    decaying noise per row, band-limited to the snap band by FFT masking."""
+    m = max(8, round(SNAP_BURST_S * fs))
+    t = np.arange(m) / fs
+    bursts = rng.standard_normal((n_snaps, m)) * np.exp(-t / SNAP_DECAY_S)
+    spectrum = np.fft.rfft(bursts, axis=1)
+    freqs = np.fft.rfftfreq(m, 1.0 / fs)
+    spectrum[:, (freqs < SNAP_BAND_HZ[0]) | (freqs > SNAP_BAND_HZ[1])] = 0.0
+    bursts = np.fft.irfft(spectrum, m, axis=1)
+    peak = np.max(np.abs(bursts), axis=1, keepdims=True)
+    # A pathological draw keeps silence rather than dividing by ~0.
+    silent = peak < 1e-12
+    return np.where(silent, 0.0, bursts / np.where(silent, 1.0, peak))
+
+
 def make_snap_burst(fs: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-peak snap waveform: ~1 ms of exponentially decaying noise,
-    band-limited to the snap band by FFT masking."""
-    n = max(8, round(SNAP_BURST_S * fs))
-    t = np.arange(n) / fs
-    burst = rng.standard_normal(n) * np.exp(-t / SNAP_DECAY_S)
-    spectrum = np.fft.rfft(burst)
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
-    spectrum[(freqs < SNAP_BAND_HZ[0]) | (freqs > SNAP_BAND_HZ[1])] = 0.0
-    burst = np.fft.irfft(spectrum, n)
-    peak = np.max(np.abs(burst))
-    if peak < 1e-12:  # pathological draw; keep silence rather than divide by ~0
-        return np.zeros(n)
-    return burst / peak
+    """One unit-peak snap waveform (see :func:`make_snap_bursts`)."""
+    return make_snap_bursts(fs, 1, rng)[0]
 
 
 def synthesize_audio(
@@ -389,11 +400,11 @@ def synthesize_audio(
     snap_times = np.sort(rng.uniform(0.0, duration, n_snaps))
 
     samples = np.zeros(n)
-    for t_snap in snap_times:
-        burst = make_snap_burst(fs, rng) * world.snap_amplitude
-        i0 = int(t_snap * fs)
-        i1 = min(i0 + len(burst), n)
-        samples[i0:i1] += burst[: i1 - i0]
+    bursts = make_snap_bursts(fs, n_snaps, rng) * world.snap_amplitude
+    # Overlap-add in snap order; a burst running past the window end is cut.
+    index = (snap_times * fs).astype(np.int64)[:, None] + np.arange(bursts.shape[1])
+    inside = index < n
+    np.add.at(samples, index[inside], bursts[inside])
 
     if world.background_sigma > 0:
         samples += rng.normal(0.0, world.background_sigma, n)

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -69,6 +73,15 @@ class TestStft:
     def test_too_few_samples_rejected(self) -> None:
         with pytest.raises(ValueError):
             stft(white_noise(1000), FS, window=1024)
+
+
+    @pytest.mark.parametrize("n, window, hop", [(10_000, 1024, 512), (96_000, 1024, 512), (5_000, 256, 100), (4_096, 1024, 1024)])
+    def test_matches_index_gather_reference(self, n, window, hop) -> None:
+        samples = white_noise(n, seed=n)
+        n_frames = (n - window) // hop + 1
+        idx = np.arange(window)[None, :] + hop * np.arange(n_frames)[:, None]
+        expected = np.abs(np.fft.rfft(samples[idx] * hann_window(window)[None, :], axis=1)) ** 2
+        assert stft(samples, FS, window, hop).power.tobytes() == expected.tobytes()
 
 
 class TestBandEnergy:
@@ -153,6 +166,19 @@ class TestDetectSnaps:
         spec = stft(np.zeros(4096), FS)
         with pytest.raises(ValueError):
             detect_snaps(np.ones(4), spec, 1.0)
+
+    def test_pinned_detection_times(self, default_world) -> None:
+        """Faster framing or peak timing must not move a single detection."""
+        golden = json.loads((Path(__file__).parent / "golden_cli_digests.json").read_text())
+        if np.__version__ != golden["numpy"]:
+            pytest.skip(f"times pinned with numpy {golden['numpy']}, installed numpy is {np.__version__}")
+        window = synthesize_audio(default_world, 6.0, 6.0, 2.0, FS, False, substream(5, "pin"))
+        detection = detect_snaps_in_window(window)
+        assert detection.count == 47
+        assert detection.times[0] == 0.008959192303861246
+        assert hashlib.sha256(detection.times.tobytes()).hexdigest() == (
+            "eaad3f130803269c4de2637dded2b41a4a12de65bf71c94edcd3b18400eb7256"
+        )
 
 
 def snr_amplitude(target_snr_db: float, background_sigma: float, fs: int, window: int = 1024) -> float:

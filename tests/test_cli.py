@@ -76,6 +76,10 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             config_from_dict({"topics": {"alpha": -1.0}})
 
+    def test_zero_usbl_sigma_allowed_without_usbl_fixes(self) -> None:
+        assert config_from_dict({"noise": {"usbl_sigma": 0.0, "usbl_enabled": False}}).noise.usbl_sigma == 0.0
+        assert config_from_dict({"noise": {"usbl_sigma": 0.0, "usbl_period_s": 0.0}}).noise.usbl_sigma == 0.0
+
 
 class TestWorldGen:
     def test_writes_world_and_map(self, runner, tmp_path) -> None:
@@ -223,6 +227,53 @@ class TestSurveyAnalyzeTrack:
             ["analyze", "--log", str(log_path), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "r")],
         )
         assert result.exit_code == 3, result.output
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("words", lambda record: {**record, "t": 0.0}),
+            ("audio", lambda record: {**record, "mode": "TRANSIT"}),
+            ("words", lambda record: {**record, "mode": "DRIFT"}),
+        ],
+        ids=["timestamps-not-increasing", "audio-outside-drift", "words-outside-transit"],
+    )
+    def test_analyze_inconsistent_log_is_data_error(self, workspace, tmp_path, key, edit) -> None:
+        _, config, _, survey_out = workspace
+        corrupt = tmp_path / "corrupt"
+        shutil.copytree(survey_out, corrupt)
+        log_path = corrupt / "mission_log.jsonl"
+        lines = log_path.read_text().splitlines()
+        # The second record carrying ``key``, so a timestamp of 0 is out of order.
+        i = [i for i, line in enumerate(lines) if f'"{key}"' in line][1]
+        lines[i] = json.dumps(edit(json.loads(lines[i])))
+        log_path.write_text("\n".join(lines) + "\n")
+        result = CliRunner().invoke(
+            main,
+            ["analyze", "--log", str(log_path), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "r")],
+        )
+        assert result.exit_code == 3, result.output
+
+    @pytest.mark.parametrize(
+        "section, key, bad",
+        [
+            ("noise", "depth_sigma", 0.0),
+            ("noise", "heading_sigma", 0.0),
+            ("noise", "heading_sigma", -0.1),
+            ("noise", "dvl_velocity_sigma", float("nan")),
+            ("noise", "yaw_rate_sigma", float("inf")),
+            ("noise", "usbl_sigma", 0.0),
+            ("mission", "words_per_image", 0),
+        ],
+    )
+    def test_survey_invalid_noise_or_mission_is_config_error(self, workspace, tmp_path, section, key, bad) -> None:
+        _, _, world_out, _ = workspace
+        config = write_config(tmp_path, {**SMALL_CONFIG, section: {key: bad}})
+        result = CliRunner().invoke(
+            main,
+            ["survey", "--world", str(world_out / "world.json"), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 2, result.output
+        assert key in result.output
 
     def test_track_outputs_and_reproducibility(self, workspace, tmp_path) -> None:
         _, config, world_out, _ = workspace

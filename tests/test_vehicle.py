@@ -218,6 +218,72 @@ class TestEkfUpdate:
             est.validate()
 
 
+def matrix_form_update(est: EkfEstimate, kind: str, value: float, r) -> EkfEstimate:
+    """Reference: the general matrix Kalman update for one 1-D channel."""
+    h = {"depth": np.array([[0.0, 0.0, 1.0, 0.0]]), "heading": np.array([[0.0, 0.0, 0.0, 1.0]])}[kind]
+    z = np.atleast_1d(np.asarray(value, dtype=np.float64))
+    r_mat = np.atleast_2d(np.asarray(r, dtype=np.float64))
+    innovation = z - h @ est.mean
+    if kind == "heading":
+        innovation[0] = wrap_angle(innovation[0])
+    s = h @ est.cov @ h.T + r_mat
+    gain = est.cov @ h.T @ np.linalg.inv(s)
+    mean = est.mean + gain @ innovation
+    mean[3] = wrap_angle(mean[3])
+    factor = np.eye(4) - gain @ h
+    cov = factor @ est.cov @ factor.T + gain @ r_mat @ gain.T
+    return EkfEstimate(mean, 0.5 * (cov + cov.T))
+
+
+class TestScalarEkfUpdate:
+    @staticmethod
+    def random_estimate(rng: np.random.Generator, psi: float | None = None) -> EkfEstimate:
+        a = rng.standard_normal((4, 4))
+        mean = rng.normal(0.0, 5.0, 4)
+        mean[3] = rng.uniform(-np.pi, np.pi) if psi is None else psi
+        return EkfEstimate(mean, a @ a.T + 1e-3 * np.eye(4))
+
+    @pytest.mark.parametrize("kind", ["depth", "heading"])
+    def test_matches_matrix_form_bitwise(self, kind) -> None:
+        rng = substream(21, "scalar-ekf", kind)
+        for _ in range(200):
+            est = self.random_estimate(rng)
+            value = rng.normal(est.mean[2], 1.0) if kind == "depth" else rng.uniform(-np.pi, np.pi)
+            r = rng.uniform(1e-4, 1.0)
+            got, expected = ekf_update(est, kind, value, r), matrix_form_update(est, kind, value, r)
+            assert np.array_equal(got.mean, expected.mean)
+            assert np.array_equal(got.cov, expected.cov)
+
+    def test_heading_wrap_matches_matrix_form_bitwise(self) -> None:
+        rng = substream(22, "scalar-ekf-wrap")
+        for psi, value in ((3.1, -3.1), (-3.1, 3.1), (np.pi, -np.pi + 1e-3), (0.2, 0.2 + 4 * np.pi)):
+            est = self.random_estimate(rng, psi)
+            got, expected = ekf_update(est, "heading", value, 0.01), matrix_form_update(est, "heading", value, 0.01)
+            assert np.array_equal(got.mean, expected.mean)
+            assert np.array_equal(got.cov, expected.cov)
+            assert -np.pi < got.mean[3] <= np.pi
+
+    @pytest.mark.parametrize("kind", ["depth", "heading"])
+    def test_scalar_and_one_by_one_noise_agree(self, kind) -> None:
+        est = self.random_estimate(substream(23, "scalar-ekf-r"))
+        a = ekf_update(est, kind, 0.4, 0.05)
+        b = ekf_update(est, kind, 0.4, np.array([[0.05]]))
+        assert np.array_equal(a.mean, b.mean)
+        assert np.array_equal(a.cov, b.cov)
+
+    @pytest.mark.parametrize("r", [0.0, -0.01, np.nan, np.array([[0.0]])])
+    @pytest.mark.parametrize("kind", ["depth", "heading"])
+    def test_non_positive_noise_rejected(self, kind, r) -> None:
+        with pytest.raises(ValueError):
+            ekf_update(EkfEstimate(), kind, 0.0, r)
+
+    def test_wrong_shapes_rejected(self) -> None:
+        with pytest.raises(ValueError):
+            ekf_update(EkfEstimate(), "depth", [0.0, 1.0], 0.01)
+        with pytest.raises(ValueError):
+            ekf_update(EkfEstimate(), "heading", 0.0, 0.01 * np.eye(2))
+
+
 def simulate_filter_run(seed: int, n_steps: int, noise: NoiseConfig, dt: float = 0.05, exact_start: bool = False):
     """Shared truth/filter simulation for consistency and error experiments.
 

@@ -12,6 +12,8 @@ from reefsim.world import (
     WorldConfig,
     expected_snap_rate,
     generate_world,
+    make_snap_burst,
+    make_snap_bursts,
     read_wav,
     sample_image_words,
     synthesize_audio,
@@ -189,6 +191,66 @@ class TestSynthesizeAudio:
         w2 = synthesize_audio(default_world, 8.0, 8.0, 0.5, 96_000, False, substream(11, "det"))
         assert np.array_equal(w1.samples, w2.samples)
         assert np.array_equal(w1.truth_snap_times, w2.truth_snap_times)
+
+
+def synthesize_audio_per_snap(world, x, y, duration, fs, rng):
+    """Reference renderer: one burst drawn and added at a time, in snap order."""
+    n = round(duration * fs)
+    n_snaps = rng.poisson(expected_snap_rate(world, x, y) * duration)
+    snap_times = np.sort(rng.uniform(0.0, duration, n_snaps))
+    samples = np.zeros(n)
+    for t_snap in snap_times:
+        burst = make_snap_burst(fs, rng) * world.snap_amplitude
+        i0 = int(t_snap * fs)
+        i1 = min(i0 + len(burst), n)
+        samples[i0:i1] += burst[: i1 - i0]
+    samples += rng.normal(0.0, world.background_sigma, n)
+    return np.clip(samples, -1.0, 1.0).astype(np.float32), snap_times
+
+
+class TestBatchedSnapBursts:
+    def test_single_burst_matches_one_dimensional_fft(self) -> None:
+        fs = 96_000
+        n = round(1.0e-3 * fs)
+        rng = substream(8, "burst")
+        t = np.arange(n) / fs
+        burst = rng.standard_normal(n) * np.exp(-t / 2.0e-4)
+        spectrum = np.fft.rfft(burst)
+        freqs = np.fft.rfftfreq(n, 1.0 / fs)
+        spectrum[(freqs < 2000.0) | (freqs > 24000.0)] = 0.0
+        burst = np.fft.irfft(spectrum, n)
+        expected = burst / np.max(np.abs(burst))
+        assert make_snap_burst(fs, substream(8, "burst")).tobytes() == expected.tobytes()
+
+    def test_silent_draw_gives_silent_row(self) -> None:
+        class HalfSilent:
+            def standard_normal(self, shape):
+                draw = np.random.default_rng(0).standard_normal(shape)
+                draw[0] = 0.0
+                return draw
+
+        bursts = make_snap_bursts(96_000, 2, HalfSilent())
+        assert not np.any(bursts[0])
+        assert np.max(np.abs(bursts[1])) == 1.0
+
+    def test_window_matches_per_snap_reference(self) -> None:
+        # ~4,000 snaps/s heard: 1 ms bursts overlap, and one starts in the
+        # last millisecond so it runs past the window end.
+        world = generate_world(WorldConfig(snap_rates_per_s=(400.0, 400.0, 400.0)), seed=7)
+        x, y, duration, fs = 10.0, 10.0, 1.0, 96_000
+        window = synthesize_audio(world, x, y, duration, fs, False, substream(9, "batch"))
+        samples, snap_times = synthesize_audio_per_snap(world, x, y, duration, fs, substream(9, "batch"))
+        burst_s = 1.0e-3
+        assert np.min(np.diff(snap_times)) < burst_s
+        assert snap_times[-1] > duration - burst_s
+        assert window.samples.tobytes() == samples.tobytes()
+        assert window.truth_snap_times.tobytes() == snap_times.tobytes()
+
+    def test_zero_snap_window_matches_per_snap_reference(self, quiet_world) -> None:
+        window = synthesize_audio(quiet_world, 10.0, 10.0, 1.0, 96_000, False, substream(9, "none"))
+        samples, snap_times = synthesize_audio_per_snap(quiet_world, 10.0, 10.0, 1.0, 96_000, substream(9, "none"))
+        assert len(window.truth_snap_times) == len(snap_times) == 0
+        assert window.samples.tobytes() == samples.tobytes()
 
 
 class TestWorldIO:
