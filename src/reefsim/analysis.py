@@ -6,6 +6,14 @@ topic mixtures sum to one, the design is collinear with the intercept; a
 tiny ridge (1e-8) on the normal equations makes the solve deterministic
 without visibly biasing the fit.  Also provides Pearson correlation, track
 habitat preference, and track co-occurrence.
+
+:func:`analyze_log` runs on two cores.  The topic fit (model construction,
+streaming the imaging records, Gibbs refinement) runs in one worker process
+from the records' ``(cell_id, words)`` and the seed, and returns the fitted
+model.  Meanwhile this process detects snaps in the audio it already holds.
+The report is byte-identical to running both halves in one process: the fit
+draws only from the ``"topics"`` substream, detection draws nothing, and no
+samples cross the pipe.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import numpy as np
 
 from .acoustics import AcousticsConfig, SnapRateSeries, export_snap_rates_csv, snap_rate_series
 from .errors import DataError, DegenerateDataError
+from .rng import substream
 from .topics import (
     TopicModel,
     TopicsConfig,
@@ -26,6 +35,7 @@ from .topics import (
     habitat_timeseries,
     merge_groups_by_appearance,
 )
+from .worker import Worker
 
 
 @dataclass
@@ -199,21 +209,22 @@ def analyze_log(
     habitats); they are dropped from the regression design so their
     near-zero columns cannot soak up residual noise.
     """
-    from .rng import substream
-
     acoustics_config = acoustics_config or AcousticsConfig()
     topics_config = topics_config or TopicsConfig()
 
-    series = snap_rate_series(log, acoustics_config)
+    # Checked here, not in the worker, so that a log without drift windows
+    # or images fails at once; drift windows are checked first.
+    if not log.drift_records():
+        raise DataError("mission log contains no drift windows")
     imaging = log.imaging_records()
     if not imaging:
         raise DataError("mission log has no imaging records")
 
-    vocab_size = len(imaging[0].words)
-    model = TopicModel(vocab_size, log.grid_nx, log.grid_ny, topics_config)
-    rng = substream(seed, "topics")
-    fit_log(model, log, rng)
-    model.gibbs_refine(topics_config.gibbs_sweeps, rng)
+    observations = [(record.cell_id, record.words) for record in imaging]
+    shape = (len(imaging[0].words), log.grid_nx, log.grid_ny)
+    with Worker(_fit_topics, observations, shape, topics_config, seed) as worker:
+        series = snap_rate_series(log, acoustics_config)
+        model = worker.result()
 
     raw_timeseries = habitat_timeseries(model, log)
     leg_records, leg_vectors = aggregate_drift_legs(model, log)
@@ -267,6 +278,17 @@ def analyze_log(
         n_windows_skipped=len(series.skips),
         model=model,
     )
+
+
+def _fit_topics(send, observations, shape, topics_config: TopicsConfig, seed: int) -> TopicModel:
+    """The topic fit of :func:`analyze_log`, run in its worker: stream the
+    imaging observations ``(cell_id, words)`` in log order, then refine.
+    ``shape`` is ``(vocab_size, grid_nx, grid_ny)``."""
+    model = TopicModel(*shape, topics_config)
+    rng = substream(seed, "topics")
+    fit_log(model, observations, rng)
+    model.gibbs_refine(topics_config.gibbs_sweeps, rng)
+    return model
 
 
 def write_report(report: AnalysisReport, out_dir: str | Path) -> None:

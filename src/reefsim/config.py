@@ -9,7 +9,6 @@ output directory so results are reproducible from the artifact alone.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -17,7 +16,7 @@ from typing import Any
 import yaml
 
 from .acoustics import AcousticsConfig
-from .errors import ConfigError
+from .errors import ConfigError, finite
 from .mission import MissionConfig
 from .tracking import Camera, DistractorConfig, TargetConfig, TrackingConfig
 from .vehicle import NoiseConfig, VehicleConfig
@@ -140,20 +139,20 @@ def validate_config(config: RunConfig) -> None:
         config.topics.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if config.plan.drift_duration_s < 0:
-        raise ConfigError("drift_duration_s must be non-negative")
-    if config.mission.dt_s <= 0 or config.mission.dt_s > 0.5:
+    if not (finite(config.plan.drift_duration_s) and config.plan.drift_duration_s >= 0):
+        raise ConfigError("plan drift_duration_s must be non-negative and finite")
+    if not 0 < config.mission.dt_s <= 0.5:
         raise ConfigError("mission dt_s must be in (0, 0.5]")
-    if config.plan.audio_fs_hz < 48_000:
-        raise ConfigError("audio_fs_hz must be at least 48000")
-    if config.episode.duration_s <= 0:
-        raise ConfigError("episode duration_s must be positive")
-    if config.mission.words_per_image < 1:
+    if not (finite(config.plan.audio_fs_hz) and config.plan.audio_fs_hz >= 48_000):
+        raise ConfigError("plan audio_fs_hz must be at least 48000")
+    if not (finite(config.episode.duration_s) and config.episode.duration_s > 0):
+        raise ConfigError("episode duration_s must be positive and finite")
+    if not (finite(config.mission.words_per_image) and config.mission.words_per_image >= 1):
         raise ConfigError("mission words_per_image must be at least 1")
     noise = config.noise
     for f in fields(noise):
         sigma = getattr(noise, f.name)
-        if f.name.endswith("_sigma") and not (math.isfinite(sigma) and sigma >= 0):
+        if f.name.endswith("_sigma") and not (finite(sigma) and sigma >= 0):
             raise ConfigError(f"noise {f.name} must be finite and non-negative")
     # The EKF fuses these channels, and a Kalman update needs R > 0.
     if noise.depth_sigma == 0 or noise.heading_sigma == 0:

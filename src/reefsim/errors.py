@@ -6,6 +6,8 @@ problems with user-supplied configuration or runtime data, which the CLI
 maps onto distinct exit codes.
 """
 
+import math
+
 
 class ReefsimError(Exception):
     """Base class for package-specific errors."""
@@ -26,3 +28,12 @@ class SaturatedWindowError(DataError):
 class DegenerateDataError(DataError):
     """Statistical operation received degenerate input (constant series,
     rank-deficient design beyond ridge rescue, empty track)."""
+
+
+def finite(*values) -> bool:
+    """True when every value is a finite number.
+
+    Range checks on configuration start with this: NaN compares false with
+    everything, so ``x <= 0`` alone lets it through.
+    """
+    return all(math.isfinite(v) for v in values)

@@ -13,17 +13,27 @@ The log is an append-only, strictly time-ordered record sequence; at most one
 record is written per simulation step.  On disk it is line-delimited JSON
 (one self-describing record per line, header first) with drift audio in a
 sidecar directory of 32-bit float WAV files referenced by filename.
+
+:func:`execute` runs on two cores.  The fixed-step vehicle loop (dynamics,
+sensors, EKF, image words) runs in one worker process.  At each drift
+station it sends ``(drift_index, x, y, t)`` over a pipe, and this process
+renders that window while the loop goes on; the worker returns the records,
+and the audio is attached here.  The result is byte-identical to running
+both halves in one process: the loop draws only from the ``"mission"``
+substream and window ``i`` only from ``("audio", i)``, and no samples cross
+the pipe.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, finite
 from .rng import substream
 from .vehicle import (
     Command,
@@ -38,6 +48,7 @@ from .vehicle import (
     step_dynamics,
     waypoint_command,
 )
+from .worker import Worker
 from .world import AudioWindow, GridWorld, read_wav, sample_image_words, synthesize_audio, write_wav
 
 LOG_FORMAT = "reefsim-mission-log-v1"
@@ -57,10 +68,10 @@ class MissionPlan:
     def validate(self) -> None:
         if len(self.waypoints) < 1:
             raise ConfigError("plan needs at least one waypoint")
-        if self.drift_duration_s < 0:
-            raise ConfigError("drift_duration_s must be non-negative")
-        if self.imaging_period_s <= 0:
-            raise ConfigError("imaging_period_s must be positive")
+        if not (finite(self.drift_duration_s) and self.drift_duration_s >= 0):
+            raise ConfigError("drift_duration_s must be non-negative and finite")
+        if not (finite(self.imaging_period_s) and self.imaging_period_s > 0):
+            raise ConfigError("imaging_period_s must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -88,14 +99,14 @@ def plan_lawnmower(
     subdivides legs so drift stations sit every so many meters along them.
     """
     x0, y0, x1, y1 = bounds
-    if x1 <= x0 or y1 <= y0:
-        raise ConfigError("bounds must be non-degenerate")
-    if leg_spacing_m <= 0:
-        raise ConfigError("leg spacing must be positive")
+    if not (finite(*bounds) and x1 > x0 and y1 > y0):
+        raise ConfigError("bounds must be finite and non-degenerate")
+    if not (finite(leg_spacing_m) and leg_spacing_m > 0):
+        raise ConfigError("leg_spacing_m must be positive and finite")
     if leg_spacing_m > (y1 - y0) and leg_spacing_m > (x1 - x0):
         raise ConfigError("leg spacing larger than both bound extents")
-    if waypoint_spacing_m is not None and waypoint_spacing_m <= 0:
-        raise ConfigError("waypoint spacing must be positive")
+    if waypoint_spacing_m is not None and not (finite(waypoint_spacing_m) and waypoint_spacing_m > 0):
+        raise ConfigError("waypoint_spacing_m must be positive and finite")
 
     n_legs = int(np.floor((y1 - y0) / leg_spacing_m + 1e-9)) + 1
     if waypoint_spacing_m is None:
@@ -194,12 +205,61 @@ def execute(
     timeout, the mission aborts and returns the partial log with an explicit
     abort marker.  The true position is confined to the world rectangle, so
     plans should keep waypoints at least a capture radius inside it.
+
+    The vehicle loop runs in a worker process; this process renders each
+    drift window as the worker reaches its station, then attaches the audio
+    to the records the worker returns.
     """
     plan.validate()
     for wx, wy in plan.waypoints:
         if not world.contains(wx, wy):
             raise ConfigError(f"waypoint ({wx}, {wy}) lies outside the world")
 
+    windows: list[AudioWindow] = []
+    with Worker(_run_vehicle, plan, world, vehicle_config, noise_config, mission_config, seed) as worker:
+        for drift_index, x, y, t in worker.messages():
+            windows.append(
+                synthesize_audio(
+                    world,
+                    x,
+                    y,
+                    plan.drift_duration_s,
+                    plan.audio_fs_hz,
+                    thrusters_on=False,
+                    rng=substream(seed, "audio", drift_index),
+                    start_time=t,
+                )
+            )
+        log = worker.result()
+
+    for drift_index, (record, window) in enumerate(zip(log.drift_records(), windows, strict=True)):
+        filename = f"drift_{drift_index:04d}.wav"
+        log.audio[filename] = window
+        record.audio = AudioRef(
+            filename=filename,
+            fs=window.fs,
+            duration=window.duration,
+            saturated=window.saturated,
+            truth_snap_times=[float(v) for v in window.truth_snap_times],
+        )
+    log.validate()
+    return log
+
+
+def _run_vehicle(
+    send,
+    plan: MissionPlan,
+    world: GridWorld,
+    vehicle_config: VehicleConfig,
+    noise_config: NoiseConfig,
+    mission_config: MissionConfig,
+    seed: int,
+) -> MissionLog:
+    """The fixed-step vehicle loop of :func:`execute`, run in its worker.
+
+    At each drift station it sends ``(drift_index, x, y, t)`` and logs the
+    DRIFT record without audio.  Returns the log with no audio attached.
+    """
     dt = mission_config.dt_s
     rng = substream(seed, "mission")
     log = MissionLog(
@@ -233,7 +293,7 @@ def execute(
             return s
         return VehicleState(x=x, y=y, z=s.z, psi=s.psi, u=s.u, v=s.v, w=s.w, yaw_rate=s.yaw_rate)
 
-    def snapshot(t: float, mode: str, words=None, audio_ref=None) -> LogRecord:
+    def snapshot(t: float, mode: str, words=None) -> LogRecord:
         return LogRecord(
             t=t,
             mode=mode,
@@ -242,7 +302,6 @@ def execute(
             est_cov_diag=tuple(float(c) for c in np.diag(est.cov)),
             cell_id=world.cell_id(state.x, state.y),
             words=words,
-            audio=audio_ref,
         )
 
     def run_estimator(t: float) -> None:
@@ -281,26 +340,8 @@ def execute(
                 if plan.drift_duration_s > 0:
                     mode = DRIFT
                     drift_steps_left = round(plan.drift_duration_s / dt)
-                    window = synthesize_audio(
-                        world,
-                        state.x,
-                        state.y,
-                        plan.drift_duration_s,
-                        plan.audio_fs_hz,
-                        thrusters_on=False,
-                        rng=substream(seed, "audio", drift_index),
-                        start_time=t,
-                    )
-                    filename = f"drift_{drift_index:04d}.wav"
-                    log.audio[filename] = window
-                    ref = AudioRef(
-                        filename=filename,
-                        fs=window.fs,
-                        duration=window.duration,
-                        saturated=window.saturated,
-                        truth_snap_times=[float(v) for v in window.truth_snap_times],
-                    )
-                    log.records.append(snapshot(t, DRIFT, audio_ref=ref))
+                    send((drift_index, state.x, state.y, t))
+                    log.records.append(snapshot(t, DRIFT))
                     drift_index += 1
                 step += 1
                 continue
@@ -341,7 +382,6 @@ def execute(
 
         step += 1
 
-    log.validate()
     return log
 
 
@@ -409,8 +449,78 @@ def save_log(log: MissionLog, path: str | Path, audio_dirname: str = "audio") ->
         write_wav(audio_dir / filename, log.audio[filename])
 
 
+def _load_record(payload: dict, log: MissionLog, audio_dir: Path) -> LogRecord:
+    """One ``record`` line; its audio window goes into ``log.audio``.  A
+    field that fails its check raises ``ValueError``."""
+    t = float(payload["t"])
+    mode = payload["mode"]
+    if mode not in (TRANSIT, DRIFT):
+        raise ValueError(f"record at t={t} has unknown mode {mode!r}")
+    cell_id = int(payload["cell_id"])
+    if not 0 <= cell_id < log.grid_nx * log.grid_ny:
+        raise ValueError(f"record at t={t} has cell_id {cell_id} outside the grid")
+    words = payload.get("words")
+    if words is not None and not (isinstance(words, list) and all(type(c) is int and c >= 0 for c in words)):
+        raise ValueError(f"record at t={t} has word counts that are not non-negative integers")
+    audio_ref = None
+    if "audio" in payload:
+        a = payload["audio"]
+        audio_ref = AudioRef(
+            filename=a["filename"],
+            fs=int(a["fs"]),
+            duration=float(a["duration"]),
+            saturated=bool(a["saturated"]),
+            truth_snap_times=[float(v) for v in a["truth_snap_times"]],
+        )
+        samples, fs = read_wav(audio_dir / audio_ref.filename)
+        log.audio[audio_ref.filename] = AudioWindow(
+            samples=samples,
+            fs=fs,
+            start_time=t,
+            truth_snap_times=np.asarray(audio_ref.truth_snap_times, dtype=np.float64),
+            saturated=audio_ref.saturated,
+        )
+    return LogRecord(
+        t=t,
+        mode=mode,
+        true_pose=_floats(payload["true_pose"]),
+        est_mean=_floats(payload["est_mean"]),
+        est_cov_diag=_floats(payload["est_cov_diag"]),
+        cell_id=cell_id,
+        words=words,
+        audio=audio_ref,
+    )
+
+
+@contextmanager
+def _line_errors(path: Path, number: int):
+    """Turn a parse, missing-key or wrong-type error on one line of the log
+    into a :class:`DataError` naming the file and line."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise DataError(f"mission log {path} line {number}: {reason}") from exc
+
+
+def _json_object(line: str) -> dict:
+    payload = json.loads(line)
+    if not isinstance(payload, dict):
+        raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
 def load_log(path: str | Path) -> MissionLog:
-    """Read a log written by :func:`save_log`, including sidecar audio."""
+    """Read a log written by :func:`save_log`, including sidecar audio.
+
+    Every way the file can fail to be such a log, including a line that is
+    not a JSON object or a field that is missing or of the wrong type,
+    raises :class:`DataError`.
+    """
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
@@ -419,66 +529,32 @@ def load_log(path: str | Path) -> MissionLog:
     if not lines:
         raise DataError(f"mission log {path} is empty")
 
-    header = json.loads(lines[0])
-    if header.get("type") != "header" or header.get("format") != LOG_FORMAT:
-        raise DataError(f"unsupported mission log format in {path}")
-
-    log = MissionLog(
-        grid_nx=int(header["grid_nx"]),
-        grid_ny=int(header["grid_ny"]),
-        cell_size_m=float(header["cell_size_m"]),
-        audio_fs_hz=int(header["audio_fs_hz"]),
-        drift_duration_s=float(header["drift_duration_s"]),
-    )
-    audio_dir = path.parent / header["audio_dir"]
+    with _line_errors(path, 1):
+        header = _json_object(lines[0])
+        if header.get("type") != "header" or header.get("format") != LOG_FORMAT:
+            raise ValueError("unsupported mission log format")
+        log = MissionLog(
+            grid_nx=int(header["grid_nx"]),
+            grid_ny=int(header["grid_ny"]),
+            cell_size_m=float(header["cell_size_m"]),
+            audio_fs_hz=int(header["audio_fs_hz"]),
+            drift_duration_s=float(header["drift_duration_s"]),
+        )
+        audio_dir = path.parent / header["audio_dir"]
 
     saw_end = False
-    for line in lines[1:]:
-        payload = json.loads(line)
-        kind = payload.get("type")
-        if kind == "end":
-            log.aborted = bool(payload["aborted"])
-            log.abort_reason = payload["abort_reason"]
-            saw_end = True
-        elif kind == "record":
-            cell_id = int(payload["cell_id"])
-            if not 0 <= cell_id < log.grid_nx * log.grid_ny:
-                raise DataError(f"record at t={payload['t']} in {path} has cell_id {cell_id} outside the grid")
-            words = payload.get("words")
-            if words is not None and not (isinstance(words, list) and all(type(c) is int and c >= 0 for c in words)):
-                raise DataError(f"record at t={payload['t']} in {path} has word counts that are not non-negative integers")
-            audio_ref = None
-            if "audio" in payload:
-                a = payload["audio"]
-                audio_ref = AudioRef(
-                    filename=a["filename"],
-                    fs=int(a["fs"]),
-                    duration=float(a["duration"]),
-                    saturated=bool(a["saturated"]),
-                    truth_snap_times=[float(v) for v in a["truth_snap_times"]],
-                )
-                samples, fs = read_wav(audio_dir / a["filename"])
-                log.audio[a["filename"]] = AudioWindow(
-                    samples=samples,
-                    fs=fs,
-                    start_time=float(payload["t"]),
-                    truth_snap_times=np.asarray(a["truth_snap_times"], dtype=np.float64),
-                    saturated=bool(a["saturated"]),
-                )
-            log.records.append(
-                LogRecord(
-                    t=float(payload["t"]),
-                    mode=payload["mode"],
-                    true_pose=tuple(payload["true_pose"]),
-                    est_mean=tuple(payload["est_mean"]),
-                    est_cov_diag=tuple(payload["est_cov_diag"]),
-                    cell_id=cell_id,
-                    words=words,
-                    audio=audio_ref,
-                )
-            )
-        else:
-            raise DataError(f"unknown record type {kind!r} in {path}")
+    for number, line in enumerate(lines[1:], start=2):
+        with _line_errors(path, number):
+            payload = _json_object(line)
+            kind = payload.get("type")
+            if kind == "end":
+                log.aborted = bool(payload["aborted"])
+                log.abort_reason = payload["abort_reason"]
+                saw_end = True
+            elif kind == "record":
+                log.records.append(_load_record(payload, log, audio_dir))
+            else:
+                raise ValueError(f"unknown record type {kind!r}")
     if not saw_end:
         raise DataError(f"mission log {path} is truncated (no end marker)")
 

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, finite
 
 CHECKPOINT_FORMAT = "reefsim-topic-model-v1"
 
@@ -49,10 +49,12 @@ class TopicsConfig:
     gibbs_sweeps: int = 50
 
     def validate(self) -> None:
-        if self.max_topics < 1:
+        if not (finite(self.max_topics) and self.max_topics >= 1):
             raise ValueError("max_topics must be >= 1")
-        if min(self.alpha, self.beta, self.gamma) <= 0:
-            raise ValueError("concentration parameters must be positive")
+        if not (finite(self.alpha, self.beta, self.gamma) and min(self.alpha, self.beta, self.gamma) > 0):
+            raise ValueError("concentration parameters must be positive and finite")
+        if not (finite(self.gibbs_sweeps) and self.gibbs_sweeps >= 0):
+            raise ValueError("gibbs_sweeps must be non-negative")
 
 
 class TopicModel:
@@ -356,10 +358,11 @@ class TopicModel:
 # -- log-level helpers -------------------------------------------------------
 
 
-def fit_log(model: TopicModel, log, rng: np.random.Generator) -> None:
-    """Stream every imaging record of a mission log into the model."""
-    for record in log.imaging_records():
-        model.observe(record.cell_id, np.asarray(record.words), rng)
+def fit_log(model: TopicModel, observations, rng: np.random.Generator) -> None:
+    """Stream a mission log's imaging observations, ``(cell_id, words)`` in
+    log order, into the model."""
+    for cell_id, words in observations:
+        model.observe(cell_id, np.asarray(words), rng)
 
 
 def habitat_timeseries(model: TopicModel, log) -> list[tuple[float, np.ndarray]]:

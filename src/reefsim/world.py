@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
-from .errors import ConfigError
+from .errors import ConfigError, finite
 
 WORLD_FORMAT = "reefsim-world-v1"
 
@@ -62,30 +62,31 @@ class WorldConfig:
     depth_relief_m: float = 1.0
 
     def validate(self) -> None:
-        if self.width_m <= 0 or self.height_m <= 0:
-            raise ConfigError("world dimensions must be positive")
-        if self.cell_size_m <= 0:
-            raise ConfigError("cell_size_m must be positive")
-        if self.n_habitats < 1:
+        if not (finite(self.width_m, self.height_m) and self.width_m > 0 and self.height_m > 0):
+            raise ConfigError("world width_m and height_m must be positive and finite")
+        if not (finite(self.cell_size_m) and self.cell_size_m > 0):
+            raise ConfigError("world cell_size_m must be positive and finite")
+        if not (finite(self.n_habitats) and self.n_habitats >= 1):
             raise ConfigError("need at least one habitat")
-        if self.vocab_size < 2:
+        if not (finite(self.vocab_size) and self.vocab_size >= 2):
             raise ConfigError("vocabulary needs at least two words")
         if self.n_habitats > self.vocab_size:
             raise ConfigError("more habitats than vocabulary words")
         if len(self.snap_rates_per_s) != self.n_habitats:
             raise ConfigError("snap_rates_per_s must list one rate per habitat")
-        if any(r < 0 for r in self.snap_rates_per_s):
-            raise ConfigError("snap rates must be non-negative")
+        if not (finite(*self.snap_rates_per_s) and all(r >= 0 for r in self.snap_rates_per_s)):
+            raise ConfigError("snap rates must be non-negative and finite")
         if not 0.0 <= self.appearance_overlap < 1.0:
             raise ConfigError("appearance_overlap must be in [0, 1)")
-        if self.patch_length_m <= 0:
-            raise ConfigError("patch_length_m must be positive")
-        if self.base_depth_m <= 0:
-            raise ConfigError("base_depth_m must be positive")
+        if not (finite(self.patch_length_m) and self.patch_length_m > 0):
+            raise ConfigError("patch_length_m must be positive and finite")
+        if not (finite(self.base_depth_m) and self.base_depth_m > 0):
+            raise ConfigError("base_depth_m must be positive and finite")
         if self.habitat_fractions is not None:
             if len(self.habitat_fractions) != self.n_habitats:
                 raise ConfigError("habitat_fractions must list one share per habitat")
-            if any(f <= 0 for f in self.habitat_fractions) or abs(sum(self.habitat_fractions) - 1.0) > 1e-9:
+            fractions = self.habitat_fractions
+            if not (finite(*fractions) and all(f > 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
                 raise ConfigError("habitat_fractions must be positive and sum to 1")
 
 

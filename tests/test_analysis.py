@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reefsim import analysis
 from reefsim.analysis import (
+    analyze_log,
     cooccurrence,
     fit_shrimp_habitat,
     habitat_preference,
@@ -13,7 +19,11 @@ from reefsim.analysis import (
     pearson,
     predict_snap_rate,
 )
-from reefsim.errors import DegenerateDataError
+from reefsim.errors import ConfigError, DataError, DegenerateDataError
+from reefsim.mission import MissionConfig, execute, plan_lawnmower
+from reefsim.topics import TopicsConfig
+from reefsim.vehicle import NoiseConfig, VehicleConfig
+from reefsim.world import WorldConfig, generate_world
 
 
 def simplex_rows(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
@@ -227,3 +237,60 @@ class TestCooccurrence:
         hb = occupancy_histogram(b, (4, 4), 1.0)
         oracle = sum(float(ha[i]) * float(hb[i]) for i in range(16))
         assert cooccurrence(a, b, (4, 4), 1.0) == pytest.approx(oracle, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def survey_log():
+    """A short survey with snaps in one habitat, enough windows to regress."""
+    world = generate_world(WorldConfig(width_m=16.0, height_m=16.0, snap_rates_per_s=(20.0, 0.0, 0.0)), seed=3)
+    plan = plan_lawnmower((1.0, 1.0, 15.0, 15.0), 7.0, drift_duration_s=1.0, audio_fs_hz=48_000, waypoint_spacing_m=4.5)
+    return execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=3)
+
+
+def _raise_config_error(send, *args):
+    raise ConfigError("topic fit failed")
+
+
+def _no_worker(*args):
+    raise AssertionError("the worker must not start")
+
+
+class TestAnalyzeLogWorker:
+    """The topic fit runs in a worker process; detection stays here."""
+
+    def test_no_worker_outlives_analyze_log(self, survey_log) -> None:
+        report = analyze_log(survey_log, topics_config=TopicsConfig(gibbs_sweeps=2))
+        assert report.model.token_count > 0
+        assert multiprocessing.active_children() == []
+
+    def test_detection_error_does_not_wait_for_the_fit(self, survey_log, monkeypatch) -> None:
+        def fail(*args):
+            raise DataError("detection failed")
+
+        monkeypatch.setattr(analysis, "snap_rate_series", fail)
+        start = time.perf_counter()
+        with pytest.raises(DataError, match="detection failed"):
+            # Thousands of sweeps: minutes if the error waited for them.
+            analyze_log(survey_log, topics_config=TopicsConfig(gibbs_sweeps=5_000))
+        assert time.perf_counter() - start < 20.0
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "keep, message",
+        [("", "no drift windows"), ("DRIFT", "no imaging records"), ("TRANSIT", "no drift windows")],
+        ids=["empty", "drift-only", "imaging-only"],
+    )
+    def test_empty_log_fails_before_the_worker_starts(self, survey_log, monkeypatch, keep, message) -> None:
+        monkeypatch.setattr(analysis, "Worker", _no_worker)
+        log = dataclasses.replace(survey_log, records=[r for r in survey_log.records if r.mode == keep])
+        with pytest.raises(DataError, match=message):
+            analyze_log(log)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="the patched worker target is seen only under fork"
+    )
+    def test_worker_exception_keeps_its_type(self, survey_log, monkeypatch) -> None:
+        monkeypatch.setattr(analysis, "_fit_topics", _raise_config_error)
+        with pytest.raises(ConfigError, match="topic fit failed"):
+            analyze_log(survey_log)
+        assert multiprocessing.active_children() == []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import shutil
 from pathlib import Path
 
@@ -10,9 +11,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from reefsim import mission
 from reefsim.cli import main
 from reefsim.config import RunConfig, config_from_dict, load_config
-from reefsim.errors import ConfigError
+from reefsim.errors import ConfigError, DataError
 
 SMALL_CONFIG = {
     "world": {"width_m": 16.0, "height_m": 16.0, "snap_rates_per_s": [20.0, 0.0, 0.0]},
@@ -229,6 +231,42 @@ class TestSurveyAnalyzeTrack:
         assert result.exit_code == 3, result.output
 
     @pytest.mark.parametrize(
+        "n, edit",
+        [
+            (4, lambda line: line[: len(line) // 2]),
+            (4, lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "est_mean"})),
+            (4, lambda line: json.dumps(json.loads(line)["true_pose"])),
+            (4, lambda line: json.dumps({**json.loads(line), "est_mean": None})),
+            (4, lambda line: json.dumps({**json.loads(line), "mode": "HOVER"})),
+            (1, lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "grid_nx"})),
+            (1, lambda line: json.dumps({**json.loads(line), "audio_dir": 7})),
+        ],
+        ids=[
+            "truncated-json",
+            "missing-est-mean",
+            "not-a-mapping",
+            "est-mean-wrong-type",
+            "unknown-mode",
+            "header-missing-key",
+            "header-wrong-type",
+        ],
+    )
+    def test_analyze_malformed_log_line_is_data_error(self, workspace, tmp_path, n, edit) -> None:
+        _, config, _, survey_out = workspace
+        corrupt = tmp_path / "corrupt"
+        shutil.copytree(survey_out, corrupt)
+        log_path = corrupt / "mission_log.jsonl"
+        lines = log_path.read_text().splitlines()
+        lines[n - 1] = edit(lines[n - 1])
+        log_path.write_text("\n".join(lines) + "\n")
+        result = CliRunner().invoke(
+            main,
+            ["analyze", "--log", str(log_path), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "r")],
+        )
+        assert result.exit_code == 3, result.output
+        assert f"{log_path} line {n}:" in result.output
+
+    @pytest.mark.parametrize(
         "key, edit",
         [
             ("words", lambda record: {**record, "t": 0.0}),
@@ -274,6 +312,47 @@ class TestSurveyAnalyzeTrack:
         )
         assert result.exit_code == 2, result.output
         assert key in result.output
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("mission", "dt_s"),
+            ("world", "width_m"),
+            ("world", "height_m"),
+            ("world", "cell_size_m"),
+            ("plan", "drift_duration_s"),
+            ("plan", "imaging_period_s"),
+            ("plan", "leg_spacing_m"),
+            ("episode", "duration_s"),
+        ],
+    )
+    def test_survey_nan_setting_is_config_error(self, workspace, tmp_path, section, key) -> None:
+        _, _, world_out, _ = workspace
+        config = write_config(tmp_path, {**SMALL_CONFIG, section: {**SMALL_CONFIG.get(section, {}), key: float("nan")}})
+        result = CliRunner().invoke(
+            main,
+            ["survey", "--world", str(world_out / "world.json"), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 2, result.output
+        assert key in result.output
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="the patched worker target is seen only under fork"
+    )
+    @pytest.mark.parametrize("error, code", [(ConfigError, 2), (DataError, 3)])
+    def test_survey_worker_error_keeps_its_exit_code(self, workspace, tmp_path, monkeypatch, error, code) -> None:
+        _, config, world_out, _ = workspace
+
+        def fail(send, *args):
+            raise error("vehicle loop failed")
+
+        monkeypatch.setattr(mission, "_run_vehicle", fail)
+        result = CliRunner().invoke(
+            main,
+            ["survey", "--world", str(world_out / "world.json"), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == code, result.output
+        assert "vehicle loop failed" in result.output
 
     def test_track_outputs_and_reproducibility(self, workspace, tmp_path) -> None:
         _, config, world_out, _ = workspace

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
-from reefsim.errors import ConfigError
+from reefsim import mission
+from reefsim.errors import ConfigError, DataError
 from reefsim.mission import (
     DRIFT,
     TRANSIT,
@@ -106,6 +110,55 @@ class TestExecute:
         ]
         assert min(altitudes) > 0.3
         assert max(altitudes) < 2.0
+
+
+def _raise_data_error(send, *args):
+    raise DataError("vehicle loop failed")
+
+
+def _exit_without_reply(send, *args):
+    os._exit(7)
+
+
+# A monkeypatched target reaches the worker only when the worker is forked
+# from this process; under spawn or forkserver it re-imports the module.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the patched worker target is seen only under fork"
+)
+
+
+class TestWorkerProcess:
+    """The vehicle loop runs in a worker process; the audio stays here."""
+
+    def test_no_worker_outlives_execute(self, small_log) -> None:
+        assert small_log.drift_records()
+        assert multiprocessing.active_children() == []
+
+    def test_audio_error_stops_the_worker(self, world, monkeypatch) -> None:
+        def fail(*args, **kwargs):
+            raise DataError("audio failed")
+
+        monkeypatch.setattr(mission, "synthesize_audio", fail)
+        plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=1.0)
+        with pytest.raises(DataError, match="audio failed"):
+            execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0)
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_worker_exception_keeps_its_type(self, world, monkeypatch) -> None:
+        monkeypatch.setattr(mission, "_run_vehicle", _raise_data_error)
+        plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=1.0)
+        with pytest.raises(DataError, match="vehicle loop failed"):
+            execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0)
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_worker_that_dies_without_reply_names_its_exit_code(self, world, monkeypatch) -> None:
+        monkeypatch.setattr(mission, "_run_vehicle", _exit_without_reply)
+        plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=1.0)
+        with pytest.raises(RuntimeError, match="exited with code 7"):
+            execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0)
+        assert multiprocessing.active_children() == []
 
 
 class TestLogInvariants:
