@@ -245,11 +245,13 @@ def analyze_log(
         for record, vector in zip(leg_records, leg_vectors)
         if record.t in rate_by_time  # skip saturated/omitted windows
     ]
+    if not rows:
+        raise DataError("no drift window is left that is unsaturated and follows an imaging leg")
     window_times = [t for t, _ in rows]
     topic_matrix = np.asarray([v for _, v in rows])
     rates = np.asarray([rate_by_time[t] for t in window_times])
 
-    retained = np.flatnonzero(topic_matrix.mean(axis=0) >= prune_below) if len(rows) else np.arange(len(groups))
+    retained = np.flatnonzero(topic_matrix.mean(axis=0) >= prune_below)
     if retained.size == 0:
         raise DataError("all topics fell below the prevalence threshold")
     # Renormalize over the retained set so rows stay exact mixtures; the

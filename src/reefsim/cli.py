@@ -15,6 +15,7 @@ directory.  Exit codes: 0 success, 2 configuration error, 3 data error.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -99,17 +100,8 @@ def cmd_survey(world_path, config_path, seed, out_dir) -> None:
     """Run the drift-interleaved survey mission and write the mission log."""
     config, out, effective_seed = _prepare(config_path, out_dir, seed)
     world = _load_world(world_path)
-    plan_cfg = config.plan
     try:
-        plan = mission_mod.plan_lawnmower(
-            plan_cfg.bounds,
-            plan_cfg.leg_spacing_m,
-            drift_duration_s=plan_cfg.drift_duration_s,
-            altitude_setpoint_m=plan_cfg.altitude_setpoint_m,
-            imaging_period_s=plan_cfg.imaging_period_s,
-            audio_fs_hz=plan_cfg.audio_fs_hz,
-            waypoint_spacing_m=plan_cfg.waypoint_spacing_m,
-        )
+        plan = mission_mod.plan_lawnmower(**dataclasses.asdict(config.plan))
         log = mission_mod.execute(plan, world, config.vehicle, config.noise, config.mission, effective_seed)
     except ConfigError as exc:
         _fail(exc, EXIT_CONFIG_ERROR)

@@ -2,13 +2,21 @@
 
 Configs load from YAML (JSON is valid YAML).  Unknown keys are rejected;
 missing keys fall back to the documented defaults baked into the dataclass
-definitions.  The fully resolved configuration is echoed into each command's
-output directory so results are reproducible from the artifact alone.
+definitions.  Types, finiteness and nesting come from the dataclasses'
+annotations: a ``float`` is a finite int or float, an ``int`` an int (a
+bool is neither), a tuple a list of the declared length.  Values are never
+coerced: a YAML ``20`` stays ``20``.  Ranges are checked in
+:func:`validate_config` and the sections' ``validate`` methods.  The fully
+resolved configuration is echoed into each command's output directory so
+results are reproducible from the artifact alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
+import types
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -16,9 +24,9 @@ from typing import Any
 import yaml
 
 from .acoustics import AcousticsConfig
-from .errors import ConfigError, finite
+from .errors import ConfigError
 from .mission import MissionConfig
-from .tracking import Camera, DistractorConfig, TargetConfig, TrackingConfig
+from .tracking import TrackingConfig
 from .vehicle import NoiseConfig, VehicleConfig
 from .world import WorldConfig
 from .topics import TopicsConfig
@@ -65,100 +73,91 @@ class RunConfig:
     seed: int = 0
 
 
-_NESTED = {
-    TrackingConfig: {"camera": Camera, "target": TargetConfig},
-    TargetConfig: {"distractor": DistractorConfig},
-}
+def _build(annotation, value: Any, where: str):
+    """Check ``value`` against ``annotation`` and build it, recursing into
+    dataclasses, ``X | None`` and tuples.  Any :class:`ConfigError` names
+    the dotted key ``where``."""
+    name = where or "config"
+    if dataclasses.is_dataclass(annotation):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name}: expected a mapping, got {type(value).__name__}")
+        hints = typing.get_type_hints(annotation)
+        unknown = sorted(set(value) - set(hints), key=str)
+        if unknown:
+            raise ConfigError(f"{name}: unknown keys {unknown}")
+        return annotation(**{key: _build(hints[key], v, f"{where}.{key}" if where else key) for key, v in value.items()})
 
-_OPTIONAL_NESTED = {"distractor"}
+    args = typing.get_args(annotation)
+    if isinstance(annotation, types.UnionType):  # ``X | None``
+        if value is None:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _build(inner, value, where)
+    if typing.get_origin(annotation) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name}: expected a list, got {type(value).__name__}")
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{name}: expected {len(args)} values, got {len(value)}")
+        return tuple(_build(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+
+    if annotation is float:
+        # A comparison, not math.isfinite: that overflows on a huge int.
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, annotation) and not (annotation is int and isinstance(value, bool))
+    if not ok:
+        kind = "a finite number" if annotation is float else annotation.__name__
+        raise ConfigError(f"{name}: expected {kind}, got {value!r}")
+    return value
 
 
-def _build(cls, data: Any, path: str):
-    """Recursively build a config dataclass from a mapping, rejecting
-    unknown keys and preserving defaults for missing ones."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path or cls.__name__}: expected a mapping, got {type(data).__name__}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ConfigError(f"{path or cls.__name__}: unknown keys {unknown}")
-
-    kwargs = {}
-    nested = _NESTED.get(cls, {})
-    for name, value in data.items():
-        where = f"{path}.{name}" if path else name
-        if name in nested:
-            if value is None and name in _OPTIONAL_NESTED:
-                kwargs[name] = None
-            else:
-                kwargs[name] = _build(nested[name], value, where)
-        elif isinstance(value, list):
-            kwargs[name] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        else:
-            kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{path or cls.__name__}: {exc}") from exc
-
-
-_SECTIONS = {f.name: f for f in fields(RunConfig)}
-
-
-def config_from_dict(data: dict) -> RunConfig:
+def config_from_dict(data: dict | None) -> RunConfig:
     """Validate and resolve a raw mapping into a :class:`RunConfig`."""
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    unknown = sorted(set(data) - set(_SECTIONS))
-    if unknown:
-        raise ConfigError(f"unknown config sections {unknown}")
-
-    kwargs = {}
-    for name, value in data.items():
-        if name == "seed":
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError("seed must be an integer")
-            kwargs[name] = value
-        else:
-            kwargs[name] = _build(_section_class(name), value, name)
-    config = RunConfig(**kwargs)
+    config = _build(RunConfig, {} if data is None else data, "")
     validate_config(config)
     return config
 
 
-def _section_class(name: str):
-    return type(getattr(RunConfig(), name))
-
-
 def validate_config(config: RunConfig) -> None:
-    """Cross-field validation beyond per-dataclass checks."""
+    """Range and cross-field checks beyond per-dataclass validation."""
     config.world.validate()
     try:
         config.topics.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not (finite(config.plan.drift_duration_s) and config.plan.drift_duration_s >= 0):
-        raise ConfigError("plan drift_duration_s must be non-negative and finite")
+    if not config.plan.drift_duration_s >= 0:
+        raise ConfigError("plan.drift_duration_s must be non-negative")
     if not 0 < config.mission.dt_s <= 0.5:
-        raise ConfigError("mission dt_s must be in (0, 0.5]")
-    if not (finite(config.plan.audio_fs_hz) and config.plan.audio_fs_hz >= 48_000):
-        raise ConfigError("plan audio_fs_hz must be at least 48000")
-    if not (finite(config.episode.duration_s) and config.episode.duration_s > 0):
-        raise ConfigError("episode duration_s must be positive and finite")
-    if not (finite(config.mission.words_per_image) and config.mission.words_per_image >= 1):
-        raise ConfigError("mission words_per_image must be at least 1")
+        raise ConfigError("mission.dt_s must be in (0, 0.5]")
+    if not config.plan.audio_fs_hz >= 48_000:
+        raise ConfigError("plan.audio_fs_hz must be at least 48000")
+    if not config.episode.duration_s > 0:
+        raise ConfigError("episode.duration_s must be positive")
+    if not config.mission.words_per_image >= 1:
+        raise ConfigError("mission.words_per_image must be at least 1")
+    if not config.vehicle.tau_s > 0:
+        raise ConfigError("vehicle.tau_s must be positive")
+    if not config.tracking.frame_rate_hz > 0:
+        raise ConfigError("tracking.frame_rate_hz must be positive")
+    acoustics = config.acoustics
+    # The rules of ``acoustics.stft`` and ``acoustics.band_energy``.
+    if acoustics.window < 64 or acoustics.window & (acoustics.window - 1):
+        raise ConfigError("acoustics.window must be a power of two >= 64")
+    if not 0 < acoustics.hop <= acoustics.window:
+        raise ConfigError("acoustics.hop must be in (0, window]")
+    if not acoustics.band_hz[0] < acoustics.band_hz[1]:
+        raise ConfigError("acoustics.band_hz must run from low to high")
     noise = config.noise
     for f in fields(noise):
-        sigma = getattr(noise, f.name)
-        if f.name.endswith("_sigma") and not (finite(sigma) and sigma >= 0):
-            raise ConfigError(f"noise {f.name} must be finite and non-negative")
+        if f.name.endswith("_sigma") and not getattr(noise, f.name) >= 0:
+            raise ConfigError(f"noise.{f.name} must be non-negative")
     # The EKF fuses these channels, and a Kalman update needs R > 0.
     if noise.depth_sigma == 0 or noise.heading_sigma == 0:
-        raise ConfigError("noise depth_sigma and heading_sigma must be positive")
+        raise ConfigError("noise.depth_sigma and noise.heading_sigma must be positive")
     if noise.usbl_enabled and noise.usbl_period_s > 0 and noise.usbl_sigma == 0:
-        raise ConfigError("noise usbl_sigma must be positive while USBL fixes are enabled")
+        raise ConfigError("noise.usbl_sigma must be positive while USBL fixes are enabled")
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -173,10 +172,7 @@ def load_config(path: str | Path | None) -> RunConfig:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    try:
-        return config_from_dict(data)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return config_from_dict(data)
 
 
 def config_to_dict(config: RunConfig) -> dict:

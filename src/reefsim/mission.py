@@ -7,7 +7,9 @@ off, position held (plus any configured ambient current), and one hydrophone
 window is synthesized for the whole drift.  The EKF runs throughout.
 
 Thruster-saturated transit audio is never recorded: such windows carry no
-usable signal and the downstream detector refuses them anyway.
+usable signal and the downstream detector refuses them anyway.  A drift
+window whose snaps clip is recorded with its ``saturated`` flag set, and
+analysis skips it (see ``acoustics.snap_rate_series``).
 
 The log is an append-only, strictly time-ordered record sequence; at most one
 record is written per simulation step.  On disk it is line-delimited JSON
@@ -27,13 +29,12 @@ the pipe.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, finite
+from .errors import ConfigError, DataError, data_errors, finite, json_object
 from .rng import substream
 from .vehicle import (
     Command,
@@ -185,8 +186,6 @@ class MissionLog:
                 raise ValueError("audio present outside a DRIFT record")
             if r.words is not None and r.mode != TRANSIT:
                 raise ValueError("word histogram present outside a TRANSIT record")
-            if r.mode == DRIFT and r.audio is not None and r.audio.saturated:
-                raise ValueError("saturated audio window marked DRIFT")
 
 
 def execute(
@@ -492,24 +491,6 @@ def _load_record(payload: dict, log: MissionLog, audio_dir: Path) -> LogRecord:
     )
 
 
-@contextmanager
-def _line_errors(path: Path, number: int):
-    """Turn a parse, missing-key or wrong-type error on one line of the log
-    into a :class:`DataError` naming the file and line."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError) as exc:
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise DataError(f"mission log {path} line {number}: {reason}") from exc
-
-
-def _json_object(line: str) -> dict:
-    payload = json.loads(line)
-    if not isinstance(payload, dict):
-        raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
-    return payload
-
-
 def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
@@ -522,15 +503,13 @@ def load_log(path: str | Path) -> MissionLog:
     raises :class:`DataError`.
     """
     path = Path(path)
-    try:
+    with data_errors(f"mission log {path}"):
         lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read mission log {path}: {exc}") from exc
     if not lines:
         raise DataError(f"mission log {path} is empty")
 
-    with _line_errors(path, 1):
-        header = _json_object(lines[0])
+    with data_errors(f"mission log {path} line 1"):
+        header = json_object(lines[0])
         if header.get("type") != "header" or header.get("format") != LOG_FORMAT:
             raise ValueError("unsupported mission log format")
         log = MissionLog(
@@ -544,8 +523,8 @@ def load_log(path: str | Path) -> MissionLog:
 
     saw_end = False
     for number, line in enumerate(lines[1:], start=2):
-        with _line_errors(path, number):
-            payload = _json_object(line)
+        with data_errors(f"mission log {path} line {number}"):
+            payload = json_object(line)
             kind = payload.get("type")
             if kind == "end":
                 log.aborted = bool(payload["aborted"])
@@ -558,8 +537,6 @@ def load_log(path: str | Path) -> MissionLog:
     if not saw_end:
         raise DataError(f"mission log {path} is truncated (no end marker)")
 
-    try:
+    with data_errors(f"mission log {path}"):
         log.validate()
-    except ValueError as exc:
-        raise DataError(f"mission log {path}: {exc}") from exc
     return log

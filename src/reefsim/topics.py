@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, finite
+from .errors import DataError, data_errors, finite, json_object
 
 CHECKPOINT_FORMAT = "reefsim-topic-model-v1"
 
@@ -331,27 +331,27 @@ class TopicModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "TopicModel":
-        try:
-            payload = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read topic model checkpoint {path}: {exc}") from exc
-        if payload.get("format") != CHECKPOINT_FORMAT:
-            raise DataError(f"unsupported checkpoint format {payload.get('format')!r}")
-        cfg = TopicsConfig(**payload["config"])
-        model = cls(payload["vocab_size"], payload["grid_nx"], payload["grid_ny"], cfg)
-        model.n_topics = int(payload["n_topics"])
-        model.labels = [int(v) for v in payload["labels"]]
-        model._next_label = int(payload["next_label"])
-        tokens = payload["tokens"]
-        model._tok_cell = [int(v) for v in tokens["cell"]]
-        model._tok_word = [int(v) for v in tokens["word"]]
-        model._tok_topic = [int(v) for v in tokens["topic"]]
-        for cell, word, topic in zip(model._tok_cell, model._tok_word, model._tok_topic):
-            model._word_topic[word, topic] += 1
-            model._topic_total[topic] += 1
-            model._cell_topic[cell, topic] += 1
-        model._denom[:] = model._topic_total + model.vocab_size * model.config.beta
-        model.validate_counts()
+        """Read a checkpoint; any way it can fail to be one raises
+        :class:`DataError`."""
+        with data_errors(f"topic model checkpoint {path}"):
+            payload = json_object(Path(path).read_text())
+            if payload.get("format") != CHECKPOINT_FORMAT:
+                raise ValueError(f"unsupported checkpoint format {payload.get('format')!r}")
+            cfg = TopicsConfig(**payload["config"])
+            model = cls(payload["vocab_size"], payload["grid_nx"], payload["grid_ny"], cfg)
+            model.n_topics = int(payload["n_topics"])
+            model.labels = [int(v) for v in payload["labels"]]
+            model._next_label = int(payload["next_label"])
+            tokens = payload["tokens"]
+            model._tok_cell = [int(v) for v in tokens["cell"]]
+            model._tok_word = [int(v) for v in tokens["word"]]
+            model._tok_topic = [int(v) for v in tokens["topic"]]
+            for cell, word, topic in zip(model._tok_cell, model._tok_word, model._tok_topic):
+                model._word_topic[word, topic] += 1
+                model._topic_total[topic] += 1
+                model._cell_topic[cell, topic] += 1
+            model._denom[:] = model._topic_total + model.vocab_size * model.config.beta
+            model.validate_counts()
         return model
 
 

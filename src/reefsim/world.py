@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
-from .errors import ConfigError, finite
+from .errors import ConfigError, DataError, data_errors, finite, json_object
 
 WORLD_FORMAT = "reefsim-world-v1"
 
@@ -160,6 +160,17 @@ class GridWorld:
         return np.meshgrid(cx, cy)
 
     def validate(self) -> None:
+        scalars = (self.width_m, self.height_m, self.cell_size_m, self.snap_amplitude, self.background_sigma)
+        arrays = (self.bathymetry, self.habitat_field, self.appearance, self.snap_rate)
+        if not (finite(*scalars) and all(np.all(np.isfinite(a)) for a in arrays)):
+            raise ValueError("world values must be finite")
+        if not (
+            self.bathymetry.ndim == self.snap_rate.ndim == self.appearance.ndim == 2
+            and self.habitat_field.ndim == 3
+            and self.bathymetry.shape == self.snap_rate.shape == self.habitat_field.shape[:2]
+            and self.habitat_field.shape[2] == self.appearance.shape[0]
+        ):
+            raise ValueError("world arrays must be shaped (ny, nx), (ny, nx, H) and (H, V)")
         if not np.all(self.bathymetry > 0):
             raise ValueError("bathymetry must be positive (depth below surface)")
         if not np.all(self.snap_rate >= 0):
@@ -188,27 +199,25 @@ class GridWorld:
 
     @classmethod
     def load(cls, path: str | Path) -> "GridWorld":
-        from .errors import DataError
-
-        try:
-            payload = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read world file {path}: {exc}") from exc
-        if payload.get("format") != WORLD_FORMAT:
-            raise DataError(f"unsupported world format: {payload.get('format')!r}")
-        world = cls(
-            width_m=float(payload["width_m"]),
-            height_m=float(payload["height_m"]),
-            cell_size_m=float(payload["cell_size_m"]),
-            bathymetry=np.asarray(payload["bathymetry"], dtype=np.float64),
-            habitat_field=np.asarray(payload["habitat_field"], dtype=np.float64),
-            appearance=np.asarray(payload["appearance"], dtype=np.float64),
-            snap_rate=np.asarray(payload["snap_rate"], dtype=np.float64),
-            seed=int(payload["seed"]),
-            snap_amplitude=float(payload["snap_amplitude"]),
-            background_sigma=float(payload["background_sigma"]),
-        )
-        world.validate()
+        """Read a world file; any way it can fail to be one raises
+        :class:`DataError`."""
+        with data_errors(f"world file {path}"):
+            payload = json_object(Path(path).read_text())
+            if payload.get("format") != WORLD_FORMAT:
+                raise ValueError(f"unsupported world format {payload.get('format')!r}")
+            world = cls(
+                width_m=float(payload["width_m"]),
+                height_m=float(payload["height_m"]),
+                cell_size_m=float(payload["cell_size_m"]),
+                bathymetry=np.asarray(payload["bathymetry"], dtype=np.float64),
+                habitat_field=np.asarray(payload["habitat_field"], dtype=np.float64),
+                appearance=np.asarray(payload["appearance"], dtype=np.float64),
+                snap_rate=np.asarray(payload["snap_rate"], dtype=np.float64),
+                seed=int(payload["seed"]),
+                snap_amplitude=float(payload["snap_amplitude"]),
+                background_sigma=float(payload["background_sigma"]),
+            )
+            world.validate()
         return world
 
 
@@ -433,8 +442,6 @@ def write_wav(path: str | Path, window: AudioWindow) -> None:
 
 def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
     """Read a 32-bit float WAV back as (samples, fs)."""
-    from .errors import DataError
-
     try:
         fs, samples = wavfile.read(str(path))
     except (OSError, ValueError) as exc:

@@ -1,19 +1,26 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import shutil
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reefsim import mission
 from reefsim.cli import main
-from reefsim.config import RunConfig, config_from_dict, load_config
+from reefsim.config import RunConfig, config_from_dict, config_to_dict, load_config
 from reefsim.errors import ConfigError, DataError
 
 SMALL_CONFIG = {
@@ -81,6 +88,63 @@ class TestConfigLoading:
     def test_zero_usbl_sigma_allowed_without_usbl_fixes(self) -> None:
         assert config_from_dict({"noise": {"usbl_sigma": 0.0, "usbl_enabled": False}}).noise.usbl_sigma == 0.0
         assert config_from_dict({"noise": {"usbl_sigma": 0.0, "usbl_period_s": 0.0}}).noise.usbl_sigma == 0.0
+
+
+def leaf_paths(tree, path=()):
+    """Key paths of every scalar, ``None`` and list item in a config tree."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from leaf_paths(value, (*path, key))
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from leaf_paths(value, (*path, i))
+    else:
+        yield path
+
+
+def assert_annotated_types(value, annotation) -> None:
+    """Every leaf of a built config has its annotated type; numbers are finite."""
+    if dataclasses.is_dataclass(annotation):
+        assert type(value) is annotation
+        hints = typing.get_type_hints(annotation)
+        for f in dataclasses.fields(annotation):
+            assert_annotated_types(getattr(value, f.name), hints[f.name])
+    elif isinstance(annotation, types.UnionType):
+        if value is not None:
+            (inner,) = [a for a in typing.get_args(annotation) if a is not type(None)]
+            assert_annotated_types(value, inner)
+    elif typing.get_origin(annotation) is tuple:
+        args = typing.get_args(annotation)
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        assert type(value) is tuple and len(value) == len(args)
+        for item, arg in zip(value, args):
+            assert_annotated_types(item, arg)
+    elif annotation is float:
+        assert type(value) in (int, float) and math.isfinite(value)
+    else:
+        assert type(value) is annotation
+
+
+DEFAULT_TREE = config_to_dict(RunConfig())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    path=st.sampled_from(list(leaf_paths(DEFAULT_TREE))),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf, "abc", [1, 2], True, None, {}]),
+)
+def test_config_leaf_is_rejected_or_well_typed(path, bad) -> None:
+    tree = copy.deepcopy(DEFAULT_TREE)
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = copy.deepcopy(bad)
+    try:
+        config = config_from_dict(tree)
+    except ConfigError:
+        return
+    assert_annotated_types(config, RunConfig)
 
 
 class TestWorldGen:
@@ -354,6 +418,71 @@ class TestSurveyAnalyzeTrack:
         assert result.exit_code == code, result.output
         assert "vehicle loop failed" in result.output
 
+    @pytest.mark.parametrize(
+        "command, section, key, bad",
+        [
+            ("survey", "vehicle", "tau_s", "abc"),
+            ("track", "vehicle", "tau_s", [1, 2]),
+            ("survey", "vehicle", "tau_s", float("nan")),
+            ("track", "vehicle", "tau_s", float("nan")),
+            ("world-gen", "world", "depth_relief_m", float("nan")),
+            ("survey", "world", "snap_amplitude", float("nan")),
+            ("survey", "mission", "words_per_image", 2.5),
+            ("survey", "mission", "words_per_image", True),
+            ("survey", "plan", "bounds", [1, 2]),
+            ("track", "tracking", "frame_rate_hz", 0),
+            ("survey", "vehicle", "tau_s", 0),
+            ("track", "vehicle", "tau_s", 0),
+            ("analyze", "acoustics", "window", 100),
+            ("analyze", "acoustics", "hop", 0),
+            ("analyze", "acoustics", "band_hz", [24000, 2000]),
+        ],
+    )
+    def test_bad_config_value_names_its_key(self, workspace, tmp_path, command, section, key, bad) -> None:
+        _, _, world_out, survey_out = workspace
+        config = write_config(tmp_path, {**SMALL_CONFIG, section: {**SMALL_CONFIG.get(section, {}), key: bad}})
+        inputs = {
+            "world-gen": [],
+            "survey": ["--world", str(world_out / "world.json")],
+            "track": ["--world", str(world_out / "world.json")],
+            "analyze": ["--log", str(survey_out / "mission_log.jsonl")],
+        }[command]
+        result = CliRunner().invoke(
+            main, [command, *inputs, "--config", str(config), "--seed", "0", "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: {section}.{key}")
+        assert result.output.count("\n") == 1
+
+    def test_resolved_config_round_trips(self, workspace) -> None:
+        _, config, _, survey_out = workspace
+        resolved = yaml.safe_load((survey_out / "resolved_config.yaml").read_text())
+        assert config_from_dict(resolved) == dataclasses.replace(load_config(config), seed=3)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda world: {k: v for k, v in world.items() if k != "width_m"},
+            lambda world: {**world, "width_m": "abc"},
+            lambda world: [world],
+            lambda world: {**world, "bathymetry": [[math.nan, *world["bathymetry"][0][1:]], *world["bathymetry"][1:]]},
+            lambda world: {**world, "snap_amplitude": math.nan},
+            lambda world: {**world, "snap_rate": world["snap_rate"][1:]},
+        ],
+        ids=["missing-key", "width-not-a-number", "not-a-mapping", "nan-bathymetry", "nan-snap-amplitude", "shape-mismatch"],
+    )
+    def test_malformed_world_file_is_data_error(self, workspace, tmp_path, edit) -> None:
+        _, config, world_out, _ = workspace
+        world_path = tmp_path / "world.json"
+        world_path.write_text(json.dumps(edit(json.loads((world_out / "world.json").read_text()))))
+        for command in ("survey", "track"):
+            result = CliRunner().invoke(
+                main,
+                [command, "--world", str(world_path), "--config", str(config), "--seed", "0", "--out", str(tmp_path / command)],
+            )
+            assert result.exit_code == 3, result.output
+            assert result.output.startswith(f"error: world file {world_path}")
+
     def test_track_outputs_and_reproducibility(self, workspace, tmp_path) -> None:
         _, config, world_out, _ = workspace
         runner = CliRunner()
@@ -379,6 +508,41 @@ class TestSurveyAnalyzeTrack:
             ["track", "--world", str(world_out / "world.json"), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "o")],
         )
         assert result.exit_code == 2
+
+
+class TestLoudWorld:
+    """A drift window whose snaps clip is logged as saturated and skipped by
+    analysis; a log with no unsaturated window left is a data error."""
+
+    @pytest.mark.parametrize(
+        "amplitude, rate, analyze_code",
+        [(0.6, 60.0, 0), (0.9, 400.0, 3)],
+        ids=["some-windows-clip", "every-window-clips"],
+    )
+    def test_clipped_drift_windows(self, runner, tmp_path, amplitude, rate, analyze_code) -> None:
+        loud = {**SMALL_CONFIG, "world": {**SMALL_CONFIG["world"], "snap_amplitude": amplitude, "snap_rates_per_s": [rate, 0.0, 0.0]}}
+        config = str(write_config(tmp_path, loud))
+        for args in (
+            ["world-gen", "--seed", "3", "--out", str(tmp_path / "world")],
+            ["survey", "--world", str(tmp_path / "world" / "world.json"), "--seed", "0", "--out", str(tmp_path / "survey")],
+        ):
+            result = runner.invoke(main, [*args, "--config", config])
+            assert result.exit_code == 0, result.output
+        saturated = [r.audio.saturated for r in mission.load_log(tmp_path / "survey" / "mission_log.jsonl").drift_records()]
+        assert any(saturated) and all(saturated) == (analyze_code == 3)
+
+        report = tmp_path / "report"
+        result = runner.invoke(
+            main,
+            ["analyze", "--log", str(tmp_path / "survey" / "mission_log.jsonl"), "--config", config, "--seed", "0", "--out", str(report)],
+        )
+        assert result.exit_code == analyze_code, result.output
+        if analyze_code == 3:
+            assert "unsaturated" in result.output
+        else:
+            summary = json.loads((report / "summary.json").read_text())
+            assert summary["n_windows_skipped"] == sum(saturated) > 0
+            assert (report / "snap_rates.csv").read_text().count(",saturated\n") == sum(saturated)
 
 
 def run_all_commands(runner, workspace, out: Path) -> dict[str, str]:

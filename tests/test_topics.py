@@ -324,6 +324,28 @@ class TestCheckpoint:
         loaded.gibbs_refine(2, substream(14, "cont"))
         loaded.validate_counts()
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda payload: [payload],
+            lambda payload: {k: v for k, v in payload.items() if k != "tokens"},
+            lambda payload: {**payload, "config": {**payload["config"], "sweeps": 3}},
+            lambda payload: {**payload, "tokens": {**payload["tokens"], "word": [99] * len(payload["tokens"]["word"])}},
+            lambda payload: {**payload, "n_topics": "many"},
+        ],
+        ids=["not-a-mapping", "missing-key", "unknown-config-key", "word-outside-vocabulary", "wrong-type"],
+    )
+    def test_malformed_checkpoint_is_data_error(self, tmp_path, edit) -> None:
+        model = TopicModel(10, 4, 4)
+        rng = substream(15, "ckpt3")
+        for cell in range(16):
+            model.observe(cell, rng.multinomial(9, np.full(10, 0.1)), rng)
+        path = tmp_path / "model.json"
+        model.save(path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(DataError, match="topic model checkpoint"):
+            TopicModel.load(path)
+
 
 class TestMatchAccuracy:
     def test_perfect_relabeling_scores_one(self) -> None:
