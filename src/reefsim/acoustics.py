@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SaturatedWindowError
+from .errors import ConfigError, DataError, SaturatedWindowError, check_section
 from .world import AudioWindow
 
 BACKGROUND_QUANTILE = 0.1
@@ -35,6 +35,12 @@ class AcousticsConfig:
     threshold_sigma: float = 0.1
     refractory_s: float = 0.005
     min_peak_ratio: float = 2.0
+
+    def __post_init__(self) -> None:
+        # The rules of :func:`stft` and :func:`band_energy`.
+        check_section(self, ("window", lambda: self.window >= 64 and not self.window & (self.window - 1), "must be a power of two >= 64"),
+                      ("hop", lambda: 0 < self.hop <= self.window, "must be in (0, window]"),
+                      ("band_hz", lambda: self.band_hz[0] < self.band_hz[1], "must run from low to high"))
 
 
 @dataclass
@@ -257,14 +263,23 @@ def snap_rate_series(log, config: AcousticsConfig | None = None) -> SnapRateSeri
     """Per-drift-window snap rates from a mission log, in time order.
 
     Saturated windows are excluded from the rate series and reported in the
-    skip list instead.
+    skip list instead.  A config that does not fit the log's audio raises
+    :class:`ConfigError`, before any window is processed.
     """
-    from .errors import DataError
-
     cfg = config or AcousticsConfig()
     drift_records = log.drift_records()
     if not drift_records:
         raise DataError("mission log contains no drift windows")
+    # The checks of stft, band_energy and detect_snaps, made once for the log's windows.
+    fs, (lo, hi) = log.audio_fs_hz, cfg.band_hz
+    n_samples = round(log.drift_duration_s * fs)
+    if hi > fs / 2:
+        raise ConfigError(f"acoustics.band_hz: {hi} Hz exceeds the log's Nyquist frequency {fs / 2} Hz")
+    if not any(lo <= k * fs / cfg.window <= hi for k in range(cfg.window // 2 + 1)):
+        raise ConfigError(f"acoustics.band_hz: no frequency bin of a {cfg.window}-sample window at {fs} Hz lies in it")
+    n_frames = max((n_samples - cfg.window) // cfg.hop + 1, 0)
+    if n_frames < 8:
+        raise ConfigError(f"acoustics.window: leaves {n_frames} frames in a drift window of {n_samples} samples, fewer than 8")
 
     series = SnapRateSeries()
     nx = log.grid_nx

@@ -15,7 +15,6 @@ directory.  Exit codes: 0 success, 2 configuration error, 3 data error.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -101,8 +100,7 @@ def cmd_survey(world_path, config_path, seed, out_dir) -> None:
     config, out, effective_seed = _prepare(config_path, out_dir, seed)
     world = _load_world(world_path)
     try:
-        plan = mission_mod.plan_lawnmower(**dataclasses.asdict(config.plan))
-        log = mission_mod.execute(plan, world, config.vehicle, config.noise, config.mission, effective_seed)
+        log = mission_mod.execute(config.plan, world, config.vehicle, config.noise, config.mission, effective_seed)
     except ConfigError as exc:
         _fail(exc, EXIT_CONFIG_ERROR)
     except DataError as exc:
@@ -112,7 +110,7 @@ def cmd_survey(world_path, config_path, seed, out_dir) -> None:
     _write_ekf_error_csv(log, out / "ekf_error.csv")
     status = "aborted: " + log.abort_reason if log.aborted else "complete"
     click.echo(
-        f"survey {status}: {len(plan.waypoints)} waypoints, "
+        f"survey {status}: {len(config.plan.waypoints)} waypoints, "
         f"{len(log.imaging_records())} images, {len(log.drift_records())} drift windows -> {out / 'mission_log.jsonl'}"
     )
     if log.aborted:
@@ -154,6 +152,8 @@ def cmd_analyze(log_path, config_path, seed, out_dir) -> None:
             prune_below=config.analysis.prune_below,
             ridge=config.analysis.ridge,
         )
+    except ConfigError as exc:
+        _fail(exc, EXIT_CONFIG_ERROR)
     except DataError as exc:
         _fail(exc, EXIT_DATA_ERROR)
     write_report(report, out)
@@ -174,7 +174,7 @@ def cmd_track(world_path, config_path, seed, out_dir) -> None:
     world = _load_world(world_path)
     try:
         log = run_tracking_episode(world, config.vehicle, config.tracking, config.episode.duration_s, effective_seed)
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:
         _fail(exc, EXIT_CONFIG_ERROR)
 
     save_track_log(log, out / "track_log.jsonl")

@@ -1,5 +1,8 @@
 """Survey missions: lawnmower planning, drift-interleaved execution, logging.
 
+A :class:`MissionPlan` is both the ``plan`` config section and the plan the
+executor runs; it derives its waypoints once, on first use.
+
 The executor runs a fixed-step loop.  In TRANSIT the vehicle tracks the next
 waypoint under altitude hold with thrusters on, sampling a visual-word
 histogram at the imaging cadence.  On arrival it switches to DRIFT: thrusters
@@ -15,6 +18,8 @@ The log is an append-only, strictly time-ordered record sequence; at most one
 record is written per simulation step.  On disk it is line-delimited JSON
 (one self-describing record per line, header first) with drift audio in a
 sidecar directory of 32-bit float WAV files referenced by filename.
+:func:`load_log` checks each WAV against its log: sample rate, length and
+finite samples in [-1, 1].
 
 :func:`execute` runs on two cores.  The fixed-step vehicle loop (dynamics,
 sensors, EKF, image words) runs in one worker process.  At each drift
@@ -28,13 +33,14 @@ the pipe.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, data_errors, finite, json_object
+from .errors import ConfigError, DataError, check_section, data_errors, json_object
 from .rng import substream
 from .vehicle import (
     Command,
@@ -50,7 +56,7 @@ from .vehicle import (
     waypoint_command,
 )
 from .worker import Worker
-from .world import AudioWindow, GridWorld, read_wav, sample_image_words, synthesize_audio, write_wav
+from .world import MIN_AUDIO_FS, AudioWindow, GridWorld, read_wav, sample_image_words, synthesize_audio, write_wav
 
 LOG_FORMAT = "reefsim-mission-log-v1"
 
@@ -60,19 +66,49 @@ DRIFT = "DRIFT"
 
 @dataclass(frozen=True)
 class MissionPlan:
-    waypoints: tuple[tuple[float, float], ...]
-    altitude_setpoint_m: float = 1.0
+    """Boustrophedon survey of ``bounds = (x0, y0, x1, y1)``, with a drift
+    station at each waypoint.  Legs run parallel to the x-axis at y = y0,
+    y0 + spacing, ... while they fit inside the bounds; leg direction
+    alternates.  By default each leg contributes its two endpoints;
+    ``waypoint_spacing_m`` additionally subdivides legs so drift stations
+    sit every so many meters along them."""
+
+    bounds: tuple[float, float, float, float] = (0.75, 0.75, 19.25, 19.25)
+    leg_spacing_m: float = 4.625
     drift_duration_s: float = 10.0
+    altitude_setpoint_m: float = 1.0
     imaging_period_s: float = 0.5
     audio_fs_hz: int = 96_000
+    waypoint_spacing_m: float | None = None
 
-    def validate(self) -> None:
-        if len(self.waypoints) < 1:
-            raise ConfigError("plan needs at least one waypoint")
-        if not (finite(self.drift_duration_s) and self.drift_duration_s >= 0):
-            raise ConfigError("drift_duration_s must be non-negative and finite")
-        if not (finite(self.imaging_period_s) and self.imaging_period_s > 0):
-            raise ConfigError("imaging_period_s must be positive and finite")
+    def __post_init__(self) -> None:
+        b = self.bounds
+        check_section(self, ("bounds", lambda: b[2] > b[0] and b[3] > b[1], "must be non-degenerate"),
+                      ("leg_spacing_m", lambda: self.leg_spacing_m > 0, "must be positive"),
+                      ("leg_spacing_m", lambda: self.leg_spacing_m <= max(b[2] - b[0], b[3] - b[1]), "is larger than both bound extents"),
+                      ("waypoint_spacing_m", lambda: self.waypoint_spacing_m is None or self.waypoint_spacing_m > 0, "must be positive"),
+                      ("drift_duration_s", lambda: self.drift_duration_s >= 0, "must be non-negative"),
+                      ("imaging_period_s", lambda: self.imaging_period_s > 0, "must be positive"),
+                      ("audio_fs_hz", lambda: self.audio_fs_hz >= MIN_AUDIO_FS, f"must be at least {MIN_AUDIO_FS}"))
+
+    @functools.cached_property
+    def waypoints(self) -> tuple[tuple[float, float], ...]:
+        """The waypoints in visiting order, derived once per plan."""
+        x0, y0, x1, y1 = self.bounds
+        n_legs = int(np.floor((y1 - y0) / self.leg_spacing_m + 1e-9)) + 1
+        if self.waypoint_spacing_m is None:
+            stations = [x0, x1]
+        else:
+            n_spans = int(np.floor((x1 - x0) / self.waypoint_spacing_m + 1e-9))
+            stations = [x0 + i * self.waypoint_spacing_m for i in range(n_spans + 1)]
+            if stations[-1] < x1 - 1e-9:
+                stations.append(x1)
+        waypoints: list[tuple[float, float]] = []
+        for i in range(n_legs):
+            y = y0 + i * self.leg_spacing_m
+            xs = stations if i % 2 == 0 else stations[::-1]
+            waypoints.extend((x, y) for x in xs)
+        return tuple(waypoints)
 
 
 @dataclass(frozen=True)
@@ -82,55 +118,14 @@ class MissionConfig:
     waypoint_timeout_s: float = 180.0
     current_mps: tuple[float, float] = (0.0, 0.0)  # ambient drift during DRIFT
 
+    def __post_init__(self) -> None:
+        check_section(self, ("dt_s", lambda: 0 < self.dt_s <= 0.5, "must be in (0, 0.5]"),
+                      ("words_per_image", lambda: self.words_per_image >= 1, "must be at least 1"))
 
-def plan_lawnmower(
-    bounds: tuple[float, float, float, float],
-    leg_spacing_m: float,
-    drift_duration_s: float = 10.0,
-    altitude_setpoint_m: float = 1.0,
-    imaging_period_s: float = 0.5,
-    audio_fs_hz: int = 96_000,
-    waypoint_spacing_m: float | None = None,
-) -> MissionPlan:
-    """Boustrophedon coverage of ``bounds = (x0, y0, x1, y1)``.
 
-    Legs run parallel to the x-axis at y = y0, y0 + spacing, ... while they
-    fit inside the bounds; leg direction alternates.  By default each leg
-    contributes its two endpoints; ``waypoint_spacing_m`` additionally
-    subdivides legs so drift stations sit every so many meters along them.
-    """
-    x0, y0, x1, y1 = bounds
-    if not (finite(*bounds) and x1 > x0 and y1 > y0):
-        raise ConfigError("bounds must be finite and non-degenerate")
-    if not (finite(leg_spacing_m) and leg_spacing_m > 0):
-        raise ConfigError("leg_spacing_m must be positive and finite")
-    if leg_spacing_m > (y1 - y0) and leg_spacing_m > (x1 - x0):
-        raise ConfigError("leg spacing larger than both bound extents")
-    if waypoint_spacing_m is not None and not (finite(waypoint_spacing_m) and waypoint_spacing_m > 0):
-        raise ConfigError("waypoint_spacing_m must be positive and finite")
-
-    n_legs = int(np.floor((y1 - y0) / leg_spacing_m + 1e-9)) + 1
-    if waypoint_spacing_m is None:
-        stations = [x0, x1]
-    else:
-        n_spans = int(np.floor((x1 - x0) / waypoint_spacing_m + 1e-9))
-        stations = [x0 + i * waypoint_spacing_m for i in range(n_spans + 1)]
-        if stations[-1] < x1 - 1e-9:
-            stations.append(x1)
-    waypoints: list[tuple[float, float]] = []
-    for i in range(n_legs):
-        y = y0 + i * leg_spacing_m
-        xs = stations if i % 2 == 0 else stations[::-1]
-        waypoints.extend((x, y) for x in xs)
-    plan = MissionPlan(
-        waypoints=tuple(waypoints),
-        altitude_setpoint_m=altitude_setpoint_m,
-        drift_duration_s=drift_duration_s,
-        imaging_period_s=imaging_period_s,
-        audio_fs_hz=audio_fs_hz,
-    )
-    plan.validate()
-    return plan
+# The public name for building a plan; the fields' order keeps its positional
+# arguments ``(bounds, leg_spacing_m, drift_duration_s, ...)``.
+plan_lawnmower = MissionPlan
 
 
 @dataclass
@@ -209,7 +204,6 @@ def execute(
     drift window as the worker reaches its station, then attaches the audio
     to the records the worker returns.
     """
-    plan.validate()
     for wx, wy in plan.waypoints:
         if not world.contains(wx, wy):
             raise ConfigError(f"waypoint ({wx}, {wy}) lies outside the world")
@@ -472,13 +466,17 @@ def _load_record(payload: dict, log: MissionLog, audio_dir: Path) -> LogRecord:
             truth_snap_times=[float(v) for v in a["truth_snap_times"]],
         )
         samples, fs = read_wav(audio_dir / audio_ref.filename)
-        log.audio[audio_ref.filename] = AudioWindow(
+        if not (fs == audio_ref.fs == log.audio_fs_hz and len(samples) == round(log.drift_duration_s * fs)):
+            raise ValueError(f"{audio_ref.filename} holds {len(samples)} samples at {fs} Hz, not {log.drift_duration_s} s at {log.audio_fs_hz} Hz")
+        window = AudioWindow(
             samples=samples,
             fs=fs,
             start_time=t,
             truth_snap_times=np.asarray(audio_ref.truth_snap_times, dtype=np.float64),
             saturated=audio_ref.saturated,
         )
+        window.validate()
+        log.audio[audio_ref.filename] = window
     return LogRecord(
         t=t,
         mode=mode,

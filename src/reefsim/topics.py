@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, data_errors, finite, json_object
+from .errors import DataError, check_section, data_errors, json_object
 
 CHECKPOINT_FORMAT = "reefsim-topic-model-v1"
 
@@ -48,13 +48,12 @@ class TopicsConfig:
     gamma: float = 0.05  # new-topic weight
     gibbs_sweeps: int = 50
 
-    def validate(self) -> None:
-        if not (finite(self.max_topics) and self.max_topics >= 1):
-            raise ValueError("max_topics must be >= 1")
-        if not (finite(self.alpha, self.beta, self.gamma) and min(self.alpha, self.beta, self.gamma) > 0):
-            raise ValueError("concentration parameters must be positive and finite")
-        if not (finite(self.gibbs_sweeps) and self.gibbs_sweeps >= 0):
-            raise ValueError("gibbs_sweeps must be non-negative")
+    def __post_init__(self) -> None:
+        check_section(self, ("max_topics", lambda: self.max_topics >= 1, "must be at least 1"),
+                      ("alpha", lambda: self.alpha > 0, "must be positive"),
+                      ("beta", lambda: self.beta > 0, "must be positive"),
+                      ("gamma", lambda: self.gamma > 0, "must be positive"),
+                      ("gibbs_sweeps", lambda: self.gibbs_sweeps >= 0, "must be non-negative"))
 
 
 class TopicModel:
@@ -64,7 +63,6 @@ class TopicModel:
         if vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
         self.config = config or TopicsConfig()
-        self.config.validate()
         self.vocab_size = vocab_size
         self.grid_nx = grid_nx
         self.grid_ny = grid_ny

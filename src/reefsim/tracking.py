@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import check_section
 from .rng import substream
 from .vehicle import Command, VehicleConfig, VehicleState, step_dynamics, wrap_angle
 
@@ -46,11 +46,10 @@ class Camera:
     def fy(self) -> float:
         return self.fx  # square pixels
 
-    def validate(self) -> None:
-        if self.width_px < 2 or self.height_px < 2:
-            raise ConfigError("camera resolution must be at least 2x2")
-        if not 0.0 < self.hfov_deg < 180.0:
-            raise ConfigError("horizontal FOV must be in (0, 180) degrees")
+    def __post_init__(self) -> None:
+        check_section(self, ("width_px", lambda: self.width_px >= 2, "must be at least 2"),
+                      ("height_px", lambda: self.height_px >= 2, "must be at least 2"),
+                      ("hfov_deg", lambda: 0.0 < self.hfov_deg < 180.0, "must be in (0, 180) degrees"))
 
 
 @dataclass
@@ -84,6 +83,9 @@ class DistractorConfig:
     switch_prob_per_s: float = 0.02
     mean_lock_s: float = 3.0
 
+    def __post_init__(self) -> None:
+        check_section(self, ("mean_lock_s", lambda: self.mean_lock_s > 0, "must be positive"))
+
 
 @dataclass(frozen=True)
 class TargetConfig:
@@ -97,13 +99,11 @@ class TargetConfig:
     heading_walk_sigma: float = 0.0  # rad/sqrt(s) random heading walk
     distractor: DistractorConfig | None = None
 
-    def validate(self) -> None:
-        if self.kind not in (MIDWATER_CRUISER, BENTHIC_GLIDER):
-            raise ConfigError(f"unknown target kind {self.kind!r}")
-        if self.speed_mps < 0 or self.body_length_m <= 0:
-            raise ConfigError("target speed must be >= 0 and body length > 0")
-        if not 0 < self.body_aspect <= 1.0:
-            raise ConfigError("body_aspect must be in (0, 1]")
+    def __post_init__(self) -> None:
+        check_section(self, ("kind", lambda: self.kind in (MIDWATER_CRUISER, BENTHIC_GLIDER), f"must be {MIDWATER_CRUISER!r} or {BENTHIC_GLIDER!r}"),
+                      ("speed_mps", lambda: self.speed_mps >= 0, "must be non-negative"),
+                      ("body_length_m", lambda: self.body_length_m > 0, "must be positive"),
+                      ("body_aspect", lambda: 0 < self.body_aspect <= 1.0, "must be in (0, 1]"))
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,10 @@ class TrackingConfig:
     hold_s: float = 1.0  # keep last command this long after losing the box
     lost_after_s: float = 3.0  # declare LOST after this long without the box
     target: TargetConfig = field(default_factory=TargetConfig)
+
+    def __post_init__(self) -> None:
+        check_section(self, ("frame_rate_hz", lambda: self.frame_rate_hz > 0, "must be positive"),
+                      ("dynamics_dt_s", lambda: 0 < self.dynamics_dt_s <= 0.5, "must be in (0, 0.5]"))
 
 
 @dataclass
@@ -187,7 +191,6 @@ def project_target(
     the frame.  Raises :class:`CameraInsideBody` for a degenerate
     zero-range target.
     """
-    camera.validate()
     vx, vy, vz, psi = vehicle_pose
     dx, dy, dz = target_pos[0] - vx, target_pos[1] - vy, target_pos[2] - vz
     cos_psi, sin_psi = np.cos(psi), np.sin(psi)
@@ -354,7 +357,6 @@ def run_tracking_episode(
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     target_cfg = tracking_config.target
-    target_cfg.validate()
     camera = tracking_config.camera
     rng = substream(seed, "tracking")
 
@@ -387,6 +389,7 @@ def run_tracking_episode(
     lost = False
     next_frame_time = 0.0
     n_steps = int(round(duration_s / dt))
+    companion_cfg = TargetConfig(kind=target_cfg.kind, body_length_m=max(0.3 * target_cfg.body_length_m, 0.1), body_aspect=1.0)
 
     for step in range(n_steps + 1):
         t = step * dt
@@ -401,11 +404,6 @@ def run_tracking_episode(
                     target.x + offset * np.cos(side),
                     target.y + offset * np.sin(side),
                     target.z,
-                )
-                companion_cfg = TargetConfig(
-                    kind=target_cfg.kind,
-                    body_length_m=max(0.3 * target_cfg.body_length_m, 0.1),
-                    body_aspect=1.0,
                 )
                 distractor_box = _frame_box(camera, pose, companion, companion_cfg)
 

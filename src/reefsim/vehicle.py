@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from .errors import check_section
 
 TWO_PI = 2.0 * np.pi
 
@@ -46,6 +48,9 @@ class VehicleConfig:
     k_waypoint_surge: float = 0.5  # surge per meter of distance
     k_altitude: float = 1.0  # heave per meter of altitude error
 
+    def __post_init__(self) -> None:
+        check_section(self, ("tau_s", lambda: self.tau_s > 0, "must be positive"))
+
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -60,6 +65,10 @@ class NoiseConfig:
     usbl_sigma: float = 0.5  # m per axis
     usbl_period_s: float = 1.0  # 0 disables USBL
     usbl_enabled: bool = True
+
+    def __post_init__(self) -> None:
+        sigmas = [f.name for f in fields(self) if f.name.endswith("_sigma")]
+        check_section(self, *((name, lambda name=name: getattr(self, name) >= 0, "must be non-negative") for name in sigmas))
 
 
 @dataclass

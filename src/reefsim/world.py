@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
-from .errors import ConfigError, DataError, data_errors, finite, json_object
+from .errors import DataError, check_section, data_errors, json_object
 
 WORLD_FORMAT = "reefsim-world-v1"
 
@@ -61,33 +61,20 @@ class WorldConfig:
     base_depth_m: float = 8.0
     depth_relief_m: float = 1.0
 
-    def validate(self) -> None:
-        if not (finite(self.width_m, self.height_m) and self.width_m > 0 and self.height_m > 0):
-            raise ConfigError("world width_m and height_m must be positive and finite")
-        if not (finite(self.cell_size_m) and self.cell_size_m > 0):
-            raise ConfigError("world cell_size_m must be positive and finite")
-        if not (finite(self.n_habitats) and self.n_habitats >= 1):
-            raise ConfigError("need at least one habitat")
-        if not (finite(self.vocab_size) and self.vocab_size >= 2):
-            raise ConfigError("vocabulary needs at least two words")
-        if self.n_habitats > self.vocab_size:
-            raise ConfigError("more habitats than vocabulary words")
-        if len(self.snap_rates_per_s) != self.n_habitats:
-            raise ConfigError("snap_rates_per_s must list one rate per habitat")
-        if not (finite(*self.snap_rates_per_s) and all(r >= 0 for r in self.snap_rates_per_s)):
-            raise ConfigError("snap rates must be non-negative and finite")
-        if not 0.0 <= self.appearance_overlap < 1.0:
-            raise ConfigError("appearance_overlap must be in [0, 1)")
-        if not (finite(self.patch_length_m) and self.patch_length_m > 0):
-            raise ConfigError("patch_length_m must be positive and finite")
-        if not (finite(self.base_depth_m) and self.base_depth_m > 0):
-            raise ConfigError("base_depth_m must be positive and finite")
-        if self.habitat_fractions is not None:
-            if len(self.habitat_fractions) != self.n_habitats:
-                raise ConfigError("habitat_fractions must list one share per habitat")
-            fractions = self.habitat_fractions
-            if not (finite(*fractions) and all(f > 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
-                raise ConfigError("habitat_fractions must be positive and sum to 1")
+    def __post_init__(self) -> None:
+        rates, fractions = self.snap_rates_per_s, self.habitat_fractions
+        check_section(self, ("width_m", lambda: self.width_m > 0, "must be positive"),
+                      ("height_m", lambda: self.height_m > 0, "must be positive"),
+                      ("cell_size_m", lambda: self.cell_size_m > 0, "must be positive"),
+                      ("n_habitats", lambda: self.n_habitats >= 1, "must be at least 1"),
+                      ("vocab_size", lambda: self.vocab_size >= 2, "must be at least 2"),
+                      ("n_habitats", lambda: self.n_habitats <= self.vocab_size, "must not exceed vocab_size"),
+                      ("snap_rates_per_s", lambda: len(rates) == self.n_habitats and min(rates) >= 0, "must list one non-negative rate per habitat"),
+                      ("appearance_overlap", lambda: 0.0 <= self.appearance_overlap < 1.0, "must be in [0, 1)"),
+                      ("patch_length_m", lambda: self.patch_length_m > 0, "must be positive"),
+                      ("background_sigma", lambda: self.background_sigma >= 0, "must be non-negative"),
+                      ("base_depth_m", lambda: self.base_depth_m > 0, "must be positive"),
+                      ("habitat_fractions", lambda: fractions is None or (len(fractions) == self.n_habitats and min(fractions) > 0 and abs(sum(fractions) - 1) <= 1e-9), "must list one positive share per habitat, summing to 1"))
 
 
 @dataclass
@@ -162,7 +149,7 @@ class GridWorld:
     def validate(self) -> None:
         scalars = (self.width_m, self.height_m, self.cell_size_m, self.snap_amplitude, self.background_sigma)
         arrays = (self.bathymetry, self.habitat_field, self.appearance, self.snap_rate)
-        if not (finite(*scalars) and all(np.all(np.isfinite(a)) for a in arrays)):
+        if not all(np.all(np.isfinite(a)) for a in (*scalars, *arrays)):
             raise ValueError("world values must be finite")
         if not (
             self.bathymetry.ndim == self.snap_rate.ndim == self.appearance.ndim == 2
@@ -175,6 +162,8 @@ class GridWorld:
             raise ValueError("bathymetry must be positive (depth below surface)")
         if not np.all(self.snap_rate >= 0):
             raise ValueError("snap rates must be non-negative")
+        if not self.background_sigma >= 0:
+            raise ValueError("background_sigma must be non-negative")
         if not np.allclose(self.habitat_field.sum(axis=2), 1.0, atol=1e-9):
             raise ValueError("per-cell habitat distributions must sum to 1")
         if not np.allclose(self.appearance.sum(axis=1), 1.0, atol=1e-9):
@@ -240,8 +229,9 @@ class AudioWindow:
         return len(self.samples) / self.fs
 
     def validate(self) -> None:
-        if np.max(np.abs(self.samples), initial=0.0) > 1.0:
-            raise ValueError("samples must lie in [-1, 1]")
+        # Written so that a NaN sample fails: it compares false with 1.0.
+        if not np.max(np.abs(self.samples), initial=0.0) <= 1.0:
+            raise ValueError("samples must be finite and lie in [-1, 1]")
         if len(self.truth_snap_times):
             if np.any(np.diff(self.truth_snap_times) < 0):
                 raise ValueError("truth_snap_times must be sorted")
@@ -299,7 +289,6 @@ def generate_world(config: WorldConfig, seed: int) -> GridWorld:
     """
     from .rng import substream
 
-    config.validate()
     nx = max(1, round(config.width_m / config.cell_size_m))
     ny = max(1, round(config.height_m / config.cell_size_m))
 

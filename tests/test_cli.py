@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from scipy.io import wavfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -436,6 +437,15 @@ class TestSurveyAnalyzeTrack:
             ("analyze", "acoustics", "window", 100),
             ("analyze", "acoustics", "hop", 0),
             ("analyze", "acoustics", "band_hz", [24000, 2000]),
+            ("track", "tracking", "dynamics_dt_s", 0),
+            ("track", "tracking", "dynamics_dt_s", 0.6),
+            ("track", "tracking", "camera", {"width_px": 1}),
+            ("track", "tracking", "target", {"kind": "fish"}),
+            ("track", "tracking", "target", {"distractor": {"mean_lock_s": -1}}),
+            ("world-gen", "world", "background_sigma", -1.0),
+            ("analyze", "acoustics", "band_hz", [2000, 30000]),
+            ("analyze", "acoustics", "band_hz", [2000, 2010]),
+            ("analyze", "acoustics", "window", 65536),
         ],
     )
     def test_bad_config_value_names_its_key(self, workspace, tmp_path, command, section, key, bad) -> None:
@@ -468,8 +478,17 @@ class TestSurveyAnalyzeTrack:
             lambda world: {**world, "bathymetry": [[math.nan, *world["bathymetry"][0][1:]], *world["bathymetry"][1:]]},
             lambda world: {**world, "snap_amplitude": math.nan},
             lambda world: {**world, "snap_rate": world["snap_rate"][1:]},
+            lambda world: {**world, "background_sigma": -1.0},
         ],
-        ids=["missing-key", "width-not-a-number", "not-a-mapping", "nan-bathymetry", "nan-snap-amplitude", "shape-mismatch"],
+        ids=[
+            "missing-key",
+            "width-not-a-number",
+            "not-a-mapping",
+            "nan-bathymetry",
+            "nan-snap-amplitude",
+            "shape-mismatch",
+            "negative-background-sigma",
+        ],
     )
     def test_malformed_world_file_is_data_error(self, workspace, tmp_path, edit) -> None:
         _, config, world_out, _ = workspace
@@ -482,6 +501,28 @@ class TestSurveyAnalyzeTrack:
             )
             assert result.exit_code == 3, result.output
             assert result.output.startswith(f"error: world file {world_path}")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda path: wavfile.write(path, 48_000, np.where(np.arange(48_000) == 100, np.nan, 0.0).astype(np.float32)),
+            lambda path: wavfile.write(path, 96_000, wavfile.read(path)[1]),
+            lambda path: path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2]),
+        ],
+        ids=["nan-sample", "wrong-sample-rate", "truncated"],
+    )
+    def test_analyze_bad_wav_is_data_error(self, workspace, tmp_path, edit) -> None:
+        _, config, _, survey_out = workspace
+        corrupt = tmp_path / "corrupt"
+        shutil.copytree(survey_out, corrupt)
+        edit(corrupt / "audio" / "drift_0001.wav")
+        log_path = corrupt / "mission_log.jsonl"
+        result = CliRunner().invoke(
+            main,
+            ["analyze", "--log", str(log_path), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "r")],
+        )
+        assert result.exit_code == 3, result.output
+        assert f"error: mission log {log_path} line" in result.output
 
     def test_track_outputs_and_reproducibility(self, workspace, tmp_path) -> None:
         _, config, world_out, _ = workspace

@@ -332,8 +332,9 @@ class TestCheckpoint:
             lambda payload: {**payload, "config": {**payload["config"], "sweeps": 3}},
             lambda payload: {**payload, "tokens": {**payload["tokens"], "word": [99] * len(payload["tokens"]["word"])}},
             lambda payload: {**payload, "n_topics": "many"},
+            lambda payload: {**payload, "config": {**payload["config"], "alpha": -1.0}},
         ],
-        ids=["not-a-mapping", "missing-key", "unknown-config-key", "word-outside-vocabulary", "wrong-type"],
+        ids=["not-a-mapping", "missing-key", "unknown-config-key", "word-outside-vocabulary", "wrong-type", "bad-config-value"],
     )
     def test_malformed_checkpoint_is_data_error(self, tmp_path, edit) -> None:
         model = TopicModel(10, 4, 4)
