@@ -51,7 +51,6 @@ class Spectrogram:
     fs: int
     window: int
     hop: int
-    window_fn: str = "hann"
 
     @property
     def n_frames(self) -> int:
@@ -123,8 +122,6 @@ class SnapDetection:
     times: np.ndarray  # seconds from window start, sorted
     count: int
     rate: float  # snaps / second of window duration
-    band_hz: tuple[float, float]
-    threshold_sigma: float
 
 
 def _refine_peak_time(energy: np.ndarray, peak: int, baseline: float, spec: Spectrogram, times: np.ndarray) -> float:
@@ -169,7 +166,6 @@ def detect_snaps(
     threshold_sigma: float = 0.1,
     refractory_s: float = 0.005,
     min_peak_ratio: float = 2.0,
-    band_hz: tuple[float, float] = (2000.0, 24000.0),
 ) -> SnapDetection:
     """Count transient spikes in a band-energy series.
 
@@ -187,7 +183,7 @@ def detect_snaps(
     mu = energy.mean()
     sigma = energy.std()
     if sigma < 1e-12:
-        return SnapDetection(np.empty(0), 0, 0.0, band_hz, threshold_sigma)
+        return SnapDetection(np.empty(0), 0, 0.0)
 
     floor = min_peak_ratio * np.quantile(energy, BACKGROUND_QUANTILE)
     threshold = max(mu + threshold_sigma * sigma, floor)
@@ -196,7 +192,7 @@ def detect_snaps(
     is_peak = (interior > energy[:-2]) & (interior >= energy[2:]) & (interior > threshold)
     candidates = np.flatnonzero(is_peak) + 1
     if len(candidates) == 0:
-        return SnapDetection(np.empty(0), 0, 0.0, band_hz, threshold_sigma)
+        return SnapDetection(np.empty(0), 0, 0.0)
 
     # Merge candidates within the refractory gap, keeping the larger peak.
     frame_period = spec.hop / spec.fs
@@ -211,7 +207,7 @@ def detect_snaps(
     baseline = np.quantile(energy, BACKGROUND_QUANTILE)
     frame_times = spec.frame_times
     times = np.array(sorted(_refine_peak_time(energy, c, baseline, spec, frame_times) for c in kept))
-    return SnapDetection(times, len(kept), len(kept) / duration, band_hz, threshold_sigma)
+    return SnapDetection(times, len(kept), len(kept) / duration)
 
 
 def detect_snaps_in_window(window: AudioWindow, config: AcousticsConfig | None = None) -> SnapDetection:
@@ -232,7 +228,6 @@ def detect_snaps_in_window(window: AudioWindow, config: AcousticsConfig | None =
         threshold_sigma=cfg.threshold_sigma,
         refractory_s=cfg.refractory_s,
         min_peak_ratio=cfg.min_peak_ratio,
-        band_hz=cfg.band_hz,
     )
 
 

@@ -14,6 +14,11 @@ model.  Meanwhile this process detects snaps in the audio it already holds.
 The report is byte-identical to running both halves in one process: the fit
 draws only from the ``"topics"`` substream, detection draws nothing, and no
 samples cross the pipe.
+
+The mission log's layout is known here, not in :mod:`reefsim.topics`: the
+worker streams the imaging records into the model, and :func:`analyze_log`
+then walks the log once, computing each imaging record's topic mixture once
+and pairing each drift window with the mean mixture of its transit leg.
 """
 
 from __future__ import annotations
@@ -26,15 +31,9 @@ import numpy as np
 
 from .acoustics import AcousticsConfig, SnapRateSeries, export_snap_rates_csv, snap_rate_series
 from .errors import DataError, DegenerateDataError
+from .mission import DRIFT, TRANSIT
 from .rng import substream
-from .topics import (
-    TopicModel,
-    TopicsConfig,
-    aggregate_drift_legs,
-    fit_log,
-    habitat_timeseries,
-    merge_groups_by_appearance,
-)
+from .topics import TopicModel, TopicsConfig, merge_groups_by_appearance
 from .worker import Worker
 
 
@@ -47,7 +46,6 @@ class RegressionFit:
     predictions: np.ndarray  # fitted values on the training windows
     rate_min: float
     rate_max: float
-    ridge: float
 
     def normalize(self, rates: np.ndarray) -> np.ndarray:
         return (np.asarray(rates, dtype=np.float64) - self.rate_min) / (self.rate_max - self.rate_min)
@@ -102,7 +100,6 @@ def fit_shrimp_habitat(
         predictions=predictions,
         rate_min=rate_min,
         rate_max=rate_max,
-        ridge=ridge,
     )
 
 
@@ -226,9 +223,6 @@ def analyze_log(
         series = snap_rate_series(log, acoustics_config)
         model = worker.result()
 
-    raw_timeseries = habitat_timeseries(model, log)
-    leg_records, leg_vectors = aggregate_drift_legs(model, log)
-
     # Habitats are defined by appearance: collapse duplicate-appearance
     # topics (split patches, sampler debris) into one column each.
     groups = merge_groups_by_appearance(model)
@@ -236,8 +230,25 @@ def analyze_log(
     member_matrix = np.zeros((model.n_topics, len(groups)))
     for g, members in enumerate(groups):
         member_matrix[members, g] = 1.0
-    leg_vectors = leg_vectors @ member_matrix
-    timeseries = [(t, vector @ member_matrix) for t, vector in raw_timeseries]
+
+    # One walk over the log: each imaging record's mixture joins the
+    # timeseries and its transit leg; a drift window takes the mean mixture
+    # of the leg that ended at its waypoint (none for a drift with no
+    # imaging record before it).
+    timeseries, leg_records, leg_means, leg = [], [], [], []
+    for record in log.records:
+        if record.mode == TRANSIT and record.words is not None:
+            mixture = model.record_mixture(record.words)
+            timeseries.append((record.t, mixture @ member_matrix))
+            leg.append(mixture)
+        elif record.mode == DRIFT:
+            if leg:
+                leg_records.append(record)
+                leg_means.append(np.mean(leg, axis=0))
+            leg = []
+    if not leg_means:
+        raise DataError("no drift windows have a preceding imaging leg")
+    leg_vectors = np.asarray(leg_means) @ member_matrix
 
     rate_by_time = {entry.t_start: entry.rate for entry in series.entries}
     rows = [
@@ -288,7 +299,8 @@ def _fit_topics(send, observations, shape, topics_config: TopicsConfig, seed: in
     ``shape`` is ``(vocab_size, grid_nx, grid_ny)``."""
     model = TopicModel(*shape, topics_config)
     rng = substream(seed, "topics")
-    fit_log(model, observations, rng)
+    for cell_id, words in observations:
+        model.observe(cell_id, words, rng)
     model.gibbs_refine(topics_config.gibbs_sweeps, rng)
     return model
 

@@ -14,6 +14,7 @@ from the artifact alone.
 from __future__ import annotations
 
 import dataclasses
+import re
 import types
 import typing
 from dataclasses import dataclass, field, fields
@@ -37,7 +38,7 @@ class AnalysisConfig:
     prune_below: float = 0.05
 
     def __post_init__(self) -> None:
-        check_section(self)
+        check_section(self, ("ridge", lambda: self.ridge >= 0, "must be non-negative"))
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,19 @@ class RunConfig:
         check_section(self, ("noise.depth_sigma", lambda: n.depth_sigma != 0, "must be positive"),
                       ("noise.heading_sigma", lambda: n.heading_sigma != 0, "must be positive"),
                       ("noise.usbl_sigma", lambda: not (n.usbl_enabled and n.usbl_period_s > 0 and n.usbl_sigma == 0), "must be positive while USBL fixes are enabled"))
+
+
+class ConfigLoader(yaml.SafeLoader):
+    """PyYAML's safe loader (YAML 1.1) plus one YAML 1.2 rule: a plain
+    scalar in exponent notation without a decimal point, such as ``1e-8`` or
+    ``-1E+3``, is a float rather than a string.  Quoted scalars stay strings."""
+
+
+ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
 
 
 def _build(annotation, value: Any, where: str):
@@ -109,7 +123,7 @@ def load_config(path: str | Path | None) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return config_from_dict(data)

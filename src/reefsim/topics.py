@@ -23,13 +23,22 @@ one refine sweep) are drawn up front with a single ``rng.random(n)``; the
 stream is the same as one ``rng.random()`` per token.  The denominators and
 neighborhood counts are updated by +-1 in place, never recomputed mid-call,
 so every double matches the one-token-at-a-time formulation.
+
+The model's state is the token assignments and the two count tables
+``n[w,k]`` (word-topic) and ``m[c,k]`` (cell-topic).  Topic totals ``n[k]``
+are column sums of ``n[w,k]``, computed once per call where they are read;
+the sampler derives its denominators ``n[k] + V*beta`` from them when a call
+starts.  With ``V*beta`` exact in binary (every shipped config), that gives
+the same doubles as carrying the denominators from call to call.  The mission
+log's layout is not known here: :mod:`reefsim.analysis` streams the imaging
+records in and pairs mixtures with drift windows.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
 
@@ -70,11 +79,7 @@ class TopicModel:
 
         kmax = self.config.max_topics
         self._word_topic = np.zeros((vocab_size, kmax), dtype=np.float64)
-        self._topic_total = np.zeros(kmax, dtype=np.float64)
         self._cell_topic = np.zeros((self.n_cells, kmax), dtype=np.float64)
-        # Incrementally maintained mirror of topic_total + V*beta; derived,
-        # only ever used as the conditional's denominator.
-        self._denom = np.full(kmax, vocab_size * self.config.beta, dtype=np.float64)
         self.n_topics = 1  # topic 0 exists from the start and is never retired
         self.labels: list[int] = [0]
         self._next_label = 1
@@ -114,7 +119,8 @@ class TopicModel:
         return self._cell_topic[:, : self.n_topics].copy()
 
     def topic_totals(self) -> np.ndarray:
-        return self._topic_total[: self.n_topics].copy()
+        """(K,) tokens per active topic: the column sums of the word-topic table."""
+        return self._word_topic[:, : self.n_topics].sum(axis=0)
 
     def validate_counts(self) -> None:
         k = self.n_topics
@@ -122,16 +128,12 @@ class TopicModel:
             raise ValueError("active topic count out of range")
         if np.any(self._word_topic < 0) or np.any(self._cell_topic < 0):
             raise ValueError("negative counts")
-        if not np.array_equal(self._word_topic[:, :k].sum(axis=0), self._topic_total[:k]):
-            raise ValueError("word-topic table inconsistent with topic totals")
-        if self._topic_total[:k].sum() != self.token_count:
-            raise ValueError("topic totals inconsistent with token count")
+        if self._word_topic[:, :k].sum() != self.token_count:
+            raise ValueError("word-topic table inconsistent with token count")
         if self._cell_topic[:, :k].sum() != self.token_count:
             raise ValueError("cell-topic table inconsistent with token count")
-        if np.any(self._word_topic[:, k:]) or np.any(self._cell_topic[:, k:]) or np.any(self._topic_total[k:]):
+        if np.any(self._word_topic[:, k:]) or np.any(self._cell_topic[:, k:]):
             raise ValueError("counts present beyond active topics")
-        if not np.allclose(self._denom, self._topic_total + self.vocab_size * self.config.beta):
-            raise ValueError("denominator mirror out of sync")
 
     # -- inference ----------------------------------------------------------
 
@@ -152,7 +154,7 @@ class TopicModel:
         cell_rows = {c: self._cell_topic[c].tolist() for c in {n for c in cells for n in self._neighbors[c]}}
         # denom and mn_alpha hold one entry per active topic, so zip() over
         # them ignores the unused columns of the full-width rows.
-        denom = self._denom[: self.n_topics].tolist()
+        denom = (self.topic_totals() + unused_denom).tolist()
 
         current_cell = -1
         for i, u in enumerate(rng.random(len(tok_word) - start).tolist(), start):
@@ -194,8 +196,6 @@ class TopicModel:
             self._word_topic[w] = row
         for c in cells:
             self._cell_topic[c] = cell_rows[c]
-        self._topic_total[:] = self._word_topic.sum(axis=0)
-        self._denom[: self.n_topics] = denom
 
     def _create_topic(self) -> int:
         k = self.n_topics
@@ -239,7 +239,8 @@ class TopicModel:
 
     def _retire_empty_topics(self) -> None:
         k = self.n_topics
-        keep = [0] + [j for j in range(1, k) if self._topic_total[j] > 0]
+        totals = self.topic_totals()
+        keep = [0] + [j for j in range(1, k) if totals[j] > 0]
         if len(keep) == k:
             return
         remap = np.full(k, -1, dtype=int)
@@ -250,9 +251,6 @@ class TopicModel:
         self._word_topic[:, n_keep:k] = 0
         self._cell_topic[:, :n_keep] = self._cell_topic[:, keep]
         self._cell_topic[:, n_keep:k] = 0
-        self._topic_total[:n_keep] = self._topic_total[keep]
-        self._topic_total[n_keep:k] = 0
-        self._denom[:] = self._topic_total + self.vocab_size * self.config.beta
         self.labels = [self.labels[j] for j in keep]
         self.n_topics = n_keep
         self._tok_topic[:] = [int(remap[t]) for t in self._tok_topic]
@@ -292,14 +290,19 @@ class TopicModel:
         if histogram.shape != (self.vocab_size,):
             raise DataError("histogram length does not match vocabulary")
         n = histogram.sum()
-        k = self.n_topics
         if n == 0:
-            return np.full(k, 1.0 / k)
-        cfg = self.config
-        phi = (self._word_topic[:, :k] + cfg.beta) / (self._topic_total[:k] + self.vocab_size * cfg.beta)
-        post = phi * (self._topic_total[:k] + cfg.alpha)
+            return np.full(self.n_topics, 1.0 / self.n_topics)
+        phi, totals = self._appearance()
+        post = phi * (totals + self.config.alpha)
         post /= post.sum(axis=1, keepdims=True)
         return histogram @ post / n
+
+    def _appearance(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (V, K) appearance table ``(n[w,k] + beta) / (n[k] + V*beta)``
+        of the active topics, and the topic totals ``n[k]``."""
+        counts = self._word_topic[:, : self.n_topics]
+        totals = counts.sum(axis=0)
+        return (counts + self.config.beta) / (totals + self.vocab_size * self.config.beta), totals
 
     # -- persistence --------------------------------------------------------
 
@@ -309,13 +312,7 @@ class TopicModel:
             "vocab_size": self.vocab_size,
             "grid_nx": self.grid_nx,
             "grid_ny": self.grid_ny,
-            "config": {
-                "max_topics": self.config.max_topics,
-                "alpha": self.config.alpha,
-                "beta": self.config.beta,
-                "gamma": self.config.gamma,
-                "gibbs_sweeps": self.config.gibbs_sweeps,
-            },
+            "config": asdict(self.config),
             "n_topics": self.n_topics,
             "labels": self.labels,
             "next_label": self._next_label,
@@ -344,64 +341,27 @@ class TopicModel:
             model._tok_cell = [int(v) for v in tokens["cell"]]
             model._tok_word = [int(v) for v in tokens["word"]]
             model._tok_topic = [int(v) for v in tokens["topic"]]
-            for cell, word, topic in zip(model._tok_cell, model._tok_word, model._tok_topic):
-                model._word_topic[word, topic] += 1
-                model._topic_total[topic] += 1
-                model._cell_topic[cell, topic] += 1
-            model._denom[:] = model._topic_total + model.vocab_size * model.config.beta
+            if len(model.labels) != model.n_topics:
+                raise ValueError(f"{len(model.labels)} labels for {model.n_topics} topics")
+            if not len(model._tok_cell) == len(model._tok_word) == len(model._tok_topic):
+                raise ValueError("token cell, word and topic lists differ in length")
+            for name, values, bound in (
+                ("cell", model._tok_cell, model.n_cells),
+                ("word", model._tok_word, model.vocab_size),
+                ("topic", model._tok_topic, model.n_topics),
+            ):
+                if values and not 0 <= min(values) <= max(values) < bound:
+                    raise ValueError(f"token {name} index outside [0, {bound})")
+            np.add.at(model._word_topic, (model._tok_word, model._tok_topic), 1.0)
+            np.add.at(model._cell_topic, (model._tok_cell, model._tok_topic), 1.0)
             model.validate_counts()
         return model
-
-
-# -- log-level helpers -------------------------------------------------------
-
-
-def fit_log(model: TopicModel, observations, rng: np.random.Generator) -> None:
-    """Stream a mission log's imaging observations, ``(cell_id, words)`` in
-    log order, into the model."""
-    for cell_id, words in observations:
-        model.observe(cell_id, np.asarray(words), rng)
-
-
-def habitat_timeseries(model: TopicModel, log) -> list[tuple[float, np.ndarray]]:
-    """Per imaging record: (t, posterior topic mixture of that record)."""
-    records = log.imaging_records()
-    if not records:
-        raise DataError("mission log has no imaging records")
-    return [(r.t, model.record_mixture(np.asarray(r.words))) for r in records]
-
-
-def aggregate_drift_legs(model: TopicModel, log) -> tuple[list, np.ndarray]:
-    """Pair each drift window with the mean topic mixture of the imaging
-    records on the transit leg that ended at its waypoint.
-
-    Drift windows with no preceding imaging records (e.g. a drift at the
-    very first waypoint) are omitted.  Returns (drift records used, matrix
-    of mean mixtures in the same order).
-    """
-    timeseries = {id(r): model.record_mixture(np.asarray(r.words)) for r in log.imaging_records()}
-    used_records = []
-    vectors = []
-    leg: list[np.ndarray] = []
-    for record in log.records:
-        if record.mode == "TRANSIT" and record.words is not None:
-            leg.append(timeseries[id(record)])
-        elif record.mode == "DRIFT":
-            if leg:
-                used_records.append(record)
-                vectors.append(np.mean(leg, axis=0))
-            leg = []
-    if not vectors:
-        raise DataError("no drift windows have a preceding imaging leg")
-    return used_records, np.asarray(vectors)
 
 
 def perplexity(model: TopicModel, documents: list) -> float:
     """Held-out perplexity of (histogram, ...) documents under the model's
     appearance table, with each document's mixture inferred from its words."""
-    cfg = model.config
-    k = model.n_topics
-    phi = (model._word_topic[:, :k] + cfg.beta) / (model._topic_total[:k] + model.vocab_size * cfg.beta)
+    phi, _ = model._appearance()
     total_ll = 0.0
     total_tokens = 0
     for histogram in documents:
@@ -418,10 +378,7 @@ def perplexity(model: TopicModel, documents: list) -> float:
 
 def appearance_distributions(model: TopicModel) -> np.ndarray:
     """(K, V) smoothed word distribution of each active topic."""
-    k = model.n_topics
-    cfg = model.config
-    counts = model._word_topic[:, :k]
-    return ((counts + cfg.beta) / (counts.sum(axis=0) + model.vocab_size * cfg.beta)).T
+    return model._appearance()[0].T
 
 
 def merge_groups_by_appearance(

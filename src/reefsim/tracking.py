@@ -145,15 +145,14 @@ def step_target(state: TargetState, config: TargetConfig, world, dt: float, rng:
     y = state.y + dt * config.speed_mps * np.sin(heading)
 
     # Bounce off the world walls so long episodes stay in bounds.
-    if world is not None:
-        if x < 0.5 or x > world.width_m - 0.5:
-            heading = wrap_angle(np.pi - heading)
-            x = float(np.clip(x, 0.5, world.width_m - 0.5))
-        if y < 0.5 or y > world.height_m - 0.5:
-            heading = wrap_angle(-heading)
-            y = float(np.clip(y, 0.5, world.height_m - 0.5))
+    if x < 0.5 or x > world.width_m - 0.5:
+        heading = wrap_angle(np.pi - heading)
+        x = float(np.clip(x, 0.5, world.width_m - 0.5))
+    if y < 0.5 or y > world.height_m - 0.5:
+        heading = wrap_angle(-heading)
+        y = float(np.clip(y, 0.5, world.height_m - 0.5))
 
-    if config.kind == BENTHIC_GLIDER and world is not None:
+    if config.kind == BENTHIC_GLIDER:
         altitude = float(np.clip(config.altitude_m, 0.2, 1.0))
         z = world.depth_at(x, y) - altitude
     else:
@@ -360,11 +359,11 @@ def run_tracking_episode(
     camera = tracking_config.camera
     rng = substream(seed, "tracking")
 
-    cx = world.width_m / 2.0 if world is not None else 0.0
-    cy = world.height_m / 2.0 if world is not None else 0.0
+    cx = world.width_m / 2.0
+    cy = world.height_m / 2.0
     heading = np.radians(target_cfg.heading_deg)
     target = TargetState(x=cx, y=cy, z=target_cfg.depth_m, heading=float(heading))
-    if target_cfg.kind == BENTHIC_GLIDER and world is not None:
+    if target_cfg.kind == BENTHIC_GLIDER:
         target = TargetState(target.x, target.y, world.depth_at(cx, cy) - target_cfg.altitude_m, target.heading)
 
     # Standoff range at which the body length fills the width-ratio setpoint.

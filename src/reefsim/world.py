@@ -413,15 +413,13 @@ def synthesize_audio(
     clipped = bool(np.max(np.abs(samples), initial=0.0) > 1.0)
     samples = np.clip(samples, -1.0, 1.0)
 
-    window = AudioWindow(
+    return AudioWindow(
         samples=samples.astype(np.float32),
         fs=fs,
         start_time=start_time,
         truth_snap_times=snap_times,
         saturated=thrusters_on or clipped,
     )
-    window.validate()
-    return window
 
 
 def write_wav(path: str | Path, window: AudioWindow) -> None:

@@ -75,7 +75,7 @@ class TestCriterion1SurveyRegression:
     def test_coral_coefficient_and_correlation(self) -> None:
         seeds, required = panel(3, 100, 0.90)
         passes = 0
-        runtimes = []
+        runtimes, rs, seconds, failing = [], [], [], []
         for seed in seeds:
             start = time.monotonic()
             rep = run_site_survey(seed)
@@ -84,11 +84,16 @@ class TestCriterion1SurveyRegression:
             second = float(coefs[1]) if len(coefs) > 1 else -1.0
             ok = int(np.sum(coefs > 0.1)) == 1 and second <= 0.05 and rep.pearson_r >= 0.8
             passes += ok
+            rs.append(rep.pearson_r)
+            seconds.append(second)
+            if not ok:
+                failing.append(seed)
         passed = passes >= required and max(runtimes) <= 300.0
         report(
             "criterion 1 (survey regression)",
             passed,
-            f"{passes}/{len(seeds)} seeds pass; max runtime {max(runtimes):.0f}s <= 300s",
+            f"{passes}/{len(seeds)} seeds pass; min r {min(rs):.3f} >= 0.8, max second coefficient "
+            f"{max(seconds):.3f} <= 0.05, failing seeds {failing}; max runtime {max(runtimes):.0f}s <= 300s",
         )
         assert passes >= required
         assert max(runtimes) <= 300.0
@@ -180,6 +185,7 @@ class TestCriterion3TopicRecovery:
         truth[rows >= 7] = 2
 
         passes = 0
+        accuracies = []
         for seed in seeds:
             rng = substream(seed, "recover")
             model = TopicModel(30, nx, ny)
@@ -190,9 +196,14 @@ class TestCriterion3TopicRecovery:
                     for _ in range(3):
                         model.observe(cell, rng.multinomial(20, appearance[truth[cell]]), rng)
             model.gibbs_refine(50, rng)
-            passes += match_accuracy(model.dominant_topic_cells(), truth) >= 0.8
+            accuracies.append(match_accuracy(model.dominant_topic_cells(), truth))
+            passes += accuracies[-1] >= 0.8
         passed = passes >= required
-        report("criterion 3a (topic recovery)", passed, f"{passes}/{len(seeds)} seeds reach 0.8 accuracy")
+        report(
+            "criterion 3a (topic recovery)",
+            passed,
+            f"{passes}/{len(seeds)} seeds reach 0.8 accuracy; lowest {min(accuracies):.3f}",
+        )
         assert passes >= required
 
     def test_count_conservation_fuzz(self) -> None:
@@ -317,12 +328,20 @@ class TestCriterion5Tracking:
         camera = Camera()
         config = TrackingConfig()  # default noise, 0.25 m/s cruiser
         passes = 0
+        central, lost = [], []
         for seed in seeds:
             log = run_tracking_episode(world, VehicleConfig(), config, 300.0, seed=seed)
             summary = log.summary(camera)
             passes += summary["central_fraction"] >= 0.9
+            central.append(summary["central_fraction"])
+            if log.ended_lost:
+                lost.append(seed)
         passed = passes >= required
-        report("criterion 5a (midwater centering)", passed, f"{passes}/{len(seeds)} episodes >= 90% centered")
+        report(
+            "criterion 5a (midwater centering)",
+            passed,
+            f"{passes}/{len(seeds)} episodes >= 90% centered; lowest {min(central):.3f}, ended lost {lost}",
+        )
         assert passes >= required
 
     def test_benthic_distractor_panel(self) -> None:
@@ -336,12 +355,21 @@ class TestCriterion5Tracking:
                 distractor=DistractorConfig(switch_prob_per_s=0.02, mean_lock_s=3.0),
             )
         )
+        camera = Camera()
         passes = 0
+        central, lost = [], []
         for seed in seeds:
             log = run_tracking_episode(world, VehicleConfig(), config, 300.0, seed=seed)
             passes += not log.ended_lost
+            central.append(log.summary(camera)["central_fraction"])
+            if log.ended_lost:
+                lost.append(seed)
         passed = passes >= required
-        report("criterion 5b (benthic distractor)", passed, f"{passes}/{len(seeds)} episodes without permanent loss")
+        report(
+            "criterion 5b (benthic distractor)",
+            passed,
+            f"{passes}/{len(seeds)} episodes without permanent loss; ended lost {lost}, lowest centred {min(central):.3f}",
+        )
         assert passes >= required
 
     def test_zero_noise_equilibrium(self) -> None:

@@ -21,7 +21,7 @@ from reefsim.analysis import (
 )
 from reefsim.errors import ConfigError, DataError, DegenerateDataError
 from reefsim.mission import MissionConfig, execute, plan_lawnmower
-from reefsim.topics import TopicsConfig
+from reefsim.topics import TopicModel, TopicsConfig
 from reefsim.vehicle import NoiseConfig, VehicleConfig
 from reefsim.world import WorldConfig, generate_world
 
@@ -253,6 +253,19 @@ def _raise_config_error(send, *args):
 
 def _no_worker(*args):
     raise AssertionError("the worker must not start")
+
+
+def test_analyze_log_computes_each_record_mixture_once(survey_log, monkeypatch) -> None:
+    calls = []
+    record_mixture = TopicModel.record_mixture
+
+    def counted(model, histogram):
+        calls.append(1)
+        return record_mixture(model, histogram)
+
+    monkeypatch.setattr(TopicModel, "record_mixture", counted)
+    report = analyze_log(survey_log, topics_config=TopicsConfig(gibbs_sweeps=2))
+    assert len(calls) == len(survey_log.imaging_records()) == len(report.timeseries)
 
 
 class TestAnalyzeLogWorker:

@@ -446,6 +446,7 @@ class TestSurveyAnalyzeTrack:
             ("analyze", "acoustics", "band_hz", [2000, 30000]),
             ("analyze", "acoustics", "band_hz", [2000, 2010]),
             ("analyze", "acoustics", "window", 65536),
+            ("analyze", "analysis", "ridge", -1.0),
         ],
     )
     def test_bad_config_value_names_its_key(self, workspace, tmp_path, command, section, key, bad) -> None:

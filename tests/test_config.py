@@ -6,9 +6,10 @@ import dataclasses
 import math
 
 import pytest
+import yaml
 
 from reefsim.acoustics import AcousticsConfig
-from reefsim.config import AnalysisConfig, EpisodeConfig, RunConfig, config_to_dict
+from reefsim.config import AnalysisConfig, ConfigLoader, EpisodeConfig, RunConfig, config_to_dict, load_config
 from reefsim.errors import ConfigError
 from reefsim.mission import MissionConfig, MissionPlan, plan_lawnmower
 from reefsim.topics import TopicsConfig
@@ -62,3 +63,17 @@ def test_plan_waypoints_are_derived_not_configured() -> None:
     assert plan.waypoints[:6] == ((0.0, 0.0), (2.5, 0.0), (5.0, 0.0), (7.5, 0.0), (10.0, 0.0), (10.0, 10.0))
     assert plan.waypoints is plan.waypoints
     assert "waypoints" not in config_to_dict(RunConfig())["plan"]
+
+
+def test_exponent_without_decimal_point_loads_as_float(tmp_path) -> None:
+    path = tmp_path / "config.yaml"
+    path.write_text("analysis: {ridge: 1e-8}\n")
+    assert load_config(path).analysis.ridge == 1e-8
+
+
+def test_other_scalars_keep_their_yaml_types() -> None:
+    data = yaml.load("[1e-8, -1E+3, 1.0e-8, 7, 512, .nan, '1e-8', abc]", Loader=ConfigLoader)
+    assert data[:3] == [1e-8, -1000.0, 1e-8] and all(type(v) is float for v in data[:3])
+    assert data[3:5] == [7, 512] and all(type(v) is int for v in data[3:5])
+    assert math.isnan(data[5])
+    assert data[6:] == ["1e-8", "abc"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 
@@ -313,6 +314,12 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.word_topic_counts(), model.word_topic_counts())
         np.testing.assert_array_equal(loaded.cell_topic_counts(), model.cell_topic_counts())
 
+    def test_model_without_tokens_round_trips(self, tmp_path) -> None:
+        path = tmp_path / "model.json"
+        TopicModel(10, 3, 3).save(path)
+        loaded = TopicModel.load(path)
+        assert (loaded.token_count, loaded.n_topics, loaded.labels) == (0, 1, [0])
+
     def test_loaded_model_continues_refining(self, tmp_path) -> None:
         model = TopicModel(10, 4, 4)
         rng = substream(13, "ckpt2")
@@ -324,6 +331,26 @@ class TestCheckpoint:
         loaded.gibbs_refine(2, substream(14, "cont"))
         loaded.validate_counts()
 
+    @pytest.mark.parametrize("beta", [TopicsConfig().beta, 0.1], ids=["default-beta", "beta-0.1"])
+    def test_reloaded_model_continues_like_the_one_in_memory(self, tmp_path, beta) -> None:
+        # Totals and denominators derive from the counts, so a checkpoint
+        # taken part-way through a stream resumes exactly, also for a beta
+        # whose V * beta is not exact in binary (12 * 0.1 here).
+        appearance = block_appearance(3, 12)
+        truth = striped_world(6, 6)
+        model = TopicModel(12, 6, 6, TopicsConfig(beta=beta))
+        rng = substream(16, "resume")
+        survey_pass(model, truth, appearance, rng, images_per_cell=2)
+        model.gibbs_refine(3, rng)
+        path = tmp_path / "model.json"
+        model.save(path)
+        loaded, loaded_rng = TopicModel.load(path), copy.deepcopy(rng)
+        for m, r in ((model, rng), (loaded, loaded_rng)):
+            survey_pass(m, truth, appearance, r, images_per_cell=2)
+            m.gibbs_refine(5, r)
+        assert loaded._tok_topic == model._tok_topic
+        assert loaded.labels == model.labels
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -333,8 +360,23 @@ class TestCheckpoint:
             lambda payload: {**payload, "tokens": {**payload["tokens"], "word": [99] * len(payload["tokens"]["word"])}},
             lambda payload: {**payload, "n_topics": "many"},
             lambda payload: {**payload, "config": {**payload["config"], "alpha": -1.0}},
+            lambda payload: {**payload, "tokens": {**payload["tokens"], "word": [-1, *payload["tokens"]["word"][1:]]}},
+            lambda payload: {**payload, "tokens": {**payload["tokens"], "cell": [-3, *payload["tokens"]["cell"][1:]]}},
+            lambda payload: {**payload, "labels": payload["labels"][:-1]},
+            lambda payload: {**payload, "tokens": {**payload["tokens"], "cell": [*payload["tokens"]["cell"], 0]}},
         ],
-        ids=["not-a-mapping", "missing-key", "unknown-config-key", "word-outside-vocabulary", "wrong-type", "bad-config-value"],
+        ids=[
+            "not-a-mapping",
+            "missing-key",
+            "unknown-config-key",
+            "word-outside-vocabulary",
+            "wrong-type",
+            "bad-config-value",
+            "negative-word",
+            "negative-cell",
+            "short-labels",
+            "ragged-tokens",
+        ],
     )
     def test_malformed_checkpoint_is_data_error(self, tmp_path, edit) -> None:
         model = TopicModel(10, 4, 4)
