@@ -3,28 +3,24 @@
 Configs load from YAML (JSON is valid YAML).  Each section is a dataclass
 beside the code it configures; ``analysis`` and ``episode`` live here, in
 :class:`RunConfig`.  Unknown keys are rejected; missing keys fall back to
-the dataclasses' defaults.  Loading only converts (a mapping becomes its
-dataclass, a list a tuple, nothing is coerced); every section checks
-itself when it is built (:func:`reefsim.errors.check_section`), and a
-failed check names its dotted key.  The fully resolved configuration is
-echoed into each command's output directory so results are reproducible
-from the artifact alone.
+the dataclasses' defaults.  Loading only converts, through the builder
+the file readers share (:func:`reefsim.errors.build`: a mapping becomes its
+dataclass, a list a tuple, nothing is coerced); every section checks itself
+when it is built, and a failed check names its dotted key.  The fully
+resolved configuration is echoed into each command's output directory so
+results are reproducible from the artifact alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
-import types
-import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any
-
 import yaml
 
 from .acoustics import AcousticsConfig
-from .errors import ConfigError, check_section, field_types
+from .errors import ConfigError, build, check_section
 from .mission import MissionConfig, MissionPlan
 from .tracking import TrackingConfig
 from .vehicle import NoiseConfig, VehicleConfig
@@ -85,33 +81,11 @@ ConfigLoader.add_implicit_resolver(
 )
 
 
-def _build(annotation, value: Any, where: str):
-    """Convert a parsed YAML value for a field annotated ``annotation``: a
-    mapping becomes its dataclass (unknown keys rejected), a list a tuple.
-    The dataclass checks itself; a :class:`ConfigError` it raises gets the
-    dotted section path ``where`` as a prefix."""
-    if isinstance(value, list):
-        return tuple(value)
-    if isinstance(annotation, types.UnionType):  # ``X | None``
-        (annotation,) = [a for a in typing.get_args(annotation) if a is not type(None)]
-    if not (isinstance(value, dict) and dataclasses.is_dataclass(annotation)):
-        return value
-    hints = field_types(annotation)
-    unknown = sorted(set(value) - set(hints), key=str)
-    if unknown:
-        raise ConfigError(f"{where or 'config'}: unknown keys {unknown}")
-    kwargs = {key: _build(hints[key], v, f"{where}.{key}" if where else key) for key, v in value.items()}
-    try:
-        return annotation(**kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}.{exc}" if where else str(exc)) from exc
-
-
 def config_from_dict(data: dict | None) -> RunConfig:
     """Build a :class:`RunConfig` from a parsed YAML mapping."""
     if not isinstance(data, dict | None):
         raise ConfigError(f"config: expected a mapping, got {type(data).__name__}")
-    return _build(RunConfig, data or {}, "")
+    return build(RunConfig, data or {})
 
 
 def load_config(path: str | Path | None) -> RunConfig:

@@ -1,14 +1,21 @@
-"""Exception types shared across the package.
+"""Exception types, and the one builder that reads config and files.
 
 ``ValueError`` is reserved for programmer-level precondition violations
 (bad argument shapes, out-of-range parameters).  The exceptions below mark
 problems with user-supplied configuration or runtime data, which the CLI
-maps onto distinct exit codes.  The file readers (mission log, world,
-topic model checkpoint) parse through :func:`json_object` inside
-:func:`data_errors`, so every malformed file becomes a :class:`DataError`.
+maps onto distinct exit codes.
 
-Every config dataclass checks itself once, in ``__post_init__``, through
-:func:`check_section`; code that receives a section need not check it again.
+Config and files are read the same way.  :func:`build` turns a parsed YAML
+or JSON value into the dataclass its annotation names, and every field is
+checked against its annotation by :func:`check_section`.  Every config
+dataclass checks itself once, in ``__post_init__``; code that receives a
+section need not check it again.  So do the mission log, the world and the
+topic checkpoint, which are built once per file.  A mission-log record and
+its audio reference have no ``__post_init__``: the vehicle loop builds them
+unchecked, and :func:`build` checks them where a log is read.  These
+dataclasses are the files' schema.  The file readers parse through
+:func:`json_object` inside :func:`data_errors`, so every malformed file
+becomes a :class:`DataError`; the writers write through :func:`json_line`.
 """
 
 import dataclasses
@@ -42,48 +49,99 @@ class DegenerateDataError(DataError):
 
 
 field_types = functools.cache(typing.get_type_hints)  # a dataclass's resolved annotations, once per class
+_FLOAT_MAX = sys.float_info.max
 
 
 def check_section(section, *rules) -> None:
-    """Check a config dataclass from its ``__post_init__``.  Each field must
-    match its annotation: a ``float`` is a finite int or float, an ``int`` an
-    int (a bool is neither), a tuple has the declared length, ``X | None``
-    also takes ``None``, a nested section is an instance of its class.  Then
-    each rule ``(field, ok, message)`` runs in order, and the first whose
-    ``ok()`` is false raises.  A :class:`ConfigError` message starts with the
-    field name; the config loader prefixes the section path."""
-    hints = field_types(type(section))
-    for f in dataclasses.fields(section):
-        _check_value(hints[f.name], getattr(section, f.name), f.name)
+    """Check a dataclass, from its ``__post_init__`` or from :func:`build`.
+    Each field must match its annotation: a ``float`` is a finite int or
+    float, an ``int`` an int (a bool is neither), a tuple has the declared
+    length, a ``list[X]`` is a list, ``X | None`` also takes ``None``, a
+    nested dataclass is an instance of its class.  Then each rule
+    ``(field, ok, message)`` runs in order, and the first whose ``ok()`` is
+    false raises.  A :class:`ConfigError` message starts with the field
+    name; :func:`build` prefixes the dotted path."""
+    for name, annotation in field_types(type(section)).items():
+        _check_value(annotation, getattr(section, name), name)
     for name, ok, message in rules:
         if not ok():
             raise ConfigError(f"{name} {message}")
 
 
-def _check_value(annotation, value, name: str) -> None:
-    if isinstance(annotation, types.UnionType):  # ``X | None``
-        if value is None:
-            return
+@functools.cache
+def _parts(annotation) -> tuple:
+    """Take an annotation apart, once: whether it takes ``None``, the rest
+    of it, that rest's generic origin and arguments (a ``list[X]``'s written
+    as ``(X, ...)``), and the one annotation all items of a sequence share,
+    or None."""
+    optional = isinstance(annotation, types.UnionType)
+    if optional:
         (annotation,) = [a for a in typing.get_args(annotation) if a is not type(None)]
-    if typing.get_origin(annotation) is tuple:
-        if not isinstance(value, tuple):
-            raise ConfigError(f"{name}: expected a tuple, got {value!r}")
-        args = typing.get_args(annotation)
-        if args[-1] is Ellipsis:
-            args = (args[0],) * len(value)
-        elif len(value) != len(args):
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is list:
+        args = (*args, ...)
+    shared = set(args) - {...}
+    return optional, annotation, origin, args, shared.pop() if len(shared) == 1 else None
+
+
+def _check_value(annotation, value, name: str) -> None:
+    optional, annotation, origin, args, item = _parts(annotation)
+    if value is None and optional:
+        return
+    if origin in (tuple, list):
+        if not isinstance(value, origin):
+            raise ConfigError(f"{name}: expected a {origin.__name__}, got {value!r}")
+        if args[-1] is not Ellipsis and len(value) != len(args):
             raise ConfigError(f"{name}: expected {len(args)} values, got {len(value)}")
-        for i, (item_annotation, item) in enumerate(zip(args, value)):
-            _check_value(item_annotation, item, f"{name}[{i}]")
+        # A flat pass over the items, without a call per item, passes them
+        # all or falls through to the walk, which names the bad item.  A sum
+        # of floats is finite only if every float is.
+        kinds = set(map(type, value))
+        if kinds <= {item} and (item is not float or abs(sum(value)) <= _FLOAT_MAX):
+            return
+        for i, item_value in enumerate(value):
+            _check_value(args[0] if args[-1] is Ellipsis else args[i], item_value, f"{name}[{i}]")
         return
     if annotation is float:
         # A comparison, not math.isfinite: that overflows on a huge int.
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX
     else:
+        annotation = origin or annotation  # ``dict[K, V]`` is checked as a dict
         ok = isinstance(value, annotation) and not (annotation is int and isinstance(value, bool))
     if not ok:
         kind = "a finite number" if annotation is float else annotation.__name__
         raise ConfigError(f"{name}: expected {kind}, got {value!r}")
+
+
+def build(annotation, value, where: str = ""):
+    """Convert a parsed YAML or JSON value for a field annotated
+    ``annotation``: a mapping becomes its dataclass (unknown keys rejected),
+    a list a list for a ``list[X]`` field and a tuple otherwise.  A config
+    dataclass checks itself in ``__post_init__``; one without it (a file
+    record) is checked here.  A :class:`ConfigError` gets the dotted path
+    ``where`` as a prefix."""
+    if type(value) is list:
+        return value if _parts(annotation)[2] is list else tuple(value)
+    annotation = _parts(annotation)[1]
+    if type(value) is not dict or not dataclasses.is_dataclass(annotation):
+        return value
+    hints = field_types(annotation)
+    prefix = f"{where}: " if where else ""
+    if not value.keys() <= hints.keys():
+        raise ConfigError(f"{prefix}unknown keys {sorted(value.keys() - hints.keys(), key=str)}")
+    kwargs = {key: build(hints[key], v, f"{where}.{key}" if where else key) for key, v in value.items()}
+    try:
+        built = annotation(**kwargs)
+        if not hasattr(annotation, "__post_init__"):
+            check_section(built)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}.{exc}" if where else str(exc)) from exc
+    except TypeError:
+        missing = [f.name for f in dataclasses.fields(annotation) if f.name not in value and f.default is f.default_factory is dataclasses.MISSING]
+        if not missing:
+            raise
+        raise ConfigError(f"{prefix}missing keys {missing}") from None
+    return built
 
 
 @contextmanager
@@ -104,3 +162,10 @@ def json_object(text: str) -> dict:
     if not isinstance(payload, dict):
         raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
     return payload
+
+
+def json_line(payload) -> str:
+    """``payload`` as one compact JSON line with sorted keys, the form of
+    every file the package writes; a dataclass in it is written as its
+    fields (``vars``)."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=vars)

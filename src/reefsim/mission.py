@@ -17,9 +17,15 @@ analysis skips it (see ``acoustics.snap_rate_series``).
 The log is an append-only, strictly time-ordered record sequence; at most one
 record is written per simulation step.  On disk it is line-delimited JSON
 (one self-describing record per line, header first) with drift audio in a
-sidecar directory of 32-bit float WAV files referenced by filename.
-:func:`load_log` checks each WAV against its log: sample rate, length and
-finite samples in [-1, 1].
+sidecar directory of 32-bit float WAV files referenced by filename.  The
+dataclasses :class:`MissionLog`, :class:`LogRecord` and :class:`AudioRef`
+are the file's schema: :func:`save_log` writes each record's fields, and
+:func:`load_log` reads each line through the builder the config uses
+(:func:`reefsim.errors.build`), so a value of the wrong type, a non-finite
+number or a tuple of the wrong length is a :class:`DataError` naming the
+line and the key.  The vehicle loop builds its records unchecked.
+:func:`load_log` also checks each WAV against its log: sample rate, length
+and finite samples in [-1, 1].
 
 :func:`execute` runs on two cores.  The fixed-step vehicle loop (dynamics,
 sensors, EKF, image words) runs in one worker process.  At each drift
@@ -33,14 +39,14 @@ the pipe.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_section, data_errors, json_object
+from .errors import ConfigError, DataError, build, check_section, data_errors, json_line, json_object
 from .rng import substream
 from .vehicle import (
     Command,
@@ -134,7 +140,7 @@ class AudioRef:
     fs: int
     duration: float
     saturated: bool
-    truth_snap_times: list[float]
+    truth_snap_times: tuple[float, ...]
 
 
 @dataclass
@@ -145,7 +151,7 @@ class LogRecord:
     est_mean: tuple[float, float, float, float]
     est_cov_diag: tuple[float, float, float, float]
     cell_id: int
-    words: list[int] | None = None
+    words: tuple[int, ...] | None = None  # visual-word histogram, TRANSIT only
     audio: AudioRef | None = None
 
 
@@ -160,6 +166,13 @@ class MissionLog:
     audio: dict[str, AudioWindow] = field(default_factory=dict)
     aborted: bool = False
     abort_reason: str | None = None
+
+    def __post_init__(self) -> None:
+        check_section(self, ("grid_nx", lambda: self.grid_nx >= 1, "must be at least 1"),
+                      ("grid_ny", lambda: self.grid_ny >= 1, "must be at least 1"),
+                      ("cell_size_m", lambda: self.cell_size_m > 0, "must be positive"),
+                      ("audio_fs_hz", lambda: self.audio_fs_hz >= MIN_AUDIO_FS, f"must be at least {MIN_AUDIO_FS}"),
+                      ("drift_duration_s", lambda: self.drift_duration_s >= 0, "must be non-negative"))
 
     def imaging_records(self) -> list[LogRecord]:
         return [r for r in self.records if r.mode == TRANSIT and r.words is not None]
@@ -233,7 +246,7 @@ def execute(
             fs=window.fs,
             duration=window.duration,
             saturated=window.saturated,
-            truth_snap_times=[float(v) for v in window.truth_snap_times],
+            truth_snap_times=tuple(window.truth_snap_times.tolist()),
         )
     log.validate()
     return log
@@ -258,7 +271,7 @@ def _run_vehicle(
     log = MissionLog(
         grid_nx=world.nx,
         grid_ny=world.ny,
-        cell_size_m=world.cell_size_m,
+        cell_size_m=float(world.cell_size_m),  # a world file may hold a whole size as an int
         audio_fs_hz=plan.audio_fs_hz,
         drift_duration_s=plan.drift_duration_s,
     )
@@ -341,7 +354,7 @@ def _run_vehicle(
 
             if t + 1e-9 >= next_imaging_time:
                 words = sample_image_words(world, state.x, state.y, mission_config.words_per_image, rng)
-                log.records.append(snapshot(t, TRANSIT, words=[int(c) for c in words]))
+                log.records.append(snapshot(t, TRANSIT, words=tuple(words.tolist())))
                 next_imaging_time += plan.imaging_period_s
 
             sensors_alt = simulate_sensors(state, world, noise_config, t, rng)
@@ -381,59 +394,28 @@ def _run_vehicle(
 # --- persistence -----------------------------------------------------------
 
 
-def _dump_record(record: LogRecord) -> dict:
-    payload = {
-        "type": "record",
-        "t": record.t,
-        "mode": record.mode,
-        "true_pose": list(record.true_pose),
-        "est_mean": list(record.est_mean),
-        "est_cov_diag": list(record.est_cov_diag),
-        "cell_id": record.cell_id,
-    }
-    if record.words is not None:
-        payload["words"] = record.words
-    if record.audio is not None:
-        payload["audio"] = {
-            "filename": record.audio.filename,
-            "fs": record.audio.fs,
-            "duration": record.audio.duration,
-            "saturated": record.audio.saturated,
-            "truth_snap_times": record.audio.truth_snap_times,
-        }
-    return payload
-
-
 def save_log(log: MissionLog, path: str | Path, audio_dirname: str = "audio") -> None:
     """Write the log as line-delimited JSON plus a sidecar WAV directory.
 
     Rewriting the same log produces byte-identical output.
     """
     path = Path(path)
-    lines = [
-        json.dumps(
-            {
-                "type": "header",
-                "format": LOG_FORMAT,
-                "grid_nx": log.grid_nx,
-                "grid_ny": log.grid_ny,
-                "cell_size_m": log.cell_size_m,
-                "audio_fs_hz": log.audio_fs_hz,
-                "drift_duration_s": log.drift_duration_s,
-                "audio_dir": audio_dirname,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    ]
-    lines.extend(json.dumps(_dump_record(r), sort_keys=True, separators=(",", ":")) for r in log.records)
-    lines.append(
-        json.dumps(
-            {"type": "end", "aborted": log.aborted, "abort_reason": log.abort_reason},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    )
+    header = {
+        "type": "header",
+        "format": LOG_FORMAT,
+        "grid_nx": log.grid_nx,
+        "grid_ny": log.grid_ny,
+        "cell_size_m": log.cell_size_m,
+        "audio_fs_hz": log.audio_fs_hz,
+        "drift_duration_s": log.drift_duration_s,
+        "audio_dir": audio_dirname,
+    }
+    lines = [json_line(header)]
+    # A record line holds its record's fields but for a TRANSIT record's
+    # audio and a DRIFT record's words, which are None.
+    for record in log.records:
+        lines.append(json_line({"type": "record", **{k: v for k, v in vars(record).items() if v is not None}}))
+    lines.append(json_line({"type": "end", "aborted": log.aborted, "abort_reason": log.abort_reason}))
     path.write_text("\n".join(lines) + "\n")
 
     audio_dir = path.parent / audio_dirname
@@ -443,54 +425,31 @@ def save_log(log: MissionLog, path: str | Path, audio_dirname: str = "audio") ->
 
 
 def _load_record(payload: dict, log: MissionLog, audio_dir: Path) -> LogRecord:
-    """One ``record`` line; its audio window goes into ``log.audio``.  A
-    field that fails its check raises ``ValueError``."""
-    t = float(payload["t"])
-    mode = payload["mode"]
-    if mode not in (TRANSIT, DRIFT):
-        raise ValueError(f"record at t={t} has unknown mode {mode!r}")
-    cell_id = int(payload["cell_id"])
-    if not 0 <= cell_id < log.grid_nx * log.grid_ny:
-        raise ValueError(f"record at t={t} has cell_id {cell_id} outside the grid")
-    words = payload.get("words")
-    if words is not None and not (isinstance(words, list) and all(type(c) is int and c >= 0 for c in words)):
-        raise ValueError(f"record at t={t} has word counts that are not non-negative integers")
-    audio_ref = None
-    if "audio" in payload:
-        a = payload["audio"]
-        audio_ref = AudioRef(
-            filename=a["filename"],
-            fs=int(a["fs"]),
-            duration=float(a["duration"]),
-            saturated=bool(a["saturated"]),
-            truth_snap_times=[float(v) for v in a["truth_snap_times"]],
-        )
-        samples, fs = read_wav(audio_dir / audio_ref.filename)
-        if not (fs == audio_ref.fs == log.audio_fs_hz and len(samples) == round(log.drift_duration_s * fs)):
-            raise ValueError(f"{audio_ref.filename} holds {len(samples)} samples at {fs} Hz, not {log.drift_duration_s} s at {log.audio_fs_hz} Hz")
+    """One ``record`` line, built and type-checked as a :class:`LogRecord`;
+    its audio window goes into ``log.audio``.  A field that fails its check
+    raises ``ValueError`` or :class:`ConfigError`."""
+    record = build(LogRecord, payload)
+    if record.mode not in (TRANSIT, DRIFT):
+        raise ValueError("mode must be TRANSIT or DRIFT")
+    if not 0 <= record.cell_id < log.grid_nx * log.grid_ny:
+        raise ValueError(f"cell_id {record.cell_id} is outside the {log.grid_nx}x{log.grid_ny} grid")
+    if record.words and min(record.words) < 0:
+        raise ValueError("words must be non-negative counts")
+    ref = record.audio
+    if ref is not None:
+        samples, fs = read_wav(audio_dir / ref.filename)
+        if not (fs == ref.fs == log.audio_fs_hz and len(samples) == round(log.drift_duration_s * fs)):
+            raise ValueError(f"{ref.filename} holds {len(samples)} samples at {fs} Hz, not {log.drift_duration_s} s at {log.audio_fs_hz} Hz")
         window = AudioWindow(
             samples=samples,
             fs=fs,
-            start_time=t,
-            truth_snap_times=np.asarray(audio_ref.truth_snap_times, dtype=np.float64),
-            saturated=audio_ref.saturated,
+            start_time=record.t,
+            truth_snap_times=np.asarray(ref.truth_snap_times, dtype=np.float64),
+            saturated=ref.saturated,
         )
         window.validate()
-        log.audio[audio_ref.filename] = window
-    return LogRecord(
-        t=t,
-        mode=mode,
-        true_pose=_floats(payload["true_pose"]),
-        est_mean=_floats(payload["est_mean"]),
-        est_cov_diag=_floats(payload["est_cov_diag"]),
-        cell_id=cell_id,
-        words=words,
-        audio=audio_ref,
-    )
-
-
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+        log.audio[ref.filename] = window
+    return record
 
 
 def load_log(path: str | Path) -> MissionLog:
@@ -508,25 +467,18 @@ def load_log(path: str | Path) -> MissionLog:
 
     with data_errors(f"mission log {path} line 1"):
         header = json_object(lines[0])
-        if header.get("type") != "header" or header.get("format") != LOG_FORMAT:
+        if header.pop("type", None) != "header" or header.pop("format", None) != LOG_FORMAT:
             raise ValueError("unsupported mission log format")
-        log = MissionLog(
-            grid_nx=int(header["grid_nx"]),
-            grid_ny=int(header["grid_ny"]),
-            cell_size_m=float(header["cell_size_m"]),
-            audio_fs_hz=int(header["audio_fs_hz"]),
-            drift_duration_s=float(header["drift_duration_s"]),
-        )
-        audio_dir = path.parent / header["audio_dir"]
+        audio_dir = path.parent / header.pop("audio_dir")
+        log = build(MissionLog, header)
 
     saw_end = False
     for number, line in enumerate(lines[1:], start=2):
         with data_errors(f"mission log {path} line {number}"):
             payload = json_object(line)
-            kind = payload.get("type")
+            kind = payload.pop("type", None)
             if kind == "end":
-                log.aborted = bool(payload["aborted"])
-                log.abort_reason = payload["abort_reason"]
+                log = dataclasses.replace(log, aborted=payload["aborted"], abort_reason=payload["abort_reason"])
                 saw_end = True
             elif kind == "record":
                 log.records.append(_load_record(payload, log, audio_dir))

@@ -36,15 +36,14 @@ records in and pairs mixtures with drift windows.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, check_section, data_errors, json_object
+from .errors import DataError, build, check_section, data_errors, json_line, json_object
 
 CHECKPOINT_FORMAT = "reefsim-topic-model-v1"
 
@@ -63,6 +62,37 @@ class TopicsConfig:
                       ("beta", lambda: self.beta > 0, "must be positive"),
                       ("gamma", lambda: self.gamma > 0, "must be positive"),
                       ("gibbs_sweeps", lambda: self.gibbs_sweeps >= 0, "must be non-negative"))
+
+
+@dataclass(frozen=True)
+class _Tokens:
+    cell: list[int]
+    word: list[int]
+    topic: list[int]
+
+
+@dataclass(frozen=True)
+class _Checkpoint:
+    """A checkpoint file's fields, read through :func:`reefsim.errors.build`;
+    it checks itself when built."""
+
+    vocab_size: int
+    grid_nx: int
+    grid_ny: int
+    config: TopicsConfig
+    n_topics: int
+    labels: list[int]
+    next_label: int
+    tokens: _Tokens
+
+    def __post_init__(self) -> None:
+        labels, tokens = self.labels, self.tokens
+        check_section(self, ("grid_nx", lambda: self.grid_nx >= 1, "must be at least 1"),
+                      ("grid_ny", lambda: self.grid_ny >= 1, "must be at least 1"),
+                      ("labels", lambda: len(labels) == self.n_topics, "must hold one label per topic"),
+                      ("labels", lambda: len(set(labels)) == len(labels), "must be distinct"),
+                      ("next_label", lambda: self.next_label > max(labels, default=-1), "must exceed every label in use"),
+                      ("tokens", lambda: len(tokens.cell) == len(tokens.word) == len(tokens.topic), "cell, word and topic lists differ in length"))
 
 
 class TopicModel:
@@ -312,7 +342,7 @@ class TopicModel:
             "vocab_size": self.vocab_size,
             "grid_nx": self.grid_nx,
             "grid_ny": self.grid_ny,
-            "config": asdict(self.config),
+            "config": self.config,
             "n_topics": self.n_topics,
             "labels": self.labels,
             "next_label": self._next_label,
@@ -322,7 +352,7 @@ class TopicModel:
                 "topic": self._tok_topic,
             },
         }
-        Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        Path(path).write_text(json_line(payload) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "TopicModel":
@@ -330,21 +360,17 @@ class TopicModel:
         :class:`DataError`."""
         with data_errors(f"topic model checkpoint {path}"):
             payload = json_object(Path(path).read_text())
-            if payload.get("format") != CHECKPOINT_FORMAT:
-                raise ValueError(f"unsupported checkpoint format {payload.get('format')!r}")
-            cfg = TopicsConfig(**payload["config"])
-            model = cls(payload["vocab_size"], payload["grid_nx"], payload["grid_ny"], cfg)
-            model.n_topics = int(payload["n_topics"])
-            model.labels = [int(v) for v in payload["labels"]]
-            model._next_label = int(payload["next_label"])
-            tokens = payload["tokens"]
-            model._tok_cell = [int(v) for v in tokens["cell"]]
-            model._tok_word = [int(v) for v in tokens["word"]]
-            model._tok_topic = [int(v) for v in tokens["topic"]]
-            if len(model.labels) != model.n_topics:
-                raise ValueError(f"{len(model.labels)} labels for {model.n_topics} topics")
-            if not len(model._tok_cell) == len(model._tok_word) == len(model._tok_topic):
-                raise ValueError("token cell, word and topic lists differ in length")
+            checkpoint_format = payload.pop("format", None)
+            if checkpoint_format != CHECKPOINT_FORMAT:
+                raise ValueError(f"unsupported checkpoint format {checkpoint_format!r}")
+            checkpoint = build(_Checkpoint, payload)
+            model = cls(checkpoint.vocab_size, checkpoint.grid_nx, checkpoint.grid_ny, checkpoint.config)
+            model.n_topics = checkpoint.n_topics
+            model.labels = checkpoint.labels
+            model._next_label = checkpoint.next_label
+            model._tok_cell = checkpoint.tokens.cell
+            model._tok_word = checkpoint.tokens.word
+            model._tok_topic = checkpoint.tokens.topic
             for name, values, bound in (
                 ("cell", model._tok_cell, model.n_cells),
                 ("word", model._tok_word, model.vocab_size),

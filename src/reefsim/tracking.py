@@ -16,13 +16,12 @@ its heading, which makes the apparent width aspect-dependent).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import check_section
+from .errors import check_section, json_line
 from .rng import substream
 from .vehicle import Command, VehicleConfig, VehicleState, step_dynamics, wrap_angle
 
@@ -444,37 +443,9 @@ def run_tracking_episode(
 
 def save_track_log(log: TrackLog, path: str | Path) -> None:
     """Line-delimited JSON track log (header, frames, end marker)."""
-    lines = [
-        json.dumps(
-            {"type": "header", "format": TRACK_LOG_FORMAT, "frame_rate_hz": log.frame_rate_hz},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    ]
-    for frame in log.frames:
-        lines.append(
-            json.dumps(
-                {
-                    "type": "frame",
-                    "t": frame.t,
-                    "vehicle": list(frame.vehicle),
-                    "target": list(frame.target),
-                    "bbox": None if frame.bbox is None else list(frame.bbox),
-                    "command": list(frame.command),
-                    "lost": frame.lost,
-                    "distractor_locked": frame.distractor_locked,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    lines.append(
-        json.dumps(
-            {"type": "end", "loss_events": log.loss_events, "ended_lost": log.ended_lost},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    )
+    lines = [json_line({"type": "header", "format": TRACK_LOG_FORMAT, "frame_rate_hz": log.frame_rate_hz})]
+    lines.extend(json_line({"type": "frame", **vars(frame)}) for frame in log.frames)
+    lines.append(json_line({"type": "end", "loss_events": log.loss_events, "ended_lost": log.ended_lost}))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

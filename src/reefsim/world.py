@@ -23,14 +23,13 @@ the bursts one by one, bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
 
-from .errors import DataError, check_section, data_errors, json_object
+from .errors import DataError, build, check_section, data_errors, json_line, json_object
 
 WORLD_FORMAT = "reefsim-world-v1"
 
@@ -80,7 +79,8 @@ class WorldConfig:
 @dataclass
 class GridWorld:
     """Immutable synthetic reef.  Arrays are indexed ``[iy, ix]``; the cell
-    ``(ix, iy)`` covers ``[ix*s, (ix+1)*s) x [iy*s, (iy+1)*s)`` meters."""
+    ``(ix, iy)`` covers ``[ix*s, (ix+1)*s) x [iy*s, (iy+1)*s)`` meters.  A
+    world checks itself once, when it is built, as a config section does."""
 
     width_m: float
     height_m: float
@@ -92,6 +92,21 @@ class GridWorld:
     seed: int
     snap_amplitude: float = 0.2  # peak amplitude of a rendered snap
     background_sigma: float = 0.003  # hydrophone background noise level
+
+    def __post_init__(self) -> None:
+        b, h, a, r = self.bathymetry, self.habitat_field, self.appearance, self.snap_rate
+        check_section(self, ("world arrays", lambda: all(np.isfinite(x).all() for x in (b, h, a, r)), "must be finite"),
+                      ("world arrays", lambda: (b.ndim == r.ndim == a.ndim == 2 and h.ndim == 3
+                                                and b.shape == r.shape == h.shape[:2] and h.shape[2] == a.shape[0]),
+                       "must be shaped (ny, nx), (ny, nx, H) and (H, V)"),
+                      ("width_m", lambda: self.width_m > 0, "must be positive"),
+                      ("height_m", lambda: self.height_m > 0, "must be positive"),
+                      ("cell_size_m", lambda: self.cell_size_m > 0, "must be positive"),
+                      ("bathymetry", lambda: np.all(b > 0), "must be positive (depth below surface)"),
+                      ("snap_rate", lambda: np.all(r >= 0), "must be non-negative"),
+                      ("background_sigma", lambda: self.background_sigma >= 0, "must be non-negative"),
+                      ("habitat_field", lambda: np.allclose(h.sum(axis=2), 1.0, atol=1e-9), "must sum to 1 in every cell"),
+                      ("appearance", lambda: np.allclose(a.sum(axis=1), 1.0, atol=1e-9), "must sum to 1 for every habitat"))
 
     @property
     def nx(self) -> int:
@@ -146,29 +161,6 @@ class GridWorld:
         cy = (np.arange(self.ny) + 0.5) * s
         return np.meshgrid(cx, cy)
 
-    def validate(self) -> None:
-        scalars = (self.width_m, self.height_m, self.cell_size_m, self.snap_amplitude, self.background_sigma)
-        arrays = (self.bathymetry, self.habitat_field, self.appearance, self.snap_rate)
-        if not all(np.all(np.isfinite(a)) for a in (*scalars, *arrays)):
-            raise ValueError("world values must be finite")
-        if not (
-            self.bathymetry.ndim == self.snap_rate.ndim == self.appearance.ndim == 2
-            and self.habitat_field.ndim == 3
-            and self.bathymetry.shape == self.snap_rate.shape == self.habitat_field.shape[:2]
-            and self.habitat_field.shape[2] == self.appearance.shape[0]
-        ):
-            raise ValueError("world arrays must be shaped (ny, nx), (ny, nx, H) and (H, V)")
-        if not np.all(self.bathymetry > 0):
-            raise ValueError("bathymetry must be positive (depth below surface)")
-        if not np.all(self.snap_rate >= 0):
-            raise ValueError("snap rates must be non-negative")
-        if not self.background_sigma >= 0:
-            raise ValueError("background_sigma must be non-negative")
-        if not np.allclose(self.habitat_field.sum(axis=2), 1.0, atol=1e-9):
-            raise ValueError("per-cell habitat distributions must sum to 1")
-        if not np.allclose(self.appearance.sum(axis=1), 1.0, atol=1e-9):
-            raise ValueError("appearance distributions must sum to 1")
-
     def save(self, path: str | Path) -> None:
         """Write the world as a single self-describing JSON file."""
         payload = {
@@ -184,30 +176,21 @@ class GridWorld:
             "appearance": self.appearance.tolist(),
             "snap_rate": self.snap_rate.tolist(),
         }
-        Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        Path(path).write_text(json_line(payload) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "GridWorld":
         """Read a world file; any way it can fail to be one raises
-        :class:`DataError`."""
+        :class:`DataError`.  The arrays are read as float64; every other
+        field must match its annotation."""
         with data_errors(f"world file {path}"):
             payload = json_object(Path(path).read_text())
-            if payload.get("format") != WORLD_FORMAT:
-                raise ValueError(f"unsupported world format {payload.get('format')!r}")
-            world = cls(
-                width_m=float(payload["width_m"]),
-                height_m=float(payload["height_m"]),
-                cell_size_m=float(payload["cell_size_m"]),
-                bathymetry=np.asarray(payload["bathymetry"], dtype=np.float64),
-                habitat_field=np.asarray(payload["habitat_field"], dtype=np.float64),
-                appearance=np.asarray(payload["appearance"], dtype=np.float64),
-                snap_rate=np.asarray(payload["snap_rate"], dtype=np.float64),
-                seed=int(payload["seed"]),
-                snap_amplitude=float(payload["snap_amplitude"]),
-                background_sigma=float(payload["background_sigma"]),
-            )
-            world.validate()
-        return world
+            world_format = payload.pop("format", None)
+            if world_format != WORLD_FORMAT:
+                raise ValueError(f"unsupported world format {world_format!r}")
+            for key in ("bathymetry", "habitat_field", "appearance", "snap_rate"):
+                payload[key] = np.asarray(payload[key], dtype=np.float64)
+            return build(cls, payload)
 
 
 @dataclass
@@ -311,7 +294,7 @@ def generate_world(config: WorldConfig, seed: int) -> GridWorld:
 
     snap_rate = habitat_field @ np.asarray(config.snap_rates_per_s, dtype=np.float64)
 
-    world = GridWorld(
+    return GridWorld(
         width_m=nx * config.cell_size_m,
         height_m=ny * config.cell_size_m,
         cell_size_m=config.cell_size_m,
@@ -323,8 +306,6 @@ def generate_world(config: WorldConfig, seed: int) -> GridWorld:
         snap_amplitude=config.snap_amplitude,
         background_sigma=config.background_sigma,
     )
-    world.validate()
-    return world
 
 
 def sample_image_words(world: GridWorld, x: float, y: float, n_words: int, rng: np.random.Generator) -> np.ndarray:

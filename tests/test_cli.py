@@ -47,6 +47,13 @@ def write_config(tmp_path: Path, data: dict | None = None) -> Path:
     return path
 
 
+def _edit_json(line: str, key: str, edit) -> str:
+    """One log line with the value under ``key`` replaced by ``edit(value)``."""
+    payload = json.loads(line)
+    payload[key] = edit(payload[key])
+    return json.dumps(payload)
+
+
 def tree_hashes(root: Path) -> dict[str, str]:
     return {
         str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -296,15 +303,31 @@ class TestSurveyAnalyzeTrack:
         assert result.exit_code == 3, result.output
 
     @pytest.mark.parametrize(
-        "n, edit",
+        "n, edit, key",
         [
-            (4, lambda line: line[: len(line) // 2]),
-            (4, lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "est_mean"})),
-            (4, lambda line: json.dumps(json.loads(line)["true_pose"])),
-            (4, lambda line: json.dumps({**json.loads(line), "est_mean": None})),
-            (4, lambda line: json.dumps({**json.loads(line), "mode": "HOVER"})),
-            (1, lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "grid_nx"})),
-            (1, lambda line: json.dumps({**json.loads(line), "audio_dir": 7})),
+            (4, lambda line: line[: len(line) // 2], None),
+            (4, lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "est_mean"}), None),
+            (4, lambda line: json.dumps(json.loads(line)["true_pose"]), None),
+            (4, lambda line: json.dumps({**json.loads(line), "est_mean": None}), None),
+            (4, lambda line: json.dumps({**json.loads(line), "mode": "HOVER"}), None),
+            (1, lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "grid_nx"}), None),
+            (1, lambda line: json.dumps({**json.loads(line), "audio_dir": 7}), None),
+            # Line 2 is the first DRIFT record, line 4 an imaging record and line -1 the end marker.
+            (2, lambda line: _edit_json(line, "audio", lambda audio: {**audio, "saturated": "no"}), "audio.saturated"),
+            (4, lambda line: _edit_json(line, "cell_id", lambda _: 1.7), "cell_id"),
+            (4, lambda line: _edit_json(line, "cell_id", lambda _: "1"), "cell_id"),
+            (4, lambda line: _edit_json(line, "t", lambda _: "1.5"), "t"),
+            (4, lambda line: _edit_json(line, "t", lambda _: math.nan), "t"),
+            (4, lambda line: _edit_json(line, "est_mean", lambda mean: [math.nan, *mean[1:]]), "est_mean[0]"),
+            (4, lambda line: _edit_json(line, "true_pose", lambda pose: pose[:3]), "true_pose"),
+            (-1, lambda line: _edit_json(line, "aborted", lambda _: "false"), "aborted"),
+            (1, lambda line: _edit_json(line, "grid_nx", lambda _: 16.9), "grid_nx"),
+            (2, lambda line: _edit_json(line, "audio", lambda audio: {**audio, "fs": 48000.5}), "audio.fs"),
+            (2, lambda line: _edit_json(line, "audio", lambda audio: {**audio, "truth_snap_times": [str(audio["truth_snap_times"][0]), *audio["truth_snap_times"][1:]]}), "audio.truth_snap_times[0]"),
+            (1, lambda line: json.dumps({**json.loads(line), "grid_nx": -4, "grid_ny": -64}), "grid_nx"),
+            (1, lambda line: _edit_json(line, "cell_size_m", lambda _: -1.0), "cell_size_m"),
+            (1, lambda line: _edit_json(line, "audio_fs_hz", lambda _: 8000), "audio_fs_hz"),
+            (1, lambda line: _edit_json(line, "drift_duration_s", lambda _: -1.0), "drift_duration_s"),
         ],
         ids=[
             "truncated-json",
@@ -314,14 +337,30 @@ class TestSurveyAnalyzeTrack:
             "unknown-mode",
             "header-missing-key",
             "header-wrong-type",
+            "saturated-not-bool",
+            "cell-id-fractional",
+            "cell-id-string",
+            "t-string",
+            "t-nan",
+            "est-mean-nan",
+            "true-pose-three-values",
+            "aborted-not-bool",
+            "grid-nx-fractional",
+            "fs-fractional",
+            "truth-time-string",
+            "negative-grid",
+            "negative-cell-size",
+            "audio-fs-too-low",
+            "negative-drift-duration",
         ],
     )
-    def test_analyze_malformed_log_line_is_data_error(self, workspace, tmp_path, n, edit) -> None:
+    def test_analyze_malformed_log_line_is_data_error(self, workspace, tmp_path, n, edit, key) -> None:
         _, config, _, survey_out = workspace
         corrupt = tmp_path / "corrupt"
         shutil.copytree(survey_out, corrupt)
         log_path = corrupt / "mission_log.jsonl"
         lines = log_path.read_text().splitlines()
+        n = n if n > 0 else len(lines) + 1 + n
         lines[n - 1] = edit(lines[n - 1])
         log_path.write_text("\n".join(lines) + "\n")
         result = CliRunner().invoke(
@@ -330,6 +369,9 @@ class TestSurveyAnalyzeTrack:
         )
         assert result.exit_code == 3, result.output
         assert f"{log_path} line {n}:" in result.output
+        if key is not None:
+            assert f": {key}" in result.output, result.output
+            assert result.output.count("\n") == 1
 
     @pytest.mark.parametrize(
         "key, edit",
@@ -480,6 +522,10 @@ class TestSurveyAnalyzeTrack:
             lambda world: {**world, "snap_amplitude": math.nan},
             lambda world: {**world, "snap_rate": world["snap_rate"][1:]},
             lambda world: {**world, "background_sigma": -1.0},
+            lambda world: {**world, "seed": 1.5},
+            lambda world: {**world, "seed": "3"},
+            lambda world: {**world, "width_m": "16"},
+            lambda world: {**world, "snap_amplitude": True},
         ],
         ids=[
             "missing-key",
@@ -489,6 +535,10 @@ class TestSurveyAnalyzeTrack:
             "nan-snap-amplitude",
             "shape-mismatch",
             "negative-background-sigma",
+            "fractional-seed",
+            "string-seed",
+            "string-width",
+            "bool-snap-amplitude",
         ],
     )
     def test_malformed_world_file_is_data_error(self, workspace, tmp_path, edit) -> None:

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from json_leaves import OTHER_JSON_VALUES, leaf, leaf_paths, other_type, replace_leaf
 
 from reefsim import mission
 from reefsim.errors import ConfigError, DataError
 from reefsim.mission import (
     DRIFT,
     TRANSIT,
+    AudioRef,
+    LogRecord,
     MissionConfig,
     MissionLog,
     execute,
@@ -19,7 +25,7 @@ from reefsim.mission import (
     save_log,
 )
 from reefsim.vehicle import NoiseConfig, VehicleConfig
-from reefsim.world import WorldConfig, generate_world
+from reefsim.world import AudioWindow, WorldConfig, generate_world
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +237,35 @@ class TestLogPersistence:
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop the end marker
         with pytest.raises(DataError):
             load_log(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_log_lines(tmp_path_factory):
+    """A hand-built log on a 2x2 grid, one 10 ms drift and one image, saved
+    once; returns its directory and its parsed lines."""
+    window = AudioWindow(samples=np.zeros(480, dtype=np.float32), fs=48_000, start_time=0.0, truth_snap_times=np.array([0.002, 0.005]))
+    pose = (0.5, 0.5, 7.0, 0.0)
+    log = MissionLog(grid_nx=2, grid_ny=2, cell_size_m=1.0, audio_fs_hz=48_000, drift_duration_s=0.01)
+    log.records = [
+        LogRecord(0.0, DRIFT, pose, pose, (0.1, 0.1, 0.1, 0.1), 0, audio=AudioRef("drift_0000.wav", 48_000, 0.01, False, (0.002, 0.005))),
+        LogRecord(0.05, TRANSIT, pose, pose, (0.1, 0.1, 0.1, 0.1), 3, words=(2, 0, 1)),
+    ]
+    log.audio["drift_0000.wav"] = window
+    directory = tmp_path_factory.mktemp("tiny_log")
+    save_log(log, directory / "mission_log.jsonl")
+    return directory, [json.loads(line) for line in (directory / "mission_log.jsonl").read_text().splitlines()]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_load_log_with_one_leaf_of_another_type_loads_or_is_data_error(tiny_log_lines, data) -> None:
+    directory, lines = tiny_log_lines
+    n, path = data.draw(st.sampled_from([(n, path) for n, line in enumerate(lines) for path in leaf_paths(line)]))
+    new = data.draw(OTHER_JSON_VALUES.filter(lambda v: other_type(leaf(lines[n], path), v)))
+    corrupt = [replace_leaf(line, path, new) if i == n else line for i, line in enumerate(lines)]
+    log_path = directory / "corrupt.jsonl"
+    log_path.write_text("\n".join(json.dumps(line) for line in corrupt) + "\n")
+    try:
+        load_log(log_path)
+    except DataError:
+        pass

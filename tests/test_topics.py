@@ -6,6 +6,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from json_leaves import OTHER_JSON_VALUES, leaf, leaf_paths, other_type, replace_leaf
 
 from reefsim.errors import DataError
 from reefsim.rng import substream
@@ -364,6 +367,11 @@ class TestCheckpoint:
             lambda payload: {**payload, "tokens": {**payload["tokens"], "cell": [-3, *payload["tokens"]["cell"][1:]]}},
             lambda payload: {**payload, "labels": payload["labels"][:-1]},
             lambda payload: {**payload, "tokens": {**payload["tokens"], "cell": [*payload["tokens"]["cell"], 0]}},
+            lambda payload: {**payload, "tokens": {**payload["tokens"], "cell": [1.7, *payload["tokens"]["cell"][1:]]}},
+            lambda payload: {**payload, "tokens": {**payload["tokens"], "word": ["3", *payload["tokens"]["word"][1:]]}},
+            lambda payload: {**payload, "tokens": {**payload["tokens"], "topic": [False, *payload["tokens"]["topic"][1:]]}},
+            lambda payload: {**payload, "next_label": max(payload["labels"])},
+            lambda payload: {**payload, "labels": [payload["labels"][0]] * len(payload["labels"])},
         ],
         ids=[
             "not-a-mapping",
@@ -376,6 +384,11 @@ class TestCheckpoint:
             "negative-cell",
             "short-labels",
             "ragged-tokens",
+            "fractional-cell",
+            "string-word",
+            "bool-topic",
+            "next-label-in-use",
+            "duplicate-labels",
         ],
     )
     def test_malformed_checkpoint_is_data_error(self, tmp_path, edit) -> None:
@@ -400,3 +413,30 @@ class TestMatchAccuracy:
         truth = np.asarray([0, 0, 1, 1])
         predicted = np.asarray([0, 0, 1, -1])
         assert match_accuracy(predicted, truth) == pytest.approx(0.75)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A model of 12 tokens on a 2x2 grid with four words, saved once;
+    returns its directory and its parsed payload."""
+    model = TopicModel(4, 2, 2)
+    rng = substream(3, "tiny-checkpoint")
+    for cell in range(4):
+        model.observe(cell, rng.multinomial(3, np.full(4, 0.25)), rng)
+    directory = tmp_path_factory.mktemp("tiny_checkpoint")
+    model.save(directory / "model.json")
+    return directory, json.loads((directory / "model.json").read_text())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_checkpoint_load_with_one_leaf_of_another_type_loads_or_is_data_error(tiny_checkpoint, data) -> None:
+    directory, payload = tiny_checkpoint
+    path = data.draw(st.sampled_from(leaf_paths(payload)))
+    new = data.draw(OTHER_JSON_VALUES.filter(lambda v: other_type(leaf(payload, path), v)))
+    checkpoint_path = directory / "corrupt.json"
+    checkpoint_path.write_text(json.dumps(replace_leaf(payload, path, new)))
+    try:
+        TopicModel.load(checkpoint_path)
+    except DataError:
+        pass

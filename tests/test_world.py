@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from json_leaves import OTHER_JSON_VALUES, leaf, leaf_paths, other_type, replace_leaf
 
-from reefsim.errors import ConfigError
+from reefsim.errors import ConfigError, DataError
 from reefsim.rng import substream
 from reefsim.world import (
     GridWorld,
@@ -293,3 +296,27 @@ def test_word_mixture_is_distribution_everywhere(default_world_module, x, y) -> 
 @pytest.fixture(scope="module")
 def default_world_module():
     return generate_world(WorldConfig(), seed=7)
+
+
+@pytest.fixture(scope="module")
+def tiny_world_file(tmp_path_factory):
+    """A 3x2-cell world with two habitats and four words, saved once;
+    returns its directory and its parsed payload."""
+    world = generate_world(WorldConfig(width_m=3.0, height_m=2.0, n_habitats=2, vocab_size=4, snap_rates_per_s=(1.0, 0.0)), seed=1)
+    directory = tmp_path_factory.mktemp("tiny_world")
+    world.save(directory / "world.json")
+    return directory, json.loads((directory / "world.json").read_text())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_world_load_with_one_leaf_of_another_type_loads_or_is_data_error(tiny_world_file, data) -> None:
+    directory, payload = tiny_world_file
+    path = data.draw(st.sampled_from(leaf_paths(payload)))
+    new = data.draw(OTHER_JSON_VALUES.filter(lambda v: other_type(leaf(payload, path), v)))
+    world_path = directory / "corrupt.json"
+    world_path.write_text(json.dumps(replace_leaf(payload, path, new)))
+    try:
+        GridWorld.load(world_path)
+    except DataError:
+        pass
