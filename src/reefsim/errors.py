@@ -62,7 +62,7 @@ def check_section(section, *rules) -> None:
     false raises.  A :class:`ConfigError` message starts with the field
     name; :func:`build` prefixes the dotted path."""
     for name, annotation in field_types(type(section)).items():
-        _check_value(annotation, getattr(section, name), name)
+        check_value(annotation, getattr(section, name), name)
     for name, ok, message in rules:
         if not ok():
             raise ConfigError(f"{name} {message}")
@@ -84,7 +84,9 @@ def _parts(annotation) -> tuple:
     return optional, annotation, origin, args, shared.pop() if len(shared) == 1 else None
 
 
-def _check_value(annotation, value, name: str) -> None:
+def check_value(annotation, value, name: str) -> None:
+    """Check one value against its annotation, as :func:`check_section`
+    checks a field; the message names ``name``."""
     optional, annotation, origin, args, item = _parts(annotation)
     if value is None and optional:
         return
@@ -100,7 +102,7 @@ def _check_value(annotation, value, name: str) -> None:
         if kinds <= {item} and (item is not float or abs(sum(value)) <= _FLOAT_MAX):
             return
         for i, item_value in enumerate(value):
-            _check_value(args[0] if args[-1] is Ellipsis else args[i], item_value, f"{name}[{i}]")
+            check_value(args[0] if args[-1] is Ellipsis else args[i], item_value, f"{name}[{i}]")
         return
     if annotation is float:
         # A comparison, not math.isfinite: that overflows on a huge int.

@@ -478,7 +478,9 @@ def load_log(path: str | Path) -> MissionLog:
             payload = json_object(line)
             kind = payload.pop("type", None)
             if kind == "end":
-                log = dataclasses.replace(log, aborted=payload["aborted"], abort_reason=payload["abort_reason"])
+                log = dataclasses.replace(log, aborted=payload.pop("aborted"), abort_reason=payload.pop("abort_reason"))
+                if payload:
+                    raise ValueError(f"unknown keys {sorted(payload)}")
                 saw_end = True
             elif kind == "record":
                 log.records.append(_load_record(payload, log, audio_dir))

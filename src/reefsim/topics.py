@@ -73,8 +73,9 @@ class _Tokens:
 
 @dataclass(frozen=True)
 class _Checkpoint:
-    """A checkpoint file's fields, read through :func:`reefsim.errors.build`;
-    it checks itself when built."""
+    """A checkpoint file's fields: :meth:`TopicModel.save` writes one and
+    :meth:`TopicModel.load` reads one through :func:`reefsim.errors.build`.
+    It checks itself when built."""
 
     vocab_size: int
     grid_nx: int
@@ -91,7 +92,7 @@ class _Checkpoint:
                       ("grid_ny", lambda: self.grid_ny >= 1, "must be at least 1"),
                       ("labels", lambda: len(labels) == self.n_topics, "must hold one label per topic"),
                       ("labels", lambda: len(set(labels)) == len(labels), "must be distinct"),
-                      ("next_label", lambda: self.next_label > max(labels, default=-1), "must exceed every label in use"),
+                      ("next_label", lambda: self.next_label not in labels, "must not be a label in use"),
                       ("tokens", lambda: len(tokens.cell) == len(tokens.word) == len(tokens.topic), "cell, word and topic lists differ in length"))
 
 
@@ -337,22 +338,9 @@ class TopicModel:
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        payload = {
-            "format": CHECKPOINT_FORMAT,
-            "vocab_size": self.vocab_size,
-            "grid_nx": self.grid_nx,
-            "grid_ny": self.grid_ny,
-            "config": self.config,
-            "n_topics": self.n_topics,
-            "labels": self.labels,
-            "next_label": self._next_label,
-            "tokens": {
-                "cell": self._tok_cell,
-                "word": self._tok_word,
-                "topic": self._tok_topic,
-            },
-        }
-        Path(path).write_text(json_line(payload) + "\n")
+        checkpoint = _Checkpoint(self.vocab_size, self.grid_nx, self.grid_ny, self.config, self.n_topics, self.labels,
+                                 self._next_label, _Tokens(self._tok_cell, self._tok_word, self._tok_topic))
+        Path(path).write_text(json_line({"format": CHECKPOINT_FORMAT, **vars(checkpoint)}) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "TopicModel":

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
-from .errors import DataError, build, check_section, data_errors, json_line, json_object
+from .errors import DataError, build, check_section, check_value, data_errors, json_line, json_object
 
 WORLD_FORMAT = "reefsim-world-v1"
 
@@ -181,15 +181,21 @@ class GridWorld:
     @classmethod
     def load(cls, path: str | Path) -> "GridWorld":
         """Read a world file; any way it can fail to be one raises
-        :class:`DataError`.  The arrays are read as float64; every other
-        field must match its annotation."""
+        :class:`DataError`.  Every field must match its annotation.  The
+        four arrays are read as float64 once each leaf that is not a float
+        has been checked as a ``float`` field is: ``np.asarray`` alone would
+        read ``true`` as 1.0 and ``"7.5"`` as 7.5."""
         with data_errors(f"world file {path}"):
             payload = json_object(Path(path).read_text())
             world_format = payload.pop("format", None)
             if world_format != WORLD_FORMAT:
                 raise ValueError(f"unsupported world format {world_format!r}")
             for key in ("bathymetry", "habitat_field", "appearance", "snap_rate"):
-                payload[key] = np.asarray(payload[key], dtype=np.float64)
+                leaves = np.asarray(payload[key], dtype=object)
+                if not set(map(type, leaves.flat)) <= {float}:
+                    for index in np.ndindex(leaves.shape):
+                        check_value(float, leaves[index], f"{key}{list(index) or ''}")
+                payload[key] = leaves.astype(np.float64)
             return build(cls, payload)
 
 

@@ -328,6 +328,8 @@ class TestSurveyAnalyzeTrack:
             (1, lambda line: _edit_json(line, "cell_size_m", lambda _: -1.0), "cell_size_m"),
             (1, lambda line: _edit_json(line, "audio_fs_hz", lambda _: 8000), "audio_fs_hz"),
             (1, lambda line: _edit_json(line, "drift_duration_s", lambda _: -1.0), "drift_duration_s"),
+            (4, lambda line: json.dumps({**json.loads(line), "heading": 0.0}), "unknown keys ['heading']"),
+            (-1, lambda line: json.dumps({**json.loads(line), "grid_nx": 16}), "unknown keys ['grid_nx']"),
         ],
         ids=[
             "truncated-json",
@@ -352,6 +354,8 @@ class TestSurveyAnalyzeTrack:
             "negative-cell-size",
             "audio-fs-too-low",
             "negative-drift-duration",
+            "record-unknown-key",
+            "end-unknown-key",
         ],
     )
     def test_analyze_malformed_log_line_is_data_error(self, workspace, tmp_path, n, edit, key) -> None:
@@ -526,6 +530,8 @@ class TestSurveyAnalyzeTrack:
             lambda world: {**world, "seed": "3"},
             lambda world: {**world, "width_m": "16"},
             lambda world: {**world, "snap_amplitude": True},
+            lambda world: {**world, "bathymetry": [["7.5", *world["bathymetry"][0][1:]], *world["bathymetry"][1:]]},
+            lambda world: {**world, "bathymetry": [[True, *world["bathymetry"][0][1:]], *world["bathymetry"][1:]]},
         ],
         ids=[
             "missing-key",
@@ -539,6 +545,8 @@ class TestSurveyAnalyzeTrack:
             "string-seed",
             "string-width",
             "bool-snap-amplitude",
+            "string-bathymetry",
+            "bool-bathymetry",
         ],
     )
     def test_malformed_world_file_is_data_error(self, workspace, tmp_path, edit) -> None:
