@@ -12,16 +12,19 @@ scale-free prominence condition therefore applies: a peak must also exceed
 ``min_peak_ratio`` times a low quantile of the series (a robust background
 level even when most frames contain snaps).  Both conditions are invariant
 under global gain scaling of the audio.
+
+:func:`snap_rate_series` returns one :class:`SnapRate` row per drift window,
+in log order; a saturated window's row names the reason it was skipped.
+Those rows are the lines of ``snap_rates.csv``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SaturatedWindowError, check_section
+from .errors import ConfigError, DataError, SaturatedWindowError, check_section, write_csv
 from .world import AudioWindow
 
 BACKGROUND_QUANTILE = 0.1
@@ -232,33 +235,23 @@ def detect_snaps_in_window(window: AudioWindow, config: AcousticsConfig | None =
 
 
 @dataclass
-class SnapRateEntry:
+class SnapRate:
+    """One drift window's row of ``snap_rates.csv``.  A saturated window
+    holds only ``t_start`` and ``skipped_reason``."""
+
     t_start: float
-    cell_id: int
-    cell_x: int
-    cell_y: int
-    count: int
-    rate: float
+    cell_x: int | None = None
+    cell_y: int | None = None
+    count: int | None = None
+    rate: float | None = None
+    skipped_reason: str | None = None
 
 
-@dataclass
-class SnapRateSkip:
-    t_start: float
-    cell_id: int
-    reason: str
+def snap_rate_series(log, config: AcousticsConfig | None = None) -> list[SnapRate]:
+    """One :class:`SnapRate` per drift window of a mission log, in log order.
 
-
-@dataclass
-class SnapRateSeries:
-    entries: list[SnapRateEntry] = field(default_factory=list)
-    skips: list[SnapRateSkip] = field(default_factory=list)
-
-
-def snap_rate_series(log, config: AcousticsConfig | None = None) -> SnapRateSeries:
-    """Per-drift-window snap rates from a mission log, in time order.
-
-    Saturated windows are excluded from the rate series and reported in the
-    skip list instead.  A config that does not fit the log's audio raises
+    A saturated window is not detected on; its row carries the skip reason
+    and no rate.  A config that does not fit the log's audio raises
     :class:`ConfigError`, before any window is processed.
     """
     cfg = config or AcousticsConfig()
@@ -276,34 +269,18 @@ def snap_rate_series(log, config: AcousticsConfig | None = None) -> SnapRateSeri
     if n_frames < 8:
         raise ConfigError(f"acoustics.window: leaves {n_frames} frames in a drift window of {n_samples} samples, fewer than 8")
 
-    series = SnapRateSeries()
-    nx = log.grid_nx
+    rows = []
     for record in drift_records:
         window = log.audio_window(record)
         if window.saturated:
-            series.skips.append(SnapRateSkip(record.t, record.cell_id, "saturated"))
+            rows.append(SnapRate(record.t, skipped_reason="saturated"))
             continue
         detection = detect_snaps_in_window(window, cfg)
-        series.entries.append(
-            SnapRateEntry(
-                t_start=record.t,
-                cell_id=record.cell_id,
-                cell_x=record.cell_id % nx,
-                cell_y=record.cell_id // nx,
-                count=detection.count,
-                rate=detection.rate,
-            )
-        )
-    return series
+        cell_y, cell_x = divmod(record.cell_id, log.grid_nx)
+        rows.append(SnapRate(record.t, cell_x, cell_y, detection.count, detection.rate))
+    return rows
 
 
-def export_snap_rates_csv(series: SnapRateSeries, path) -> None:
-    """CSV: one row per drift window, skipped windows carry a reason."""
-    lines = ["t_start,cell_x,cell_y,count,rate,skipped_reason"]
-    rows = [(e.t_start, e) for e in series.entries] + [(s.t_start, s) for s in series.skips]
-    for _, row in sorted(rows, key=lambda pair: pair[0]):
-        if isinstance(row, SnapRateEntry):
-            lines.append(f"{row.t_start},{row.cell_x},{row.cell_y},{row.count},{row.rate},")
-        else:
-            lines.append(f"{row.t_start},,,,,{row.reason}")
-    Path(path).write_text("\n".join(lines) + "\n")
+def export_snap_rates_csv(rows: list[SnapRate], path) -> None:
+    """CSV: one row per drift window; a skipped window carries a reason."""
+    write_csv(path, [f.name for f in fields(SnapRate)], map(astuple, rows))

@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .acoustics import AcousticsConfig, SnapRateSeries, export_snap_rates_csv, snap_rate_series
-from .errors import DataError, DegenerateDataError
+from .acoustics import AcousticsConfig, SnapRate, export_snap_rates_csv, snap_rate_series
+from .errors import DataError, DegenerateDataError, write_csv
 from .mission import DRIFT, TRANSIT
 from .rng import substream
 from .topics import TopicModel, TopicsConfig, merge_groups_by_appearance
@@ -173,7 +173,7 @@ def cooccurrence(track1_xy: np.ndarray, track2_xy: np.ndarray, grid_shape: tuple
 
 @dataclass
 class AnalysisReport:
-    snap_series: SnapRateSeries
+    snap_rates: list[SnapRate]  # one row per drift window, in log order
     timeseries: list  # (t, mixture) per imaging record
     topic_labels: list[int]
     fit: RegressionFit
@@ -183,7 +183,7 @@ class AnalysisReport:
     pearson_r: float
     n_windows_used: int
     n_windows_skipped: int
-    model: TopicModel = field(repr=False, default=None)
+    model: TopicModel = field(repr=False)
 
 
 def analyze_log(
@@ -220,7 +220,7 @@ def analyze_log(
     observations = [(record.cell_id, record.words) for record in imaging]
     shape = (len(imaging[0].words), log.grid_nx, log.grid_ny)
     with Worker(_fit_topics, observations, shape, topics_config, seed) as worker:
-        series = snap_rate_series(log, acoustics_config)
+        snap_rates = snap_rate_series(log, acoustics_config)
         model = worker.result()
 
     # Habitats are defined by appearance: collapse duplicate-appearance
@@ -232,35 +232,32 @@ def analyze_log(
         member_matrix[members, g] = 1.0
 
     # One walk over the log: each imaging record's mixture joins the
-    # timeseries and its transit leg; a drift window takes the mean mixture
-    # of the leg that ended at its waypoint (none for a drift with no
-    # imaging record before it).
-    timeseries, leg_records, leg_means, leg = [], [], [], []
+    # timeseries and its transit leg; a drift window takes its snap-rate row
+    # and the mean mixture of the leg that ended at its waypoint (none for a
+    # drift with no imaging record before it).
+    timeseries, leg_windows, leg_means, leg = [], [], [], []
+    windows = iter(snap_rates)
     for record in log.records:
         if record.mode == TRANSIT and record.words is not None:
             mixture = model.record_mixture(record.words)
             timeseries.append((record.t, mixture @ member_matrix))
             leg.append(mixture)
         elif record.mode == DRIFT:
+            window = next(windows)
             if leg:
-                leg_records.append(record)
+                leg_windows.append(window)
                 leg_means.append(np.mean(leg, axis=0))
             leg = []
     if not leg_means:
         raise DataError("no drift windows have a preceding imaging leg")
     leg_vectors = np.asarray(leg_means) @ member_matrix
 
-    rate_by_time = {entry.t_start: entry.rate for entry in series.entries}
-    rows = [
-        (record.t, vector)
-        for record, vector in zip(leg_records, leg_vectors)
-        if record.t in rate_by_time  # skip saturated/omitted windows
-    ]
-    if not rows:
+    used = [i for i, window in enumerate(leg_windows) if window.rate is not None]  # saturated windows have none
+    if not used:
         raise DataError("no drift window is left that is unsaturated and follows an imaging leg")
-    window_times = [t for t, _ in rows]
-    topic_matrix = np.asarray([v for _, v in rows])
-    rates = np.asarray([rate_by_time[t] for t in window_times])
+    window_times = [leg_windows[i].t_start for i in used]
+    topic_matrix = leg_vectors[used]
+    rates = np.asarray([leg_windows[i].rate for i in used])
 
     retained = np.flatnonzero(topic_matrix.mean(axis=0) >= prune_below)
     if retained.size == 0:
@@ -270,7 +267,7 @@ def analyze_log(
     topic_matrix = topic_matrix[:, retained]
     topic_matrix = topic_matrix / topic_matrix.sum(axis=1, keepdims=True)
     retained_labels = [merged_labels[i] for i in retained]
-    if len(rows) < len(retained_labels) + 2:
+    if len(used) < len(retained_labels) + 2:
         raise DataError("too few usable drift windows for the regression")
 
     fit = fit_shrimp_habitat(topic_matrix, rates, topic_labels=retained_labels, ridge=ridge)
@@ -279,7 +276,7 @@ def analyze_log(
     r = pearson(observed_norm, predicted)
 
     return AnalysisReport(
-        snap_series=series,
+        snap_rates=snap_rates,
         timeseries=timeseries,
         topic_labels=merged_labels,
         fit=fit,
@@ -287,8 +284,8 @@ def analyze_log(
         predicted=predicted,
         window_times=window_times,
         pearson_r=r,
-        n_windows_used=len(rows),
-        n_windows_skipped=len(series.skips),
+        n_windows_used=len(used),
+        n_windows_skipped=sum(window.rate is None for window in snap_rates),
         model=model,
     )
 
@@ -312,24 +309,16 @@ def write_report(report: AnalysisReport, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    export_snap_rates_csv(report.snap_series, out / "snap_rates.csv")
+    export_snap_rates_csv(report.snap_rates, out / "snap_rates.csv")
 
     labels = report.topic_labels
-    lines = ["t," + ",".join(f"topic_{label}" for label in labels)]
-    for t, vector in report.timeseries:
-        lines.append(f"{t}," + ",".join(repr(float(v)) for v in vector))
-    (out / "topic_timeseries.csv").write_text("\n".join(lines) + "\n")
-
-    lines = ["term,coefficient"]
-    for label, coef in zip(report.fit.topic_labels, report.fit.coefficients):
-        lines.append(f"topic_{label},{float(coef)!r}")
-    lines.append(f"intercept,{report.fit.intercept!r}")
-    (out / "coefficients.csv").write_text("\n".join(lines) + "\n")
-
-    lines = ["t_start,observed_normalized,predicted"]
-    for t, obs, pred in zip(report.window_times, report.observed_normalized, report.predicted):
-        lines.append(f"{t},{float(obs)!r},{float(pred)!r}")
-    (out / "observed_vs_predicted.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "topic_timeseries.csv", ["t", *(f"topic_{label}" for label in labels)],
+              ([t, *vector.tolist()] for t, vector in report.timeseries))
+    fit = report.fit
+    write_csv(out / "coefficients.csv", ["term", "coefficient"],
+              [*zip((f"topic_{label}" for label in fit.topic_labels), fit.coefficients.tolist()), ("intercept", fit.intercept)])
+    write_csv(out / "observed_vs_predicted.csv", ["t_start", "observed_normalized", "predicted"],
+              zip(report.window_times, report.observed_normalized.tolist(), report.predicted.tolist()))
 
     summary = {
         "pearson_r": report.pearson_r,
@@ -342,8 +331,7 @@ def write_report(report: AnalysisReport, out_dir: str | Path) -> None:
     }
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
-    if report.model is not None:
-        report.model.save(out / "topic_model.json")
+    report.model.save(out / "topic_model.json")
 
     chart = line_chart_svg(
         [

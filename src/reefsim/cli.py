@@ -11,6 +11,9 @@ Every command is a pure function of (inputs, config, seed): re-running into
 the same directory overwrites each output with identical bytes.  The
 resolved configuration is echoed to ``resolved_config.yaml`` in the output
 directory.  Exit codes: 0 success, 2 configuration error, 3 data error.
+One place maps errors to exit codes: the command group's ``invoke`` turns a
+:class:`ConfigError` raised by any command into exit 2 and a
+:class:`DataError` into exit 3, with one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -24,37 +27,23 @@ import numpy as np
 from . import mission as mission_mod
 from .analysis import analyze_log, write_report
 from .config import RunConfig, dump_resolved, load_config
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, write_csv
 from .svg import grid_heatmap_svg, trajectory_svg
 from .tracking import export_track_metrics_csv, run_tracking_episode, save_track_log
+from .vehicle import wrap_angle
 from .world import GridWorld, generate_world
 
 EXIT_CONFIG_ERROR = 2
 EXIT_DATA_ERROR = 3
 
 
-def _fail(exc: Exception, code: int) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(code)
-
-
 def _prepare(config_path: str | None, out_dir: str, seed: int | None) -> tuple[RunConfig, Path, int]:
-    try:
-        config = load_config(config_path)
-    except ConfigError as exc:
-        _fail(exc, EXIT_CONFIG_ERROR)
+    config = load_config(config_path)
     effective_seed = seed if seed is not None else config.seed
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dump_resolved(config, effective_seed, out / "resolved_config.yaml")
     return config, out, effective_seed
-
-
-def _load_world(path: str) -> GridWorld:
-    try:
-        return GridWorld.load(path)
-    except DataError as exc:
-        _fail(exc, EXIT_DATA_ERROR)
 
 
 config_option = click.option("--config", "config_path", type=click.Path(), default=None, help="Run configuration file (YAML). Defaults apply for missing keys.")
@@ -72,7 +61,19 @@ def _defaults_epilog() -> str:
     return "\b\nConfiguration keys and their defaults (any subset may appear in --config):\n" + lines
 
 
-@click.group(epilog=_defaults_epilog())
+class _Commands(click.Group):
+    """The command group; its ``invoke`` maps errors to exit codes."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ConfigError, DataError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            # sys.exit, not ctx.exit: with standalone_mode=False click returns ctx.exit's code instead of raising.
+            sys.exit(EXIT_CONFIG_ERROR if isinstance(exc, ConfigError) else EXIT_DATA_ERROR)
+
+
+@click.group(cls=_Commands, epilog=_defaults_epilog())
 def main() -> None:
     """Deterministic desk-scale reef survey simulator and analysis toolkit."""
 
@@ -98,14 +99,8 @@ def cmd_world_gen(config_path, seed, out_dir) -> None:
 def cmd_survey(world_path, config_path, seed, out_dir) -> None:
     """Run the drift-interleaved survey mission and write the mission log."""
     config, out, effective_seed = _prepare(config_path, out_dir, seed)
-    world = _load_world(world_path)
-    try:
-        log = mission_mod.execute(config.plan, world, config.vehicle, config.noise, config.mission, effective_seed)
-    except ConfigError as exc:
-        _fail(exc, EXIT_CONFIG_ERROR)
-    except DataError as exc:
-        _fail(exc, EXIT_DATA_ERROR)
-
+    world = GridWorld.load(world_path)
+    log = mission_mod.execute(config.plan, world, config.vehicle, config.noise, config.mission, effective_seed)
     mission_mod.save_log(log, out / "mission_log.jsonl")
     _write_ekf_error_csv(log, out / "ekf_error.csv")
     status = "aborted: " + log.abort_reason if log.aborted else "complete"
@@ -118,20 +113,15 @@ def cmd_survey(world_path, config_path, seed, out_dir) -> None:
 
 
 def _write_ekf_error_csv(log, path: Path) -> None:
-    lines = ["t,err_x,err_y,err_pos,err_z,err_psi,std_x,std_y,std_z,std_psi"]
-    from .vehicle import wrap_angle
-
+    rows = []
     for r in log.records:
         ex = r.true_pose[0] - r.est_mean[0]
         ey = r.true_pose[1] - r.est_mean[1]
         ez = r.true_pose[2] - r.est_mean[2]
         epsi = wrap_angle(r.true_pose[3] - r.est_mean[3])
         stds = [float(np.sqrt(max(v, 0.0))) for v in r.est_cov_diag]
-        lines.append(
-            f"{r.t},{ex!r},{ey!r},{float(np.hypot(ex, ey))!r},{ez!r},{epsi!r},"
-            f"{stds[0]!r},{stds[1]!r},{stds[2]!r},{stds[3]!r}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+        rows.append([r.t, ex, ey, float(np.hypot(ex, ey)), ez, epsi, *stds])
+    write_csv(path, ["t", "err_x", "err_y", "err_pos", "err_z", "err_psi", "std_x", "std_y", "std_z", "std_psi"], rows)
 
 
 @main.command("analyze")
@@ -142,20 +132,15 @@ def _write_ekf_error_csv(log, path: Path) -> None:
 def cmd_analyze(log_path, config_path, seed, out_dir) -> None:
     """Snap detection, habitat discovery, regression, and the report bundle."""
     config, out, effective_seed = _prepare(config_path, out_dir, seed)
-    try:
-        log = mission_mod.load_log(log_path)
-        report = analyze_log(
-            log,
-            acoustics_config=config.acoustics,
-            topics_config=config.topics,
-            seed=effective_seed,
-            prune_below=config.analysis.prune_below,
-            ridge=config.analysis.ridge,
-        )
-    except ConfigError as exc:
-        _fail(exc, EXIT_CONFIG_ERROR)
-    except DataError as exc:
-        _fail(exc, EXIT_DATA_ERROR)
+    log = mission_mod.load_log(log_path)
+    report = analyze_log(
+        log,
+        acoustics_config=config.acoustics,
+        topics_config=config.topics,
+        seed=effective_seed,
+        prune_below=config.analysis.prune_below,
+        ridge=config.analysis.ridge,
+    )
     write_report(report, out)
     click.echo(
         f"analyze: {report.n_windows_used} windows, {len(report.fit.topic_labels)} habitat topics, "
@@ -171,12 +156,8 @@ def cmd_analyze(log_path, config_path, seed, out_dir) -> None:
 def cmd_track(world_path, config_path, seed, out_dir) -> None:
     """Run a visual-servo follow episode; write the track log and metrics."""
     config, out, effective_seed = _prepare(config_path, out_dir, seed)
-    world = _load_world(world_path)
-    try:
-        log = run_tracking_episode(world, config.vehicle, config.tracking, config.episode.duration_s, effective_seed)
-    except ValueError as exc:
-        _fail(exc, EXIT_CONFIG_ERROR)
-
+    world = GridWorld.load(world_path)
+    log = run_tracking_episode(world, config.vehicle, config.tracking, config.episode.duration_s, effective_seed)
     save_track_log(log, out / "track_log.jsonl")
     export_track_metrics_csv(log, config.tracking.camera, out / "track_metrics.csv")
     vehicle_xy = np.array([[f.vehicle[0], f.vehicle[1]] for f in log.frames])

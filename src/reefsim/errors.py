@@ -16,8 +16,10 @@ unchecked, and :func:`build` checks them where a log is read.  These
 dataclasses are the files' schema.  The file readers parse through
 :func:`json_object` inside :func:`data_errors`, so every malformed file
 becomes a :class:`DataError`; the writers write through :func:`json_line`.
+Every CSV file the package writes goes through :func:`write_csv`.
 """
 
+import csv
 import dataclasses
 import functools
 import json
@@ -149,11 +151,12 @@ def build(annotation, value, where: str = ""):
 @contextmanager
 def data_errors(where: str):
     """Turn an unreadable file, a parse error, a missing key, a value of the
-    wrong type or a config that fails its check inside the block into a
-    :class:`DataError` naming ``where`` (a file, or a file and line)."""
+    wrong type, a config that fails its check or a :class:`DataError` raised
+    inside the block into a :class:`DataError` naming ``where`` (a file, or
+    a file and line)."""
     try:
         yield
-    except (OSError, LookupError, TypeError, ValueError, ConfigError) as exc:
+    except (OSError, LookupError, TypeError, ValueError, ReefsimError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise DataError(f"{where}: {reason}") from exc
 
@@ -171,3 +174,14 @@ def json_line(payload) -> str:
     every file the package writes; a dataclass in it is written as its
     fields (``vars``)."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=vars)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` as CSV lines ending in ``\\n``.  A
+    cell is written as ``str(value)`` and ``None`` as an empty cell, so pass
+    Python scalars (``.tolist()``, ``float(...)``); a numpy scalar may print
+    otherwise."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -438,8 +438,9 @@ def _load_record(payload: dict, log: MissionLog, audio_dir: Path) -> LogRecord:
     ref = record.audio
     if ref is not None:
         samples, fs = read_wav(audio_dir / ref.filename)
-        if not (fs == ref.fs == log.audio_fs_hz and len(samples) == round(log.drift_duration_s * fs)):
-            raise ValueError(f"{ref.filename} holds {len(samples)} samples at {fs} Hz, not {log.drift_duration_s} s at {log.audio_fs_hz} Hz")
+        if not (fs == ref.fs == log.audio_fs_hz and len(samples) == round(log.drift_duration_s * fs) and ref.duration == len(samples) / fs):
+            raise ValueError(f"{ref.filename} holds {len(samples)} samples at {fs} Hz, not the record's {ref.duration} s at {ref.fs} Hz"
+                             f" in a {log.drift_duration_s} s drift at {log.audio_fs_hz} Hz")
         window = AudioWindow(
             samples=samples,
             fs=fs,

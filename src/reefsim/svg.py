@@ -29,6 +29,13 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
 
+def _document(width, height, parts: list[str]) -> str:
+    """An SVG document of ``parts``: the ``<svg>`` head, the parts one per
+    line, the closing tag and a final newline."""
+    head = f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
+    return "\n".join([head, *parts, "</svg>"]) + "\n"
+
+
 def _axis_range(values) -> tuple[float, float]:
     lo, hi = float(min(values)), float(max(values))
     if hi - lo < 1e-12:
@@ -60,8 +67,6 @@ def line_chart_svg(
         return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" y2="{height - margin}" stroke="#333333"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="#333333"/>',
@@ -87,8 +92,7 @@ def line_chart_svg(
         lx = margin + 10 + i * 140
         parts.append(f'<line x1="{lx}" y1="{legend_y + 20}" x2="{lx + 24}" y2="{legend_y + 20}" style="{style}"/>')
         parts.append(f'<text x="{lx + 30}" y="{legend_y + 24}" font-size="11">{label}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(width, height, parts)
 
 
 def grid_heatmap_svg(labels: np.ndarray, cell_px: int = 18, legend: list[str] | None = None) -> str:
@@ -99,10 +103,7 @@ def grid_heatmap_svg(labels: np.ndarray, cell_px: int = 18, legend: list[str] | 
     legend = legend or []
     legend_h = 22 if legend else 0
     width, height = nx * cell_px, ny * cell_px + legend_h
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-    ]
+    parts = []
     for iy in range(ny):
         for ix in range(nx):
             label = int(labels[iy, ix])
@@ -116,8 +117,7 @@ def grid_heatmap_svg(labels: np.ndarray, cell_px: int = 18, legend: list[str] | 
         y = ny * cell_px + 6
         parts.append(f'<rect x="{x}" y="{y}" width="12" height="12" fill="{color}"/>')
         parts.append(f'<text x="{x + 16}" y="{y + 10}" font-size="11">{name}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(width, height, parts)
 
 
 def trajectory_svg(
@@ -138,8 +138,6 @@ def trajectory_svg(
         return height - 20 - y * scale_px_per_m
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
         f'<rect x="20" y="20" width="{_fmt(width_m * scale_px_per_m)}" height="{_fmt(height_m * scale_px_per_m)}" '
         f'fill="none" stroke="#999999"/>',
@@ -149,5 +147,4 @@ def trajectory_svg(
         points = " ".join(f"{_fmt(sx(float(x)))},{_fmt(sy(float(y)))}" for x, y in xy)
         parts.append(f'<polyline points="{points}" style="{style}"/>')
         parts.append(f'<text x="24" y="{34 + 14 * i}" font-size="11" style="{style.replace("fill:none;", "")}">{label}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(width, height, parts)

@@ -16,12 +16,13 @@ its heading, which makes the apparent width aspect-dependent).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import check_section, json_line
+from .errors import ConfigError, check_section, json_line, write_csv
 from .rng import substream
 from .vehicle import Command, VehicleConfig, VehicleState, step_dynamics, wrap_angle
 
@@ -64,15 +65,19 @@ class BBox:
     def width_ratio(self) -> float:
         return self.w / self.frame_w
 
-    def validate(self) -> None:
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError("box must have positive size")
-        if (
+    def in_frame(self) -> bool:
+        """Whether the box intersects the image."""
+        return not (
             self.cx + self.w / 2 < 0
             or self.cx - self.w / 2 > self.frame_w
             or self.cy + self.h / 2 < 0
             or self.cy - self.h / 2 > self.frame_h
-        ):
+        )
+
+    def validate(self) -> None:
+        if self.w <= 0 or self.h <= 0:
+            raise ValueError("box must have positive size")
+        if not self.in_frame():
             raise ValueError("box does not intersect the frame")
 
 
@@ -235,7 +240,8 @@ def simulate_tracker(
     rng: np.random.Generator,
 ) -> BBox | None:
     """One tracker output: the true box with pixel noise, a dropout, or the
-    distractor's box while a lock-switch is active.
+    distractor's box while a lock-switch is active.  A noisy box that misses
+    the image is a dropout: a tracker reports no box outside its image.
 
     Draw order per frame is fixed (dropout, lock trigger, lock duration,
     four noise values) so episodes stay reproducible.
@@ -257,7 +263,7 @@ def simulate_tracker(
     if dropped or source is None:
         return None
     noise = rng.normal(0.0, config.pixel_noise_px, 4) if config.pixel_noise_px > 0 else np.zeros(4)
-    return BBox(
+    box = BBox(
         cx=float(source.cx + noise[0]),
         cy=float(source.cy + noise[1]),
         w=float(max(source.w + noise[2], 1.0)),
@@ -265,6 +271,7 @@ def simulate_tracker(
         frame_w=source.frame_w,
         frame_h=source.frame_h,
     )
+    return box if box.in_frame() else None
 
 
 def servo_command(bbox: BBox, config: TrackingConfig) -> Command:
@@ -275,11 +282,15 @@ def servo_command(bbox: BBox, config: TrackingConfig) -> Command:
     offset (a low box commands a descent; heave is positive up); surge is
     proportional to the width-ratio error, backing away when the target
     looks too large.  Clamping to actuator limits happens in the dynamics.
+    A gain so large that a command overflows raises :class:`ConfigError`.
     """
     bbox.validate()
     yaw_rate = config.k_yaw * (bbox.cx - bbox.frame_w / 2.0) / (bbox.frame_w / 2.0)
     heave = config.k_heave * (bbox.frame_h / 2.0 - bbox.cy) / (bbox.frame_h / 2.0)
     surge = config.k_surge * (config.width_ratio_setpoint - bbox.width_ratio)
+    for key, value in (("k_yaw", yaw_rate), ("k_heave", heave), ("k_surge", surge)):
+        if not math.isfinite(value):
+            raise ConfigError(f"tracking.{key}: {getattr(config, key)} overflows the servo command")
     return Command(surge=float(surge), heave=float(heave), yaw_rate=float(yaw_rate))
 
 
@@ -450,7 +461,7 @@ def save_track_log(log: TrackLog, path: str | Path) -> None:
 
 
 def export_track_metrics_csv(log: TrackLog, camera: Camera, path: str | Path) -> None:
+    """CSV: the episode summary's keys, sorted, over one row of values."""
     summary = log.summary(camera)
     keys = sorted(summary)
-    lines = [",".join(keys), ",".join(repr(summary[k]) if isinstance(summary[k], float) else str(summary[k]) for k in keys)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, keys, [[summary[k] for k in keys]])

@@ -279,7 +279,7 @@ def ekf_update(est: EkfEstimate, kind: str, value, r) -> EkfEstimate:
     ``kind`` selects the linear measurement model: "usbl" observes (x, y),
     "depth" observes z, "heading" observes psi with the innovation wrapped.
     ``r`` is the measurement covariance (scalar or matrix), required to be
-    positive definite.
+    finite and positive definite.
 
     Depth and heading take a closed form: their ``h`` only selects state
     ``k``, so ``S = P[k, k] + r``, the gain is column ``k`` of ``P`` times
@@ -302,8 +302,7 @@ def ekf_update(est: EkfEstimate, kind: str, value, r) -> EkfEstimate:
         r_mat = r_mat[0, 0] * np.eye(m)
     if r_mat.shape != (m, m):
         raise ValueError("measurement covariance has wrong shape")
-    eigenvalues = np.linalg.eigvalsh(_symmetrize(r_mat))
-    if eigenvalues.min() <= 0:
+    if not np.isfinite(r_mat).all() or np.linalg.eigvalsh(_symmetrize(r_mat)).min() <= 0:
         raise ValueError("measurement covariance must be positive definite")
 
     innovation = z - h @ est.mean

@@ -23,6 +23,7 @@ the bursts one by one, bit for bit.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -415,9 +416,12 @@ def write_wav(path: str | Path, window: AudioWindow) -> None:
 
 
 def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
-    """Read a 32-bit float WAV back as (samples, fs)."""
+    """Read a 32-bit float WAV back as (samples, fs).  Whatever the reader
+    raises or warns about a damaged file raises :class:`DataError`."""
     try:
-        fs, samples = wavfile.read(str(path))
-    except (OSError, ValueError) as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", wavfile.WavFileWarning)
+            fs, samples = wavfile.read(str(path))
+    except Exception as exc:  # a damaged header also fails as UnboundLocalError, struct.error or ZeroDivisionError
         raise DataError(f"cannot read WAV {path}: {exc}") from exc
     return np.asarray(samples, dtype=np.float32), int(fs)

@@ -248,16 +248,16 @@ class TestSnapRateSeries:
 
     def test_one_rate_entry_per_drift_window(self, mission_log) -> None:
         series = snap_rate_series(mission_log)
-        assert len(series.entries) + len(series.skips) == len(mission_log.drift_records())
-        assert len(series.skips) == 0
+        assert len(series) == len(mission_log.drift_records())
+        assert all(row.rate is not None for row in series)
 
     def test_entries_in_time_order_and_match_per_window_detection(self, mission_log) -> None:
         series = snap_rate_series(mission_log)
-        times = [e.t_start for e in series.entries]
+        times = [e.t_start for e in series]
         assert times == sorted(times)
         first = mission_log.drift_records()[0]
         direct = detect_snaps_in_window(mission_log.audio_window(first))
-        assert series.entries[0].rate == pytest.approx(direct.rate)
+        assert series[0].rate == pytest.approx(direct.rate)
 
     def test_log_without_drift_windows_rejected(self, quiet_world) -> None:
         from reefsim.errors import DataError
@@ -275,4 +275,4 @@ class TestSnapRateSeries:
         export_snap_rates_csv(series, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "t_start,cell_x,cell_y,count,rate,skipped_reason"
-        assert len(lines) == 1 + len(series.entries) + len(series.skips)
+        assert len(lines) == 1 + len(series)

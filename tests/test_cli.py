@@ -19,7 +19,7 @@ from scipy.io import wavfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reefsim import mission
+from reefsim import cli, mission
 from reefsim.cli import main
 from reefsim.config import RunConfig, config_from_dict, config_to_dict, load_config
 from reefsim.errors import ConfigError, DataError
@@ -383,8 +383,9 @@ class TestSurveyAnalyzeTrack:
             ("words", lambda record: {**record, "t": 0.0}),
             ("audio", lambda record: {**record, "mode": "TRANSIT"}),
             ("words", lambda record: {**record, "mode": "DRIFT"}),
+            ("audio", lambda record: {**record, "audio": {**record["audio"], "duration": 5.0}}),
         ],
-        ids=["timestamps-not-increasing", "audio-outside-drift", "words-outside-transit"],
+        ids=["timestamps-not-increasing", "audio-outside-drift", "words-outside-transit", "audio-duration-mismatch"],
     )
     def test_analyze_inconsistent_log_is_data_error(self, workspace, tmp_path, key, edit) -> None:
         _, config, _, survey_out = workspace
@@ -493,6 +494,8 @@ class TestSurveyAnalyzeTrack:
             ("analyze", "acoustics", "band_hz", [2000, 2010]),
             ("analyze", "acoustics", "window", 65536),
             ("analyze", "analysis", "ridge", -1.0),
+            ("track", "tracking", "k_yaw", 1.7e308),
+            ("track", "tracking", "k_heave", 1.7e308),
         ],
     )
     def test_bad_config_value_names_its_key(self, workspace, tmp_path, command, section, key, bad) -> None:
@@ -608,6 +611,38 @@ class TestSurveyAnalyzeTrack:
             ["track", "--world", str(world_out / "world.json"), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "o")],
         )
         assert result.exit_code == 2
+
+
+    @pytest.mark.parametrize("error, code", [(ConfigError, 2), (DataError, 3)], ids=["config-error", "data-error"])
+    @pytest.mark.parametrize(
+        "command, module, name",
+        [("world-gen", cli, "generate_world"), ("survey", mission, "execute"), ("analyze", cli, "analyze_log"), ("track", cli, "run_tracking_episode")],
+        ids=["world-gen", "survey", "analyze", "track"],
+    )
+    def test_errors_map_to_exit_codes(self, workspace, tmp_path, monkeypatch, command, module, name, error, code) -> None:
+        _, config, world_out, survey_out = workspace
+
+        def fail(*args, **kwargs):
+            raise error("injected failure")
+
+        monkeypatch.setattr(module, name, fail)
+        source = {"survey": ["--world", str(world_out / "world.json")], "analyze": ["--log", str(survey_out / "mission_log.jsonl")],
+                  "track": ["--world", str(world_out / "world.json")]}.get(command, [])
+        result = CliRunner().invoke(main, [command, *source, "--config", str(config), "--seed", "0", "--out", str(tmp_path / "o")])
+        assert result.exit_code == code, result.output
+        assert result.output == "error: injected failure\n"
+
+    def test_track_noisy_box_off_the_image_is_a_dropout(self, runner, tmp_path) -> None:
+        """Pixel noise can push the tracker's box off the image; that frame
+        is a dropout, not an error."""
+        config = str(write_config(tmp_path, {"tracking": {"pixel_noise_px": 200.0}, "episode": {"duration_s": 30.0}}))
+        result = runner.invoke(main, ["world-gen", "--config", config, "--seed", "0", "--out", str(tmp_path / "world")])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(
+            main, ["track", "--world", str(tmp_path / "world" / "world.json"), "--config", config, "--seed", "0", "--out", str(tmp_path / "track")]
+        )
+        assert result.exit_code == 0, result.output
+        assert "track: 451 frames" in result.output
 
 
 class TestLoudWorld:

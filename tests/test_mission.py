@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -269,3 +270,29 @@ def test_load_log_with_one_leaf_of_another_type_loads_or_is_data_error(tiny_log_
         load_log(log_path)
     except DataError:
         pass
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_load_log_with_a_damaged_wav_loads_or_is_data_error(tiny_log_lines, data) -> None:
+    """A WAV cut at any length or with any bit of its first 64 bytes flipped
+    loads, or raises a one-line :class:`DataError`; the reader neither
+    raises anything else nor warns."""
+    directory, _ = tiny_log_lines
+    wav = directory / "audio" / "drift_0000.wav"
+    original = wav.read_bytes()
+    damaged = bytearray(original)
+    if data.draw(st.booleans(), label="truncate"):
+        del damaged[data.draw(st.integers(0, len(original) - 1), label="length") :]
+    else:
+        bit = data.draw(st.integers(0, 64 * 8 - 1), label="bit")
+        damaged[bit // 8] ^= 1 << bit % 8
+    wav.write_bytes(damaged)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load_log(directory / "mission_log.jsonl")
+    except DataError as exc:
+        assert "\n" not in str(exc)
+    finally:
+        wav.write_bytes(original)

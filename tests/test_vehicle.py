@@ -202,8 +202,9 @@ class TestEkfUpdate:
         np.testing.assert_allclose(a.cov, b.cov, atol=1e-12)
 
     def test_non_pd_noise_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            ekf_update(EkfEstimate(), "usbl", [0.0, 0.0], np.zeros((2, 2)))
+        for r in (np.zeros((2, 2)), np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 1.0]])):
+            with pytest.raises(ValueError):
+                ekf_update(EkfEstimate(), "usbl", [0.0, 0.0], r)
 
     def test_covariance_stays_symmetric_psd_through_long_sequence(self) -> None:
         noise = NoiseConfig()
