@@ -188,8 +188,8 @@ def detect_snaps(
     if sigma < 1e-12:
         return SnapDetection(np.empty(0), 0, 0.0)
 
-    floor = min_peak_ratio * np.quantile(energy, BACKGROUND_QUANTILE)
-    threshold = max(mu + threshold_sigma * sigma, floor)
+    baseline = np.quantile(energy, BACKGROUND_QUANTILE)
+    threshold = max(mu + threshold_sigma * sigma, min_peak_ratio * baseline)
 
     interior = energy[1:-1]
     is_peak = (interior > energy[:-2]) & (interior >= energy[2:]) & (interior > threshold)
@@ -207,7 +207,6 @@ def detect_snaps(
         else:
             kept.append(c)
 
-    baseline = np.quantile(energy, BACKGROUND_QUANTILE)
     frame_times = spec.frame_times
     times = np.array(sorted(_refine_peak_time(energy, c, baseline, spec, frame_times) for c in kept))
     return SnapDetection(times, len(kept), len(kept) / duration)

@@ -94,12 +94,16 @@ def load_config(path: str | Path | None) -> RunConfig:
         return RunConfig()
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = yaml.load(text, Loader=ConfigLoader)
+    except yaml.MarkedYAMLError as exc:
+        # PyYAML's own message spans several lines and names "<unicode string>".
+        mark = exc.problem_mark
+        raise ConfigError(f"cannot parse config {path} line {mark.line + 1} column {mark.column + 1}: {exc.problem}") from exc
     except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+        raise ConfigError(f"cannot parse config {path}: {str(exc).splitlines()[0]}") from exc
     return config_from_dict(data)
 
 

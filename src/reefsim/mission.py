@@ -263,8 +263,9 @@ def _run_vehicle(
 ) -> MissionLog:
     """The fixed-step vehicle loop of :func:`execute`, run in its worker.
 
-    At each drift station it sends ``(drift_index, x, y, t)`` and logs the
-    DRIFT record without audio.  Returns the log with no audio attached.
+    At each drift station it sends ``(drift_index, x, y, t)``, where the
+    drift index is the waypoint's, and logs the DRIFT record without audio.
+    Returns the log with no audio attached.
     """
     dt = mission_config.dt_s
     rng = substream(seed, "mission")
@@ -317,46 +318,31 @@ def _run_vehicle(
         est = ekf_update(est, "depth", sensors.depth, noise_config.depth_sigma**2)
         est = ekf_update(est, "heading", sensors.imu_heading, noise_config.heading_sigma**2)
         if sensors.usbl is not None:
-            est = ekf_update(est, "usbl", sensors.usbl, noise_config.usbl_sigma**2 * np.eye(2))
+            est = ekf_update(est, "usbl", sensors.usbl, noise_config.usbl_sigma**2)
 
-    step = 0
-    wp_index = 0
-    mode = TRANSIT
-    wp_deadline = mission_config.waypoint_timeout_s
-    drift_steps_left = 0
-    drift_index = 0
-    next_imaging_time = 0.0
     current = mission_config.current_mps
+    timeout = mission_config.waypoint_timeout_s
+    # A drift runs at least one step, even one whose duration rounds to none.
+    drift_steps = max(round(plan.drift_duration_s / dt), 1) if plan.drift_duration_s > 0 else 0
+    step = 0
+    deadline = timeout
+    next_imaging_time = 0.0
 
-    while True:
-        t = step * dt
-
-        if mode == TRANSIT:
-            if wp_index >= len(plan.waypoints):
-                break
-            if t > wp_deadline:
+    for wp_index, waypoint in enumerate(plan.waypoints):
+        # TRANSIT: track the waypoint under altitude hold until arrival.
+        while True:
+            t = step * dt
+            if t > deadline:
                 log.aborted = True
-                log.abort_reason = f"waypoint {wp_index} unreachable within {mission_config.waypoint_timeout_s} s"
-                break
-
-            guidance, arrived = waypoint_command(est.mean, plan.waypoints[wp_index], vehicle_config)
+                log.abort_reason = f"waypoint {wp_index} unreachable within {timeout} s"
+                return log
+            guidance, arrived = waypoint_command(est.mean, waypoint, vehicle_config)
             if arrived:
-                wp_index += 1
-                wp_deadline = t + mission_config.waypoint_timeout_s
-                if plan.drift_duration_s > 0:
-                    mode = DRIFT
-                    drift_steps_left = round(plan.drift_duration_s / dt)
-                    send((drift_index, state.x, state.y, t))
-                    log.records.append(snapshot(t, DRIFT))
-                    drift_index += 1
-                step += 1
-                continue
-
+                break
             if t + 1e-9 >= next_imaging_time:
                 words = sample_image_words(world, state.x, state.y, mission_config.words_per_image, rng)
                 log.records.append(snapshot(t, TRANSIT, words=tuple(words.tolist())))
                 next_imaging_time += plan.imaging_period_s
-
             sensors_alt = simulate_sensors(state, world, noise_config, t, rng)
             heave, _fallback = altitude_hold_command(
                 sensors_alt.dvl_altitude, sensors_alt.dvl_altitude_valid, plan.altitude_setpoint_m, vehicle_config
@@ -364,29 +350,27 @@ def _run_vehicle(
             command = Command(surge=guidance.surge, sway=guidance.sway, heave=heave, yaw_rate=guidance.yaw_rate)
             state = clamp_to_world(step_dynamics(state, command, dt, vehicle_config))
             run_estimator(t + dt)
+            step += 1
 
-        else:  # DRIFT: thrusters off, carried only by ambient current
-            cos_psi, sin_psi = np.cos(state.psi), np.sin(state.psi)
-            state = clamp_to_world(
-                VehicleState(
-                    x=state.x + current[0] * dt,
-                    y=state.y + current[1] * dt,
-                    z=state.z,
-                    psi=state.psi,
-                    u=float(cos_psi * current[0] + sin_psi * current[1]),
-                    v=float(-sin_psi * current[0] + cos_psi * current[1]),
-                    w=0.0,
-                    yaw_rate=0.0,
-                )
-            )
-            run_estimator(t + dt)
-            drift_steps_left -= 1
-            if drift_steps_left <= 0:
-                mode = TRANSIT
-                end_time = (step + 1) * dt
-                next_imaging_time = (np.floor(end_time / plan.imaging_period_s) + 1) * plan.imaging_period_s
-
+        # The arrival step moves nothing; the next waypoint's clock starts here.
+        deadline = t + timeout
         step += 1
+        if not drift_steps:
+            continue
+        send((wp_index, state.x, state.y, t))
+        log.records.append(snapshot(t, DRIFT))
+
+        # DRIFT: thrusters off, carried only by ambient current.
+        cos_psi, sin_psi = np.cos(state.psi), np.sin(state.psi)
+        u = float(cos_psi * current[0] + sin_psi * current[1])
+        v = float(-sin_psi * current[0] + cos_psi * current[1])
+        for _ in range(drift_steps):
+            state = clamp_to_world(
+                VehicleState(x=state.x + current[0] * dt, y=state.y + current[1] * dt, z=state.z, psi=state.psi, u=u, v=v)
+            )
+            run_estimator(step * dt + dt)
+            step += 1
+        next_imaging_time = (np.floor(step * dt / plan.imaging_period_s) + 1) * plan.imaging_period_s
 
     return log
 

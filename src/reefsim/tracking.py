@@ -74,12 +74,6 @@ class BBox:
             or self.cy - self.h / 2 > self.frame_h
         )
 
-    def validate(self) -> None:
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError("box must have positive size")
-        if not self.in_frame():
-            raise ValueError("box does not intersect the frame")
-
 
 @dataclass(frozen=True)
 class DistractorConfig:
@@ -140,8 +134,7 @@ class TargetState:
 
 def step_target(state: TargetState, config: TargetConfig, world, dt: float, rng: np.random.Generator) -> TargetState:
     """Advance the target: constant speed along a (possibly wandering)
-    heading; the benthic kind follows the seafloor at its altitude, clamped
-    to [0.2, 1.0] m above the bottom."""
+    heading, at the depth :func:`_target_depth` gives."""
     heading = state.heading
     if config.heading_walk_sigma > 0:
         heading = wrap_angle(heading + rng.normal(0.0, config.heading_walk_sigma * np.sqrt(dt)))
@@ -156,12 +149,17 @@ def step_target(state: TargetState, config: TargetConfig, world, dt: float, rng:
         heading = wrap_angle(-heading)
         y = float(np.clip(y, 0.5, world.height_m - 0.5))
 
-    if config.kind == BENTHIC_GLIDER:
-        altitude = float(np.clip(config.altitude_m, 0.2, 1.0))
-        z = world.depth_at(x, y) - altitude
-    else:
-        z = config.depth_m
+    z = _target_depth(config, world, x, y)
     return TargetState(x=float(x), y=float(y), z=float(z), heading=float(heading))
+
+
+def _target_depth(config: TargetConfig, world, x: float, y: float) -> float:
+    """The target's depth at (x, y): the midwater kind cruises at its depth,
+    the benthic kind follows the seafloor at its altitude, clamped to
+    [0.2, 1.0] m above the bottom."""
+    if config.kind == BENTHIC_GLIDER:
+        return world.depth_at(x, y) - float(np.clip(config.altitude_m, 0.2, 1.0))
+    return config.depth_m
 
 
 def _apparent_radii(config: TargetConfig, view_bearing: float, target_heading: float) -> tuple[float, float]:
@@ -284,7 +282,6 @@ def servo_command(bbox: BBox, config: TrackingConfig) -> Command:
     looks too large.  Clamping to actuator limits happens in the dynamics.
     A gain so large that a command overflows raises :class:`ConfigError`.
     """
-    bbox.validate()
     yaw_rate = config.k_yaw * (bbox.cx - bbox.frame_w / 2.0) / (bbox.frame_w / 2.0)
     heave = config.k_heave * (bbox.frame_h / 2.0 - bbox.cy) / (bbox.frame_h / 2.0)
     surge = config.k_surge * (config.width_ratio_setpoint - bbox.width_ratio)
@@ -372,9 +369,7 @@ def run_tracking_episode(
     cx = world.width_m / 2.0
     cy = world.height_m / 2.0
     heading = np.radians(target_cfg.heading_deg)
-    target = TargetState(x=cx, y=cy, z=target_cfg.depth_m, heading=float(heading))
-    if target_cfg.kind == BENTHIC_GLIDER:
-        target = TargetState(target.x, target.y, world.depth_at(cx, cy) - target_cfg.altitude_m, target.heading)
+    target = TargetState(x=cx, y=cy, z=_target_depth(target_cfg, world, cx, cy), heading=float(heading))
 
     # Standoff range at which the body length fills the width-ratio setpoint.
     nominal_range = camera.fx * target_cfg.body_length_m / (tracking_config.width_ratio_setpoint * camera.width_px)

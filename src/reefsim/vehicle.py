@@ -263,85 +263,61 @@ def _process_noise(dt: float, s_v: float, s_r: float) -> np.ndarray:
     return q
 
 
-# Multi-axis channels and their measurement matrices ``h``.
-_MEASUREMENT_ROWS = {"usbl": np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])}
-
-# Single-axis channels and the state index each observes.
+# The state index each single-axis channel observes; "usbl" observes 0 and 1.
 _SCALAR_CHANNELS = {"depth": 2, "heading": 3}
 
 _IDENTITY = np.eye(4)
 _IDENTITY.setflags(write=False)
+_IDENTITY_2 = np.eye(2)
+_IDENTITY_2.setflags(write=False)
 
 
-def ekf_update(est: EkfEstimate, kind: str, value, r) -> EkfEstimate:
+def ekf_update(est: EkfEstimate, kind: str, value, r: float) -> EkfEstimate:
     """Kalman update for one measurement channel.
 
     ``kind`` selects the linear measurement model: "usbl" observes (x, y),
     "depth" observes z, "heading" observes psi with the innovation wrapped.
-    ``r`` is the measurement covariance (scalar or matrix), required to be
-    finite and positive definite.
+    ``r`` is the noise variance of each observed axis, a finite positive
+    float; for USBL the measurement covariance is ``r * I``.
 
-    Depth and heading take a closed form: their ``h`` only selects state
-    ``k``, so ``S = P[k, k] + r``, the gain is column ``k`` of ``P`` times
-    ``1 / S``, and ``I - K h`` is the identity with column ``k`` replaced.
-    Each entry is computed with the same operations in the same order as the
-    matrix form, so both give bit-identical results; the Joseph product
-    stays a matmul because BLAS may fuse its multiply-adds.
+    Every channel's ``h`` only selects state entries, so the update needs no
+    ``h``: ``S`` is the observed block of ``P`` plus ``r * I``, the gain is
+    the observed columns of ``P`` times ``inv(S)`` (``1 / S`` for one axis),
+    ``I - K h`` is the identity with the observed columns reduced by the
+    gain, and the noise term is ``(K r) K^T``.  Each entry is computed with
+    the same operations in the same order as the matrix form, so both give
+    bit-identical results; the Joseph product stays a matmul because BLAS
+    may fuse its multiply-adds.
     """
-    if kind in _SCALAR_CHANNELS:
-        return _scalar_update(est, kind, value, r)
-    if kind not in _MEASUREMENT_ROWS:
-        raise ValueError(f"unknown measurement kind: {kind!r}")
-    h = _MEASUREMENT_ROWS[kind]
-    m = h.shape[0]
-    z = np.atleast_1d(np.asarray(value, dtype=np.float64))
-    if z.shape != (m,):
-        raise ValueError(f"{kind} measurement must have shape ({m},)")
-    r_mat = np.atleast_2d(np.asarray(r, dtype=np.float64))
-    if r_mat.shape == (1, 1) and m > 1:
-        r_mat = r_mat[0, 0] * np.eye(m)
-    if r_mat.shape != (m, m):
-        raise ValueError("measurement covariance has wrong shape")
-    if not np.isfinite(r_mat).all() or np.linalg.eigvalsh(_symmetrize(r_mat)).min() <= 0:
-        raise ValueError("measurement covariance must be positive definite")
-
-    innovation = z - h @ est.mean
-    s = h @ est.cov @ h.T + r_mat
-    gain = est.cov @ h.T @ np.linalg.inv(s)
-    mean = est.mean + gain @ innovation
-    mean[3] = wrap_angle(mean[3])
-
-    # Joseph form keeps the covariance symmetric PSD under roundoff.
-    factor = _IDENTITY - gain @ h
-    cov = _symmetrize(factor @ est.cov @ factor.T + gain @ r_mat @ gain.T)
-    return EkfEstimate(mean, cov)
-
-
-def _scalar_update(est: EkfEstimate, kind: str, value, r) -> EkfEstimate:
-    """The depth and heading update of :func:`ekf_update` in closed form."""
-    k = _SCALAR_CHANNELS[kind]
-    z = np.asarray(value, dtype=np.float64)
-    if z.size != 1 or z.ndim > 1:
-        raise ValueError(f"{kind} measurement must have shape (1,)")
-    r_arr = np.asarray(r, dtype=np.float64)
-    if r_arr.size != 1 or r_arr.ndim > 2:
-        raise ValueError("measurement covariance has wrong shape")
-    r = r_arr.item()
     if not (math.isfinite(r) and r > 0):
-        raise ValueError("measurement covariance must be positive definite")
-
-    innovation = z.item() - est.mean[k]
-    if kind == "heading":
-        innovation = wrap_angle(innovation)
-
+        raise ValueError("measurement variance must be finite and positive")
     p = est.cov
-    gain = p[:, k] * (1.0 / (p[k, k] + r))
-    mean = est.mean + gain * innovation
-    mean[3] = wrap_angle(mean[3])
-
     factor = _IDENTITY.copy()
-    factor[:, k] -= gain
-    cov = _symmetrize(factor @ p @ factor.T + (gain * r)[:, None] * gain[None, :])
+    if kind == "usbl":
+        z = np.asarray(value, dtype=np.float64)
+        if z.shape != (2,):
+            raise ValueError("usbl measurement must have shape (2,)")
+        gain = p[:, :2] @ np.linalg.inv(p[:2, :2] + r * _IDENTITY_2)
+        mean = est.mean + gain @ (z - est.mean[:2])
+        factor[:, :2] -= gain
+        noise = (gain * r) @ gain.T
+    elif kind in _SCALAR_CHANNELS:
+        k = _SCALAR_CHANNELS[kind]
+        z = np.asarray(value, dtype=np.float64)
+        if z.size != 1 or z.ndim > 1:
+            raise ValueError(f"{kind} measurement must have shape (1,)")
+        innovation = z.item() - est.mean[k]
+        if kind == "heading":
+            innovation = wrap_angle(innovation)
+        gain = p[:, k] * (1.0 / (p[k, k] + r))
+        mean = est.mean + gain * innovation
+        factor[:, k] -= gain
+        noise = (gain * r)[:, None] * gain[None, :]
+    else:
+        raise ValueError(f"unknown measurement kind: {kind!r}")
+    mean[3] = wrap_angle(mean[3])
+    # Joseph form keeps the covariance symmetric PSD under roundoff.
+    cov = _symmetrize(factor @ p @ factor.T + noise)
     return EkfEstimate(mean, cov)
 
 

@@ -261,7 +261,7 @@ def filter_run(seed: int, n_steps: int, noise: NoiseConfig, exact_start: bool = 
         if noise.usbl_enabled:
             cycles = t / noise.usbl_period_s
             if abs(cycles - round(cycles)) < 1e-6 and round(cycles) > 0:
-                est = ekf_update(est, "usbl", truth[:2] + rng.normal(0, noise.usbl_sigma, 2), noise.usbl_sigma**2 * np.eye(2))
+                est = ekf_update(est, "usbl", truth[:2] + rng.normal(0, noise.usbl_sigma, 2), noise.usbl_sigma**2)
         yield truth.copy(), est
 
 

@@ -181,6 +181,24 @@ class TestWorldGen:
         result = runner.invoke(main, ["world-gen", "--config", str(config), "--seed", "0", "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"world: {width_m: 16.0\n", "line 2 column 1: expected ',' or '}', but got '<stream end>'"),
+            (b"world:\n  width_m: 16.0\n  n", "line 3 column 4: could not find expected ':'"),
+            (b"seed: 1\x07\n", "unacceptable character #x0007: special characters are not allowed"),
+            (b"seed: \xe9\n", "'utf-8' codec can't decode byte 0xe9"),
+        ],
+        ids=["flow-mapping-cut", "block-key-cut", "control-character", "not-utf8"],
+    )
+    def test_unreadable_config_is_one_line(self, runner, tmp_path, text, message) -> None:
+        config = tmp_path / "config.yaml"
+        config.write_bytes(text)
+        result = runner.invoke(main, ["world-gen", "--config", str(config), "--seed", "0", "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: cannot ") and message in result.output
+        assert result.output.count("\n") == 1
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -644,6 +662,20 @@ class TestSurveyAnalyzeTrack:
         assert result.exit_code == 0, result.output
         assert "track: 451 frames" in result.output
 
+    @pytest.mark.parametrize("altitude", [1e308, -1e308])
+    def test_track_extreme_benthic_altitude_is_clamped(self, runner, tmp_path, altitude) -> None:
+        """A benthic target starts, as it moves, at its altitude clamped to
+        [0.2, 1.0] m above the seafloor."""
+        target = {"kind": "benthic-glider", "altitude_m": altitude}
+        config = str(write_config(tmp_path, {"tracking": {"target": target}, "episode": {"duration_s": 10.0}}))
+        result = runner.invoke(main, ["world-gen", "--config", config, "--seed", "0", "--out", str(tmp_path / "world")])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(
+            main, ["track", "--world", str(tmp_path / "world" / "world.json"), "--config", config, "--seed", "0", "--out", str(tmp_path / "track")]
+        )
+        assert result.exit_code == 0, result.output
+        assert "track: 151 frames" in result.output
+
 
 class TestLoudWorld:
     """A drift window whose snaps clip is logged as saturated and skipped by
@@ -678,6 +710,39 @@ class TestLoudWorld:
             summary = json.loads((report / "summary.json").read_text())
             assert summary["n_windows_skipped"] == sum(saturated) > 0
             assert (report / "snap_rates.csv").read_text().count(",saturated\n") == sum(saturated)
+
+
+@pytest.fixture(scope="module")
+def uncut_files(workspace, tmp_path_factory):
+    """A directory holding a config with a 1 s episode and the survey's
+    audio, and the bytes of the three files the truncation fuzz cuts."""
+    _, _, world_out, survey_out = workspace
+    directory = tmp_path_factory.mktemp("cut")
+    shutil.copytree(survey_out / "audio", directory / "audio")
+    config = write_config(directory, {**SMALL_CONFIG, "episode": {"duration_s": 1.0}})
+    sources = {"config.yaml": config, "world.json": world_out / "world.json", "mission_log.jsonl": survey_out / "mission_log.jsonl"}
+    return directory, {name: path.read_bytes() for name, path in sources.items()}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_file_cut_short_exits_cleanly(uncut_files, data) -> None:
+    """A config, world file or mission log cut at any byte exits 0, 2 or 3,
+    and a failure prints one line."""
+    directory, sources = uncut_files
+    name = data.draw(st.sampled_from(sorted(sources)), label="file")
+    cut = directory / f"cut-{name}"
+    cut.write_bytes(sources[name][: data.draw(st.integers(0, len(sources[name]) - 1), label="length")])
+    config = str(directory / "config.yaml")
+    args = {
+        "config.yaml": ["world-gen", "--config", str(cut)],
+        "world.json": ["track", "--world", str(cut), "--config", config],
+        "mission_log.jsonl": ["analyze", "--log", str(cut), "--config", config],
+    }[name]
+    result = CliRunner().invoke(main, [*args, "--seed", "0", "--out", str(directory / "out")])
+    assert result.exit_code in (0, 2, 3), result.output
+    if result.exit_code:
+        assert result.output.count("\n") == 1, result.output
 
 
 def run_all_commands(runner, workspace, out: Path) -> dict[str, str]:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +112,34 @@ class TestExecute:
         plan = plan_lawnmower((1.0, 1.0, 25.0, 19.0), 9.0)
         with pytest.raises(ConfigError):
             execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0)
+
+    # Digests of the ``save_log`` output (JSONL and WAVs) of three plans
+    # whose branches of the vehicle loop no CLI digest covers: ambient
+    # current during drifts, a drift whose step count rounds to zero (it
+    # still runs one step) and a waypoint timeout that aborts the mission.
+    LOOP_BRANCH_DIGESTS = {
+        "ambient-current": ({"drift_duration_s": 1.0}, {"current_mps": (0.03, -0.02)},
+                            "e7ac9d5e39af2c0fd77459d2b62886b3a36827cc5fad2313f776980a6891d0a3"),
+        "drift-rounds-to-zero-steps": ({"drift_duration_s": 0.01}, {},
+                                       "e6f2968aebf09f7c8eace52e75b11f2da1dca631a39cd9d8cb7caf008b19fe6a"),
+        "waypoint-timeout": ({"drift_duration_s": 1.0}, {"waypoint_timeout_s": 6.0},
+                             "326e2711e2d3ad540007b7c7618a7e149ec7058abd9a09842c330c55f58d59b1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LOOP_BRANCH_DIGESTS))
+    def test_loop_branches_match_pinned_digests(self, world, case, tmp_path) -> None:
+        pinned = json.loads((Path(__file__).parent / "golden_cli_digests.json").read_text())["numpy"]
+        if np.__version__ != pinned:
+            pytest.skip(f"digests pinned with numpy {pinned}, installed numpy is {np.__version__}")
+        plan_kwargs, mission_kwargs, expected = self.LOOP_BRANCH_DIGESTS[case]
+        plan = plan_lawnmower((1.0, 1.0, 7.0, 5.0), 4.0, audio_fs_hz=48_000, **plan_kwargs)
+        log = execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(**mission_kwargs), seed=3)
+        save_log(log, tmp_path / "mission_log.jsonl")
+        digest = hashlib.sha256()
+        for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+            digest.update(path.relative_to(tmp_path).as_posix().encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == expected
 
     def test_altitude_stays_near_setpoint(self, world, small_log) -> None:
         altitudes = [

@@ -179,12 +179,12 @@ class TestEkfPredict:
 class TestEkfUpdate:
     def test_measurement_at_predicted_mean_leaves_mean_unchanged(self) -> None:
         est = EkfEstimate(np.array([1.0, 2.0, 3.0, 0.5]), np.diag([0.3, 0.3, 0.1, 0.02]))
-        new = ekf_update(est, "usbl", [1.0, 2.0], 0.25 * np.eye(2))
+        new = ekf_update(est, "usbl", [1.0, 2.0], 0.25)
         np.testing.assert_allclose(new.mean, est.mean, atol=1e-12)
 
     def test_infinite_noise_limit_is_a_noop(self) -> None:
         est = EkfEstimate(np.array([1.0, 2.0, 3.0, 0.5]), np.diag([0.3, 0.3, 0.1, 0.02]))
-        new = ekf_update(est, "usbl", [50.0, -40.0], 1e12 * np.eye(2))
+        new = ekf_update(est, "usbl", [50.0, -40.0], 1e12)
         np.testing.assert_allclose(new.mean, est.mean, atol=1e-6)
         np.testing.assert_allclose(new.cov, est.cov, atol=1e-6)
 
@@ -202,7 +202,7 @@ class TestEkfUpdate:
         np.testing.assert_allclose(a.cov, b.cov, atol=1e-12)
 
     def test_non_pd_noise_rejected(self) -> None:
-        for r in (np.zeros((2, 2)), np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 1.0]])):
+        for r in (0.0, -0.01, np.nan, np.inf):
             with pytest.raises(ValueError):
                 ekf_update(EkfEstimate(), "usbl", [0.0, 0.0], r)
 
@@ -215,15 +215,15 @@ class TestEkfUpdate:
             est = ekf_update(est, "depth", rng.normal(5, 0.1), noise.depth_sigma**2)
             est = ekf_update(est, "heading", rng.normal(0, 0.3), noise.heading_sigma**2)
             if k % 20 == 0:
-                est = ekf_update(est, "usbl", rng.normal(0, 1.0, 2), noise.usbl_sigma**2 * np.eye(2))
+                est = ekf_update(est, "usbl", rng.normal(0, 1.0, 2), noise.usbl_sigma**2)
             est.validate()
 
 
-def matrix_form_update(est: EkfEstimate, kind: str, value: float, r) -> EkfEstimate:
-    """Reference: the general matrix Kalman update for one 1-D channel."""
-    h = {"depth": np.array([[0.0, 0.0, 1.0, 0.0]]), "heading": np.array([[0.0, 0.0, 0.0, 1.0]])}[kind]
+def matrix_form_update(est: EkfEstimate, kind: str, value, r: float) -> EkfEstimate:
+    """Reference: the general matrix Kalman update, ``R = r I``."""
+    h = {"usbl": np.eye(4)[:2], "depth": np.eye(4)[2:3], "heading": np.eye(4)[3:]}[kind]
     z = np.atleast_1d(np.asarray(value, dtype=np.float64))
-    r_mat = np.atleast_2d(np.asarray(r, dtype=np.float64))
+    r_mat = r * np.eye(len(h))
     innovation = z - h @ est.mean
     if kind == "heading":
         innovation[0] = wrap_angle(innovation[0])
@@ -244,12 +244,15 @@ class TestScalarEkfUpdate:
         mean[3] = rng.uniform(-np.pi, np.pi) if psi is None else psi
         return EkfEstimate(mean, a @ a.T + 1e-3 * np.eye(4))
 
-    @pytest.mark.parametrize("kind", ["depth", "heading"])
+    @pytest.mark.parametrize("kind", ["depth", "heading", "usbl"])
     def test_matches_matrix_form_bitwise(self, kind) -> None:
         rng = substream(21, "scalar-ekf", kind)
         for _ in range(200):
             est = self.random_estimate(rng)
-            value = rng.normal(est.mean[2], 1.0) if kind == "depth" else rng.uniform(-np.pi, np.pi)
+            if kind == "usbl":
+                value = rng.normal(est.mean[:2], 1.0)
+            else:
+                value = rng.normal(est.mean[2], 1.0) if kind == "depth" else rng.uniform(-np.pi, np.pi)
             r = rng.uniform(1e-4, 1.0)
             got, expected = ekf_update(est, kind, value, r), matrix_form_update(est, kind, value, r)
             assert np.array_equal(got.mean, expected.mean)
@@ -264,15 +267,7 @@ class TestScalarEkfUpdate:
             assert np.array_equal(got.cov, expected.cov)
             assert -np.pi < got.mean[3] <= np.pi
 
-    @pytest.mark.parametrize("kind", ["depth", "heading"])
-    def test_scalar_and_one_by_one_noise_agree(self, kind) -> None:
-        est = self.random_estimate(substream(23, "scalar-ekf-r"))
-        a = ekf_update(est, kind, 0.4, 0.05)
-        b = ekf_update(est, kind, 0.4, np.array([[0.05]]))
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.cov, b.cov)
-
-    @pytest.mark.parametrize("r", [0.0, -0.01, np.nan, np.array([[0.0]])])
+    @pytest.mark.parametrize("r", [0.0, -0.01, np.nan, np.inf])
     @pytest.mark.parametrize("kind", ["depth", "heading"])
     def test_non_positive_noise_rejected(self, kind, r) -> None:
         with pytest.raises(ValueError):
@@ -282,7 +277,7 @@ class TestScalarEkfUpdate:
         with pytest.raises(ValueError):
             ekf_update(EkfEstimate(), "depth", [0.0, 1.0], 0.01)
         with pytest.raises(ValueError):
-            ekf_update(EkfEstimate(), "heading", 0.0, 0.01 * np.eye(2))
+            ekf_update(EkfEstimate(), "usbl", [0.0], 0.01)
 
 
 def simulate_filter_run(seed: int, n_steps: int, noise: NoiseConfig, dt: float = 0.05, exact_start: bool = False):
@@ -324,7 +319,7 @@ def simulate_filter_run(seed: int, n_steps: int, noise: NoiseConfig, dt: float =
             cycles = t / noise.usbl_period_s
             if abs(cycles - round(cycles)) < 1e-6 and round(cycles) > 0:
                 fix = truth[:2] + rng.normal(0, noise.usbl_sigma, 2)
-                est = ekf_update(est, "usbl", fix, noise.usbl_sigma**2 * np.eye(2))
+                est = ekf_update(est, "usbl", fix, noise.usbl_sigma**2)
         yield truth.copy(), est
 
 
