@@ -210,7 +210,8 @@ def analyze_log(
     topics_config = topics_config or TopicsConfig()
 
     # Checked here, not in the worker, so that a log without drift windows
-    # or images fails at once; drift windows are checked first.
+    # or images, or a beta the sampler cannot carry, fails at once; drift
+    # windows are checked first.
     if not log.drift_records():
         raise DataError("mission log contains no drift windows")
     imaging = log.imaging_records()
@@ -219,6 +220,7 @@ def analyze_log(
 
     observations = [(record.cell_id, record.words) for record in imaging]
     shape = (len(imaging[0].words), log.grid_nx, log.grid_ny)
+    topics_config.check_beta(shape[0], sum(sum(words) for _, words in observations))
     with Worker(_fit_topics, observations, shape, topics_config, seed) as worker:
         snap_rates = snap_rate_series(log, acoustics_config)
         model = worker.result()

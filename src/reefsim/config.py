@@ -14,6 +14,7 @@ results are reproducible from the artifact alone.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -62,10 +63,23 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        n = self.noise  # The survey's EKF fuses these channels, and a Kalman update needs R > 0.
-        check_section(self, ("noise.depth_sigma", lambda: n.depth_sigma != 0, "must be positive"),
-                      ("noise.heading_sigma", lambda: n.heading_sigma != 0, "must be positive"),
-                      ("noise.usbl_sigma", lambda: not (n.usbl_enabled and n.usbl_period_s > 0 and n.usbl_sigma == 0), "must be positive while USBL fixes are enabled"))
+        # The survey's EKF squares these sigmas: the DVL velocity and yaw-rate
+        # ones into its process noise, which may be 0, and those of the
+        # channels it fuses into a measurement variance, which a Kalman update
+        # needs > 0.
+        n = self.noise
+        check_section(self, ("noise.dvl_velocity_sigma", lambda: _square(n.dvl_velocity_sigma) < math.inf, "must have a finite square"),
+                      ("noise.yaw_rate_sigma", lambda: _square(n.yaw_rate_sigma) < math.inf, "must have a finite square"),
+                      ("noise.depth_sigma", lambda: 0 < _square(n.depth_sigma) < math.inf, "must have a finite positive square"),
+                      ("noise.heading_sigma", lambda: 0 < _square(n.heading_sigma) < math.inf, "must have a finite positive square"),
+                      ("noise.usbl_sigma", lambda: not (n.usbl_enabled and n.usbl_period_s > 0) or 0 < _square(n.usbl_sigma) < math.inf,
+                       "must have a finite positive square while USBL fixes are enabled"))
+
+
+def _square(sigma: float) -> float:
+    """``sigma**2`` as the vehicle loop forms it, without its OverflowError:
+    a float product overflows to infinity instead of raising."""
+    return float(sigma) * float(sigma)
 
 
 class ConfigLoader(yaml.SafeLoader):

@@ -29,13 +29,26 @@ The model's state is the token assignments and the two count tables
 are column sums of ``n[w,k]``, computed once per call where they are read;
 the sampler derives its denominators ``n[k] + V*beta`` from them when a call
 starts.  With ``V*beta`` exact in binary (every shipped config), that gives
-the same doubles as carrying the denominators from call to call.  The mission
-log's layout is not known here: :mod:`reefsim.analysis` streams the imaging
-records in and pairs mixtures with drift windows.
+the same doubles as carrying the denominators from call to call.
+
+When ``V*beta`` is not exact, the +-1 updates round.  A call computes each
+denominator once as ``n[k] + V*beta`` from the exact integer totals and then
+updates it at most ``2N`` times for ``N`` tokens (one -1 and one +1 per token
+of a sweep), so it carries at most ``2N + 1`` roundings, each within half an
+ulp of a value of at most ``N + V*beta``.  :meth:`TopicsConfig.check_beta`
+requires ``V*beta`` finite and at least ``(2N + 1)(N + 1) 2**-50``; that keeps
+the error below ``V*beta / 4``, so every denominator stays above
+``n[k] + V*beta / 2`` and no weight divides by zero.  A smaller ``V*beta``
+vanishes next to a count, and a -1 update can then bring an emptied topic's
+denominator to 0.
+
+The mission log's layout is not known here: :mod:`reefsim.analysis` streams
+the imaging records in and pairs mixtures with drift windows.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
@@ -43,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, build, check_section, data_errors, json_line, json_object
+from .errors import ConfigError, DataError, build, check_section, data_errors, json_line, json_object
 
 CHECKPOINT_FORMAT = "reefsim-topic-model-v1"
 
@@ -54,7 +67,7 @@ class TopicsConfig:
     alpha: float = 0.1  # spatial (cell-topic) concentration
     beta: float = 0.5  # word-topic concentration
     gamma: float = 0.05  # new-topic weight
-    gibbs_sweeps: int = 50
+    gibbs_sweeps: int = 10  # measured on the criterion-1 site: see the sweep-count table in CHANGES.md
 
     def __post_init__(self) -> None:
         check_section(self, ("max_topics", lambda: self.max_topics >= 1, "must be at least 1"),
@@ -62,6 +75,16 @@ class TopicsConfig:
                       ("beta", lambda: self.beta > 0, "must be positive"),
                       ("gamma", lambda: self.gamma > 0, "must be positive"),
                       ("gibbs_sweeps", lambda: self.gibbs_sweeps >= 0, "must be non-negative"))
+
+    def check_beta(self, vocab_size: int, n_tokens: int) -> None:
+        """Raise :class:`ConfigError` unless ``V*beta`` keeps every sampler
+        denominator positive in a fit of ``n_tokens`` tokens over
+        ``vocab_size`` words (the module docstring derives the rule)."""
+        v_beta = vocab_size * float(self.beta)
+        floor = (2 * n_tokens + 1) * (n_tokens + 1) * 2.0**-50
+        if not floor <= v_beta < math.inf:
+            raise ConfigError(f"topics.beta: {self.beta!r} gives V*beta = {v_beta!r} for {vocab_size} words; "
+                              f"a fit of {n_tokens} tokens needs it finite and at least {floor:.3g}")
 
 
 @dataclass(frozen=True)
@@ -152,6 +175,20 @@ class TopicModel:
     def topic_totals(self) -> np.ndarray:
         """(K,) tokens per active topic: the column sums of the word-topic table."""
         return self._word_topic[:, : self.n_topics].sum(axis=0)
+
+    def log_likelihood(self) -> float:
+        """The collapsed ``log p(w | z)`` of the current assignments
+        (Griffiths & Steyvers, PNAS 2004), over the active topics:
+
+            K (lnG(V beta) - V lnG(beta)) + sum_k [sum_w lnG(n[w,k] + beta) - lnG(n[k] + V beta)]
+
+        It reads only the count tables and draws nothing."""
+        from scipy.special import gammaln
+
+        beta, v = self.config.beta, self.vocab_size
+        counts = self._word_topic[:, : self.n_topics]
+        per_topic = gammaln(counts + beta).sum(axis=0) - gammaln(counts.sum(axis=0) + v * beta)
+        return float(self.n_topics * (gammaln(v * beta) - v * gammaln(beta)) + per_topic.sum())
 
     def validate_counts(self) -> None:
         k = self.n_topics

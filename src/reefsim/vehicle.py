@@ -49,7 +49,9 @@ class VehicleConfig:
     k_altitude: float = 1.0  # heave per meter of altitude error
 
     def __post_init__(self) -> None:
-        check_section(self, ("tau_s", lambda: self.tau_s > 0, "must be positive"))
+        check_section(self, ("tau_s", lambda: self.tau_s > 0, "must be positive"),
+                      ("v_max_mps", lambda: self.v_max_mps > 0, "must be positive"),
+                      ("heave_max_mps", lambda: self.heave_max_mps > 0, "must be positive"))
 
 
 @dataclass(frozen=True)

@@ -514,6 +514,14 @@ class TestSurveyAnalyzeTrack:
             ("analyze", "analysis", "ridge", -1.0),
             ("track", "tracking", "k_yaw", 1.7e308),
             ("track", "tracking", "k_heave", 1.7e308),
+            ("survey", "noise", "depth_sigma", 1.0e-200),
+            ("survey", "noise", "usbl_sigma", 1.0e-170),
+            ("survey", "noise", "heading_sigma", 1.0e200),
+            ("analyze", "topics", "beta", 1e308),
+            ("analyze", "topics", "beta", 1e-300),
+            ("survey", "vehicle", "v_max_mps", -1e308),
+            ("survey", "vehicle", "heave_max_mps", -1e308),
+            ("track", "vehicle", "heave_max_mps", -1e308),
         ],
     )
     def test_bad_config_value_names_its_key(self, workspace, tmp_path, command, section, key, bad) -> None:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from json_leaves import OTHER_JSON_VALUES, leaf, leaf_paths, other_type, replace_leaf
 
-from reefsim.errors import DataError
+from reefsim.errors import ConfigError, DataError
 from reefsim.rng import substream
 from reefsim.topics import (
     TopicModel,
@@ -150,6 +150,44 @@ class TestGibbsRefine:
             after = perplexity(model, heldout)
             improved += after <= before
         assert improved >= 0.9 * n_seeds
+
+
+class TestLogLikelihood:
+    def test_matches_a_hand_worked_toy_model(self, tmp_path) -> None:
+        # Two topics over three words with beta = 1: topic 0 holds words
+        # (2, 1, 0), topic 1 holds (0, 0, 1).  Every lnG is a log factorial:
+        # 2 ln 2! + [ln 2! + ln 1! - ln 5!] + [ln 1! - ln 3!] = -ln 90.
+        path = tmp_path / "model.json"
+        TopicModel(3, 1, 1, TopicsConfig(beta=1.0)).save(path)
+        payload = json.loads(path.read_text())
+        payload.update(n_topics=2, labels=[0, 1], next_label=2,
+                       tokens={"cell": [0, 0, 0, 0], "word": [0, 0, 1, 2], "topic": [0, 0, 0, 1]})
+        path.write_text(json.dumps(payload))
+        assert TopicModel.load(path).log_likelihood() == pytest.approx(-np.log(90.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 1e-3])
+def test_check_beta_accepts_usable_betas_at_the_site_scale(beta) -> None:
+    TopicsConfig(beta=beta).check_beta(30, 15_000)  # criterion-1 site: 30 words, 15,000 tokens
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(beta=st.one_of(st.floats(1e-300, 1e308), st.floats(-300.0, 308.0).map(lambda e: 10.0**e)))
+def test_extreme_beta_is_config_error_or_a_valid_fit(beta) -> None:
+    # Unchecked, a beta below about 1e-14 here divides by zero in the first
+    # sweep, and one whose V*beta overflows raises IndexError.
+    config = TopicsConfig(beta=beta)
+    rng = substream(6, "extreme-beta")
+    histograms = [rng.multinomial(4, np.full(8, 0.125)) for _ in range(4)]
+    try:
+        config.check_beta(8, int(sum(h.sum() for h in histograms)))
+    except ConfigError:
+        return
+    model = TopicModel(8, 2, 2, config)
+    for cell, histogram in enumerate(histograms):
+        model.observe(cell, histogram, rng)
+    model.gibbs_refine(3, rng)
+    model.validate_counts()
 
 
 def golden_run(max_topics: int) -> tuple[TopicModel, str]:
