@@ -10,10 +10,10 @@ habitat preference, and track co-occurrence.
 :func:`analyze_log` runs on two cores.  The topic fit (model construction,
 streaming the imaging records, Gibbs refinement) runs in one worker process
 from the records' ``(cell_id, words)`` and the seed, and returns the fitted
-model.  Meanwhile this process detects snaps in the audio it already holds.
-The report is byte-identical to running both halves in one process: the fit
-draws only from the ``"topics"`` substream, detection draws nothing, and no
-samples cross the pipe.
+model.  Meanwhile this process detects snaps, reading one drift window's WAV
+at a time.  The report is byte-identical to running both halves in one
+process: the fit draws only from the ``"topics"`` substream, detection draws
+nothing, and no samples cross the pipe.
 
 The mission log's layout is known here, not in :mod:`reefsim.topics`: the
 worker streams the imaging records into the model, and :func:`analyze_log`
@@ -262,8 +262,9 @@ def analyze_log(
     rates = np.asarray([leg_windows[i].rate for i in used])
 
     retained = np.flatnonzero(topic_matrix.mean(axis=0) >= prune_below)
-    if retained.size == 0:
-        raise DataError("all topics fell below the prevalence threshold")
+    # One retained column would duplicate the intercept once renormalized.
+    if retained.size < 2:
+        raise DataError(f"fewer than two topics pass the prevalence threshold ({retained.size} of {len(merged_labels)})")
     # Renormalize over the retained set so rows stay exact mixtures; the
     # residual mass of pruned topics must not leak in as a spurious feature.
     topic_matrix = topic_matrix[:, retained]

@@ -100,7 +100,7 @@ def cmd_survey(world_path, config_path, seed, out_dir) -> None:
     """Run the drift-interleaved survey mission and write the mission log."""
     config, out, effective_seed = _prepare(config_path, out_dir, seed)
     world = GridWorld.load(world_path)
-    log = mission_mod.execute(config.plan, world, config.vehicle, config.noise, config.mission, effective_seed)
+    log = mission_mod.execute(config.plan, world, config.vehicle, config.noise, config.mission, effective_seed, out / "audio")
     mission_mod.save_log(log, out / "mission_log.jsonl")
     _write_ekf_error_csv(log, out / "ekf_error.csv")
     status = "aborted: " + log.abort_reason if log.aborted else "complete"

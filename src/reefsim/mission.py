@@ -16,31 +16,33 @@ analysis skips it (see ``acoustics.snap_rate_series``).
 
 The log is an append-only, strictly time-ordered record sequence; at most one
 record is written per simulation step.  On disk it is line-delimited JSON
-(one self-describing record per line, header first) with drift audio in a
-sidecar directory of 32-bit float WAV files referenced by filename.  The
+(one self-describing record per line, header first).  A drift window's audio
+lives only in its 32-bit float WAV file, in the log's audio directory: the
+record holds the file's name and an :class:`AudioRef` describing it.  The
 dataclasses :class:`MissionLog`, :class:`LogRecord` and :class:`AudioRef`
 are the file's schema: :func:`save_log` writes each record's fields, and
 :func:`load_log` reads each line through the builder the config uses
 (:func:`reefsim.errors.build`), so a value of the wrong type, a non-finite
 number or a tuple of the wrong length is a :class:`DataError` naming the
 line and the key.  The vehicle loop builds its records unchecked.
-:func:`load_log` also checks each WAV against its log: sample rate, length
-and finite samples in [-1, 1].
+:func:`load_log` reads no audio: :meth:`MissionLog.audio_window` reads and
+checks one WAV when detection needs it.
 
 :func:`execute` runs on two cores.  The fixed-step vehicle loop (dynamics,
 sensors, EKF, image words) runs in one worker process.  At each drift
-station it sends ``(drift_index, x, y, t)`` over a pipe, and this process
-renders that window while the loop goes on; the worker returns the records,
-and the audio is attached here.  The result is byte-identical to running
-both halves in one process: the loop draws only from the ``"mission"``
-substream and window ``i`` only from ``("audio", i)``, and no samples cross
-the pipe.
+station it sends ``(drift_index, x, y)`` over a pipe, and this process
+renders that window and writes its WAV while the loop goes on; the worker
+returns the records, and each drift record gets its window's
+:class:`AudioRef` here.  The result is byte-identical to running both halves
+in one process: the loop draws only from the ``"mission"`` substream and
+window ``i`` only from ``("audio", i)``, and no samples cross the pipe.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -162,8 +164,8 @@ class MissionLog:
     cell_size_m: float
     audio_fs_hz: int
     drift_duration_s: float
+    audio_dir: Path  # the directory holding the drift windows' WAV files
     records: list[LogRecord] = field(default_factory=list)
-    audio: dict[str, AudioWindow] = field(default_factory=dict)
     aborted: bool = False
     abort_reason: str | None = None
 
@@ -181,9 +183,22 @@ class MissionLog:
         return [r for r in self.records if r.mode == DRIFT]
 
     def audio_window(self, record: LogRecord) -> AudioWindow:
-        if record.audio is None:
+        """Read a drift record's window from its WAV, checked against the
+        record: sample rate, length, duration and finite samples in
+        [-1, 1].  A failed check raises a one-line :class:`DataError` that
+        names the file."""
+        ref = record.audio
+        if ref is None:
             raise DataError(f"record at t={record.t} carries no audio")
-        return self.audio[record.audio.filename]
+        path = self.audio_dir / ref.filename
+        samples, fs = read_wav(path)
+        with data_errors(f"WAV {path}"):
+            if not (fs == ref.fs == self.audio_fs_hz and len(samples) == round(self.drift_duration_s * fs) and ref.duration == len(samples) / fs):
+                raise ValueError(f"holds {len(samples)} samples at {fs} Hz, not the record's {ref.duration} s at {ref.fs} Hz"
+                                 f" in a {self.drift_duration_s} s drift at {self.audio_fs_hz} Hz")
+            window = AudioWindow(samples=samples, fs=fs, truth_snap_times=np.asarray(ref.truth_snap_times, dtype=np.float64), saturated=ref.saturated)
+            window.validate()
+        return window
 
     def validate(self) -> None:
         ts = [r.t for r in self.records]
@@ -203,6 +218,7 @@ def execute(
     noise_config: NoiseConfig,
     mission_config: MissionConfig,
     seed: int,
+    audio_dir: str | Path,
 ) -> MissionLog:
     """Run the survey and return the complete, ordered mission log.
 
@@ -214,40 +230,30 @@ def execute(
     plans should keep waypoints at least a capture radius inside it.
 
     The vehicle loop runs in a worker process; this process renders each
-    drift window as the worker reaches its station, then attaches the audio
-    to the records the worker returns.
+    drift window as the worker reaches its station and writes it at once to
+    ``audio_dir/drift_NNNN.wav`` (the directory is created if needed), then
+    gives each DRIFT record the worker returns its window's
+    :class:`AudioRef`.  A mission that fails part-way leaves behind the WAVs
+    it already wrote.
     """
     for wx, wy in plan.waypoints:
         if not world.contains(wx, wy):
             raise ConfigError(f"waypoint ({wx}, {wy}) lies outside the world")
 
-    windows: list[AudioWindow] = []
-    with Worker(_run_vehicle, plan, world, vehicle_config, noise_config, mission_config, seed) as worker:
-        for drift_index, x, y, t in worker.messages():
-            windows.append(
-                synthesize_audio(
-                    world,
-                    x,
-                    y,
-                    plan.drift_duration_s,
-                    plan.audio_fs_hz,
-                    thrusters_on=False,
-                    rng=substream(seed, "audio", drift_index),
-                    start_time=t,
-                )
-            )
+    audio_dir = Path(audio_dir)
+    audio_dir.mkdir(parents=True, exist_ok=True)
+    refs: list[AudioRef] = []
+    with Worker(_run_vehicle, plan, world, vehicle_config, noise_config, mission_config, seed, audio_dir) as worker:
+        for drift_index, x, y in worker.messages():
+            rng = substream(seed, "audio", drift_index)
+            window = synthesize_audio(world, x, y, plan.drift_duration_s, plan.audio_fs_hz, thrusters_on=False, rng=rng)
+            filename = f"drift_{drift_index:04d}.wav"
+            write_wav(audio_dir / filename, window)
+            refs.append(AudioRef(filename, window.fs, window.duration, window.saturated, tuple(window.truth_snap_times.tolist())))
         log = worker.result()
 
-    for drift_index, (record, window) in enumerate(zip(log.drift_records(), windows, strict=True)):
-        filename = f"drift_{drift_index:04d}.wav"
-        log.audio[filename] = window
-        record.audio = AudioRef(
-            filename=filename,
-            fs=window.fs,
-            duration=window.duration,
-            saturated=window.saturated,
-            truth_snap_times=tuple(window.truth_snap_times.tolist()),
-        )
+    for record, ref in zip(log.drift_records(), refs, strict=True):
+        record.audio = ref
     log.validate()
     return log
 
@@ -260,11 +266,12 @@ def _run_vehicle(
     noise_config: NoiseConfig,
     mission_config: MissionConfig,
     seed: int,
+    audio_dir: Path,
 ) -> MissionLog:
     """The fixed-step vehicle loop of :func:`execute`, run in its worker.
 
-    At each drift station it sends ``(drift_index, x, y, t)``, where the
-    drift index is the waypoint's, and logs the DRIFT record without audio.
+    At each drift station it sends ``(drift_index, x, y)``, where the drift
+    index is the waypoint's, and logs the DRIFT record without audio.
     Returns the log with no audio attached.
     """
     dt = mission_config.dt_s
@@ -275,6 +282,7 @@ def _run_vehicle(
         cell_size_m=float(world.cell_size_m),  # a world file may hold a whole size as an int
         audio_fs_hz=plan.audio_fs_hz,
         drift_duration_s=plan.drift_duration_s,
+        audio_dir=audio_dir,
     )
 
     wp0 = plan.waypoints[0]
@@ -357,7 +365,7 @@ def _run_vehicle(
         step += 1
         if not drift_steps:
             continue
-        send((wp_index, state.x, state.y, t))
+        send((wp_index, state.x, state.y))
         log.records.append(snapshot(t, DRIFT))
 
         # DRIFT: thrusters off, carried only by ambient current.
@@ -378,8 +386,9 @@ def _run_vehicle(
 # --- persistence -----------------------------------------------------------
 
 
-def save_log(log: MissionLog, path: str | Path, audio_dirname: str = "audio") -> None:
-    """Write the log as line-delimited JSON plus a sidecar WAV directory.
+def save_log(log: MissionLog, path: str | Path) -> None:
+    """Write the log as line-delimited JSON.  The header names the log's
+    audio directory relative to the log file; the WAVs are already there.
 
     Rewriting the same log produces byte-identical output.
     """
@@ -392,7 +401,7 @@ def save_log(log: MissionLog, path: str | Path, audio_dirname: str = "audio") ->
         "cell_size_m": log.cell_size_m,
         "audio_fs_hz": log.audio_fs_hz,
         "drift_duration_s": log.drift_duration_s,
-        "audio_dir": audio_dirname,
+        "audio_dir": os.path.relpath(log.audio_dir, path.parent),
     }
     lines = [json_line(header)]
     # A record line holds its record's fields but for a TRANSIT record's
@@ -402,16 +411,11 @@ def save_log(log: MissionLog, path: str | Path, audio_dirname: str = "audio") ->
     lines.append(json_line({"type": "end", "aborted": log.aborted, "abort_reason": log.abort_reason}))
     path.write_text("\n".join(lines) + "\n")
 
-    audio_dir = path.parent / audio_dirname
-    audio_dir.mkdir(parents=True, exist_ok=True)
-    for filename in sorted(log.audio):
-        write_wav(audio_dir / filename, log.audio[filename])
 
-
-def _load_record(payload: dict, log: MissionLog, audio_dir: Path) -> LogRecord:
-    """One ``record`` line, built and type-checked as a :class:`LogRecord`;
-    its audio window goes into ``log.audio``.  A field that fails its check
-    raises ``ValueError`` or :class:`ConfigError`."""
+def _load_record(payload: dict, log: MissionLog) -> LogRecord:
+    """One ``record`` line, built and type-checked as a :class:`LogRecord`.
+    A field that fails its check raises ``ValueError`` or
+    :class:`ConfigError`."""
     record = build(LogRecord, payload)
     if record.mode not in (TRANSIT, DRIFT):
         raise ValueError("mode must be TRANSIT or DRIFT")
@@ -419,26 +423,12 @@ def _load_record(payload: dict, log: MissionLog, audio_dir: Path) -> LogRecord:
         raise ValueError(f"cell_id {record.cell_id} is outside the {log.grid_nx}x{log.grid_ny} grid")
     if record.words and min(record.words) < 0:
         raise ValueError("words must be non-negative counts")
-    ref = record.audio
-    if ref is not None:
-        samples, fs = read_wav(audio_dir / ref.filename)
-        if not (fs == ref.fs == log.audio_fs_hz and len(samples) == round(log.drift_duration_s * fs) and ref.duration == len(samples) / fs):
-            raise ValueError(f"{ref.filename} holds {len(samples)} samples at {fs} Hz, not the record's {ref.duration} s at {ref.fs} Hz"
-                             f" in a {log.drift_duration_s} s drift at {log.audio_fs_hz} Hz")
-        window = AudioWindow(
-            samples=samples,
-            fs=fs,
-            start_time=record.t,
-            truth_snap_times=np.asarray(ref.truth_snap_times, dtype=np.float64),
-            saturated=ref.saturated,
-        )
-        window.validate()
-        log.audio[ref.filename] = window
     return record
 
 
 def load_log(path: str | Path) -> MissionLog:
-    """Read a log written by :func:`save_log`, including sidecar audio.
+    """Read a log written by :func:`save_log`.  No WAV is read here; see
+    :meth:`MissionLog.audio_window`.
 
     Every way the file can fail to be such a log, including a line that is
     not a JSON object or a field that is missing or of the wrong type,
@@ -454,8 +444,7 @@ def load_log(path: str | Path) -> MissionLog:
         header = json_object(lines[0])
         if header.pop("type", None) != "header" or header.pop("format", None) != LOG_FORMAT:
             raise ValueError("unsupported mission log format")
-        audio_dir = path.parent / header.pop("audio_dir")
-        log = build(MissionLog, header)
+        log = build(MissionLog, {**header, "audio_dir": path.parent / header["audio_dir"]})
 
     saw_end = False
     for number, line in enumerate(lines[1:], start=2):
@@ -468,7 +457,7 @@ def load_log(path: str | Path) -> MissionLog:
                     raise ValueError(f"unknown keys {sorted(payload)}")
                 saw_end = True
             elif kind == "record":
-                log.records.append(_load_record(payload, log, audio_dir))
+                log.records.append(_load_record(payload, log))
             else:
                 raise ValueError(f"unknown record type {kind!r}")
     if not saw_end:

@@ -210,7 +210,6 @@ class AudioWindow:
 
     samples: np.ndarray  # float32 in [-1, 1]
     fs: int
-    start_time: float
     truth_snap_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     saturated: bool = False
 
@@ -365,7 +364,6 @@ def synthesize_audio(
     fs: int,
     thrusters_on: bool,
     rng: np.random.Generator,
-    start_time: float = 0.0,
 ) -> AudioWindow:
     """Render one hydrophone window at a listener position.
 
@@ -404,7 +402,6 @@ def synthesize_audio(
     return AudioWindow(
         samples=samples.astype(np.float32),
         fs=fs,
-        start_time=start_time,
         truth_snap_times=snap_times,
         saturated=thrusters_on or clipped,
     )

@@ -57,7 +57,7 @@ SITE_WORLD = WorldConfig(
 SITE_ACOUSTICS = AcousticsConfig(window=512, hop=256)
 
 
-def run_site_survey(seed: int):
+def run_site_survey(seed: int, audio_dir):
     world = generate_world(SITE_WORLD, 7)  # one fixed reef scene
     plan = plan_lawnmower(
         (0.75, 0.75, 23.25, 23.25),
@@ -67,18 +67,19 @@ def run_site_survey(seed: int):
         audio_fs_hz=96_000,
     )
     assert len(plan.waypoints) == 50
-    log = execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=seed)
+    log = execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=seed, audio_dir=audio_dir)
     return analyze_log(log, acoustics_config=SITE_ACOUSTICS, seed=seed)
 
 
 class TestCriterion1SurveyRegression:
-    def test_coral_coefficient_and_correlation(self) -> None:
+    def test_coral_coefficient_and_correlation(self, make_audio_dir) -> None:
         seeds, required = panel(3, 100, 0.90)
+        audio_dir = make_audio_dir()  # each seed's survey overwrites the last one's 50 WAVs
         passes = 0
         runtimes, rs, seconds, failing = [], [], [], []
         for seed in seeds:
             start = time.monotonic()
-            rep = run_site_survey(seed)
+            rep = run_site_survey(seed, audio_dir)
             runtimes.append(time.monotonic() - start)
             coefs = np.sort(np.asarray(rep.fit.coefficients))[::-1]
             second = float(coefs[1]) if len(coefs) > 1 else -1.0

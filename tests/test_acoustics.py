@@ -235,13 +235,13 @@ class TestDetectorRecallPrecision:
 
 
 @pytest.fixture(scope="module")
-def mission_log():
+def mission_log(make_audio_dir):
     from reefsim.mission import MissionConfig, execute, plan_lawnmower
     from reefsim.vehicle import NoiseConfig, VehicleConfig
 
     world = generate_world(WorldConfig(), seed=7)
     plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=2.0)
-    return execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=5)
+    return execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=5, audio_dir=make_audio_dir())
 
 
 class TestSnapRateSeries:
@@ -259,13 +259,13 @@ class TestSnapRateSeries:
         direct = detect_snaps_in_window(mission_log.audio_window(first))
         assert series[0].rate == pytest.approx(direct.rate)
 
-    def test_log_without_drift_windows_rejected(self, quiet_world) -> None:
+    def test_log_without_drift_windows_rejected(self, quiet_world, make_audio_dir) -> None:
         from reefsim.errors import DataError
         from reefsim.mission import MissionConfig, execute, plan_lawnmower
         from reefsim.vehicle import NoiseConfig, VehicleConfig
 
         plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=0.0)
-        log = execute(plan, quiet_world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=1)
+        log = execute(plan, quiet_world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=1, audio_dir=make_audio_dir())
         with pytest.raises(DataError):
             snap_rate_series(log)
 

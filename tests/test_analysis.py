@@ -3,13 +3,14 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reefsim import analysis
+from reefsim import analysis, mission
 from reefsim.analysis import (
     analyze_log,
     cooccurrence,
@@ -20,7 +21,7 @@ from reefsim.analysis import (
     predict_snap_rate,
 )
 from reefsim.errors import ConfigError, DataError, DegenerateDataError
-from reefsim.mission import MissionConfig, execute, plan_lawnmower
+from reefsim.mission import MissionConfig, execute, load_log, plan_lawnmower, save_log
 from reefsim.topics import TopicModel, TopicsConfig
 from reefsim.vehicle import NoiseConfig, VehicleConfig
 from reefsim.world import WorldConfig, generate_world
@@ -240,11 +241,11 @@ class TestCooccurrence:
 
 
 @pytest.fixture(scope="module")
-def survey_log():
+def survey_log(make_audio_dir):
     """A short survey with snaps in one habitat, enough windows to regress."""
     world = generate_world(WorldConfig(width_m=16.0, height_m=16.0, snap_rates_per_s=(20.0, 0.0, 0.0)), seed=3)
     plan = plan_lawnmower((1.0, 1.0, 15.0, 15.0), 7.0, drift_duration_s=1.0, audio_fs_hz=48_000, waypoint_spacing_m=4.5)
-    return execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=3)
+    return execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=3, audio_dir=make_audio_dir())
 
 
 def _raise_config_error(send, *args):
@@ -266,6 +267,22 @@ def test_analyze_log_computes_each_record_mixture_once(survey_log, monkeypatch) 
     monkeypatch.setattr(TopicModel, "record_mixture", counted)
     report = analyze_log(survey_log, topics_config=TopicsConfig(gibbs_sweeps=2))
     assert len(calls) == len(survey_log.imaging_records()) == len(report.timeseries)
+
+
+def test_load_log_reads_no_wav_and_analyze_log_reads_each_once(survey_log, tmp_path, monkeypatch) -> None:
+    calls = []
+    read_wav = mission.read_wav
+
+    def counted(path):
+        calls.append(Path(path).name)
+        return read_wav(path)
+
+    monkeypatch.setattr(mission, "read_wav", counted)
+    save_log(survey_log, tmp_path / "mission_log.jsonl")
+    log = load_log(tmp_path / "mission_log.jsonl")
+    assert calls == []
+    analyze_log(log, topics_config=TopicsConfig(gibbs_sweeps=2))
+    assert calls == [record.audio.filename for record in log.drift_records()]
 
 
 class TestAnalyzeLogWorker:

@@ -610,7 +610,21 @@ class TestSurveyAnalyzeTrack:
             ["analyze", "--log", str(log_path), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "r")],
         )
         assert result.exit_code == 3, result.output
-        assert f"error: mission log {log_path} line" in result.output
+        assert result.output.startswith("error: ") and str(corrupt / "audio" / "drift_0001.wav") in result.output
+        assert result.output.count("\n") == 1
+
+    def test_analyze_with_one_topic_left_is_data_error(self, workspace, tmp_path) -> None:
+        """A gamma of 1e-300 leaves one topic above the prevalence threshold;
+        renormalized, its column would duplicate the intercept."""
+        _, _, _, survey_out = workspace
+        config = write_config(tmp_path, {**SMALL_CONFIG, "topics": {**SMALL_CONFIG["topics"], "gamma": 1.0e-300}})
+        result = CliRunner().invoke(
+            main,
+            ["analyze", "--log", str(survey_out / "mission_log.jsonl"), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "r")],
+        )
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("error: fewer than two topics pass the prevalence threshold")
+        assert result.output.count("\n") == 1
 
     def test_track_outputs_and_reproducibility(self, workspace, tmp_path) -> None:
         _, config, world_out, _ = workspace

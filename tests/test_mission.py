@@ -28,7 +28,7 @@ from reefsim.mission import (
     save_log,
 )
 from reefsim.vehicle import NoiseConfig, VehicleConfig
-from reefsim.world import AudioWindow, WorldConfig, generate_world
+from reefsim.world import AudioWindow, WorldConfig, generate_world, write_wav
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +37,9 @@ def world():
 
 
 @pytest.fixture(scope="module")
-def small_log(world):
+def small_log(world, make_audio_dir):
     plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=2.0)
-    return execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=5)
+    return execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=5, audio_dir=make_audio_dir())
 
 
 class TestPlanLawnmower:
@@ -77,9 +77,9 @@ class TestExecute:
         for record in small_log.drift_records():
             assert record.audio.duration == pytest.approx(2.0)
 
-    def test_zero_drift_duration_gives_pure_visual_survey(self, world) -> None:
+    def test_zero_drift_duration_gives_pure_visual_survey(self, world, make_audio_dir) -> None:
         plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=0.0)
-        log = execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=1)
+        log = execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=1, audio_dir=make_audio_dir())
         assert log.drift_records() == []
         assert len(log.imaging_records()) > 0
 
@@ -93,30 +93,30 @@ class TestExecute:
         n_legs = n_drifts  # one leg per waypoint
         assert abs(len(small_log.imaging_records()) - expected) <= n_legs + 1
 
-    def test_same_seed_reproduces_identical_log(self, world) -> None:
+    def test_same_seed_reproduces_identical_log(self, world, make_audio_dir) -> None:
         plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=1.0)
-        a = execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=3)
-        b = execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=3)
+        a = execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=3, audio_dir=make_audio_dir())
+        b = execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=3, audio_dir=make_audio_dir())
         assert len(a.records) == len(b.records)
         assert all(ra == rb for ra, rb in zip(a.records, b.records))
-        assert all(np.array_equal(a.audio[k].samples, b.audio[k].samples) for k in a.audio)
+        assert all(np.array_equal(a.audio_window(r).samples, b.audio_window(r).samples) for r in a.drift_records())
 
-    def test_unreachable_waypoint_aborts_with_marker(self, world) -> None:
+    def test_unreachable_waypoint_aborts_with_marker(self, world, make_audio_dir) -> None:
         plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=0.0)
         config = MissionConfig(waypoint_timeout_s=5.0)  # far too short to cross a leg
-        log = execute(plan, world, VehicleConfig(), NoiseConfig(), config, seed=2)
+        log = execute(plan, world, VehicleConfig(), NoiseConfig(), config, seed=2, audio_dir=make_audio_dir())
         assert log.aborted
         assert "timeout" in log.abort_reason or "unreachable" in log.abort_reason
 
-    def test_waypoints_outside_world_rejected(self, world) -> None:
+    def test_waypoints_outside_world_rejected(self, world, make_audio_dir) -> None:
         plan = plan_lawnmower((1.0, 1.0, 25.0, 19.0), 9.0)
         with pytest.raises(ConfigError):
-            execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0)
+            execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0, audio_dir=make_audio_dir())
 
-    # Digests of the ``save_log`` output (JSONL and WAVs) of three plans
-    # whose branches of the vehicle loop no CLI digest covers: ambient
-    # current during drifts, a drift whose step count rounds to zero (it
-    # still runs one step) and a waypoint timeout that aborts the mission.
+    # Digests of the WAVs ``execute`` writes and the ``save_log`` JSONL of
+    # three plans whose branches of the vehicle loop no CLI digest covers:
+    # ambient current during drifts, a drift whose step count rounds to zero
+    # (it still runs one step) and a waypoint timeout that aborts the mission.
     LOOP_BRANCH_DIGESTS = {
         "ambient-current": ({"drift_duration_s": 1.0}, {"current_mps": (0.03, -0.02)},
                             "e7ac9d5e39af2c0fd77459d2b62886b3a36827cc5fad2313f776980a6891d0a3"),
@@ -133,7 +133,7 @@ class TestExecute:
             pytest.skip(f"digests pinned with numpy {pinned}, installed numpy is {np.__version__}")
         plan_kwargs, mission_kwargs, expected = self.LOOP_BRANCH_DIGESTS[case]
         plan = plan_lawnmower((1.0, 1.0, 7.0, 5.0), 4.0, audio_fs_hz=48_000, **plan_kwargs)
-        log = execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(**mission_kwargs), seed=3)
+        log = execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(**mission_kwargs), seed=3, audio_dir=tmp_path / "audio")
         save_log(log, tmp_path / "mission_log.jsonl")
         digest = hashlib.sha256()
         for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
@@ -171,30 +171,30 @@ class TestWorkerProcess:
         assert small_log.drift_records()
         assert multiprocessing.active_children() == []
 
-    def test_audio_error_stops_the_worker(self, world, monkeypatch) -> None:
+    def test_audio_error_stops_the_worker(self, world, monkeypatch, make_audio_dir) -> None:
         def fail(*args, **kwargs):
             raise DataError("audio failed")
 
         monkeypatch.setattr(mission, "synthesize_audio", fail)
         plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=1.0)
         with pytest.raises(DataError, match="audio failed"):
-            execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0)
+            execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0, audio_dir=make_audio_dir())
         assert multiprocessing.active_children() == []
 
     @needs_fork
-    def test_worker_exception_keeps_its_type(self, world, monkeypatch) -> None:
+    def test_worker_exception_keeps_its_type(self, world, monkeypatch, make_audio_dir) -> None:
         monkeypatch.setattr(mission, "_run_vehicle", _raise_data_error)
         plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=1.0)
         with pytest.raises(DataError, match="vehicle loop failed"):
-            execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0)
+            execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0, audio_dir=make_audio_dir())
         assert multiprocessing.active_children() == []
 
     @needs_fork
-    def test_worker_that_dies_without_reply_names_its_exit_code(self, world, monkeypatch) -> None:
+    def test_worker_that_dies_without_reply_names_its_exit_code(self, world, monkeypatch, make_audio_dir) -> None:
         monkeypatch.setattr(mission, "_run_vehicle", _exit_without_reply)
         plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=1.0)
         with pytest.raises(RuntimeError, match="exited with code 7"):
-            execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0)
+            execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0, audio_dir=make_audio_dir())
         assert multiprocessing.active_children() == []
 
 
@@ -228,6 +228,7 @@ class TestLogInvariants:
             cell_size_m=small_log.cell_size_m,
             audio_fs_hz=small_log.audio_fs_hz,
             drift_duration_s=small_log.drift_duration_s,
+            audio_dir=small_log.audio_dir,
         )
         drift = small_log.drift_records()[0]
         import dataclasses
@@ -244,20 +245,17 @@ class TestLogPersistence:
         loaded = load_log(path)
         assert len(loaded.records) == len(small_log.records)
         assert all(ra == rb for ra, rb in zip(loaded.records, small_log.records))
-        for key, window in small_log.audio.items():
-            assert np.array_equal(loaded.audio[key].samples, window.samples)
-            assert loaded.audio[key].saturated == window.saturated
+        assert loaded.audio_dir.resolve() == small_log.audio_dir.resolve()
+        for record in small_log.drift_records():
+            window = small_log.audio_window(record)
+            assert np.array_equal(loaded.audio_window(record).samples, window.samples)
+            assert loaded.audio_window(record).saturated == window.saturated
 
     def test_write_read_write_is_byte_identical(self, small_log, tmp_path) -> None:
-        d1 = tmp_path / "a"
-        d2 = tmp_path / "b"
-        d1.mkdir()
-        d2.mkdir()
-        save_log(small_log, d1 / "log.jsonl")
-        save_log(load_log(d1 / "log.jsonl"), d2 / "log.jsonl")
-        assert (d1 / "log.jsonl").read_bytes() == (d2 / "log.jsonl").read_bytes()
-        for wav in sorted((d1 / "audio").glob("*.wav")):
-            assert wav.read_bytes() == (d2 / "audio" / wav.name).read_bytes()
+        save_log(small_log, tmp_path / "a.jsonl")
+        save_log(load_log(tmp_path / "a.jsonl"), tmp_path / "b.jsonl")
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a.jsonl", "b.jsonl"]  # save_log writes no WAV
 
     def test_truncated_log_rejected(self, small_log, tmp_path) -> None:
         from reefsim.errors import DataError
@@ -274,15 +272,15 @@ class TestLogPersistence:
 def tiny_log_lines(tmp_path_factory):
     """A hand-built log on a 2x2 grid, one 10 ms drift and one image, saved
     once; returns its directory and its parsed lines."""
-    window = AudioWindow(samples=np.zeros(480, dtype=np.float32), fs=48_000, start_time=0.0, truth_snap_times=np.array([0.002, 0.005]))
+    directory = tmp_path_factory.mktemp("tiny_log")
+    (directory / "audio").mkdir()
+    write_wav(directory / "audio" / "drift_0000.wav", AudioWindow(np.zeros(480, dtype=np.float32), 48_000, np.array([0.002, 0.005])))
     pose = (0.5, 0.5, 7.0, 0.0)
-    log = MissionLog(grid_nx=2, grid_ny=2, cell_size_m=1.0, audio_fs_hz=48_000, drift_duration_s=0.01)
+    log = MissionLog(grid_nx=2, grid_ny=2, cell_size_m=1.0, audio_fs_hz=48_000, drift_duration_s=0.01, audio_dir=directory / "audio")
     log.records = [
         LogRecord(0.0, DRIFT, pose, pose, (0.1, 0.1, 0.1, 0.1), 0, audio=AudioRef("drift_0000.wav", 48_000, 0.01, False, (0.002, 0.005))),
         LogRecord(0.05, TRANSIT, pose, pose, (0.1, 0.1, 0.1, 0.1), 3, words=(2, 0, 1)),
     ]
-    log.audio["drift_0000.wav"] = window
-    directory = tmp_path_factory.mktemp("tiny_log")
     save_log(log, directory / "mission_log.jsonl")
     return directory, [json.loads(line) for line in (directory / "mission_log.jsonl").read_text().splitlines()]
 
@@ -306,8 +304,9 @@ def test_load_log_with_one_leaf_of_another_type_loads_or_is_data_error(tiny_log_
 @given(data=st.data())
 def test_load_log_with_a_damaged_wav_loads_or_is_data_error(tiny_log_lines, data) -> None:
     """A WAV cut at any length or with any bit of its first 64 bytes flipped
-    loads, or raises a one-line :class:`DataError`; the reader neither
-    raises anything else nor warns."""
+    loads with its log and reads through ``audio_window``, or raises a
+    one-line :class:`DataError`; the reader neither raises anything else nor
+    warns."""
     directory, _ = tiny_log_lines
     wav = directory / "audio" / "drift_0000.wav"
     original = wav.read_bytes()
@@ -321,7 +320,9 @@ def test_load_log_with_a_damaged_wav_loads_or_is_data_error(tiny_log_lines, data
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            load_log(directory / "mission_log.jsonl")
+            log = load_log(directory / "mission_log.jsonl")
+            for record in log.drift_records():
+                log.audio_window(record)
     except DataError as exc:
         assert "\n" not in str(exc)
     finally:
