@@ -25,7 +25,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DataError, SaturatedWindowError, check_section, write_csv
-from .world import AudioWindow
+from .world import SNAP_BAND_HZ, AudioWindow
 
 BACKGROUND_QUANTILE = 0.1
 
@@ -34,7 +34,7 @@ BACKGROUND_QUANTILE = 0.1
 class AcousticsConfig:
     window: int = 1024
     hop: int = 512
-    band_hz: tuple[float, float] = (2000.0, 24000.0)
+    band_hz: tuple[float, float] = SNAP_BAND_HZ  # the band snaps are rendered in
     threshold_sigma: float = 0.1
     refractory_s: float = 0.005
     min_peak_ratio: float = 2.0
@@ -64,11 +64,6 @@ class Spectrogram:
         return self.power.shape[1]
 
     @property
-    def freqs(self) -> np.ndarray:
-        """Bin center frequencies in Hz."""
-        return np.arange(self.n_bins) * self.fs / self.window
-
-    @property
     def frame_times(self) -> np.ndarray:
         """Frame center times in seconds."""
         return (np.arange(self.n_frames) * self.hop + self.window / 2) / self.fs
@@ -86,7 +81,7 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
 
 
-def stft(samples: np.ndarray, fs: int, window: int = 1024, hop: int = 512) -> Spectrogram:
+def stft(samples: np.ndarray, fs: int, window: int = AcousticsConfig.window, hop: int = AcousticsConfig.hop) -> Spectrogram:
     """Hann-windowed magnitude-squared STFT.
 
     Frames start every ``hop`` samples; the count is
@@ -107,14 +102,21 @@ def stft(samples: np.ndarray, fs: int, window: int = 1024, hop: int = 512) -> Sp
     return Spectrogram(power=power, fs=fs, window=window, hop=hop)
 
 
-def band_energy(spec: Spectrogram, f_lo: float = 2000.0, f_hi: float = 24000.0) -> np.ndarray:
+def band_bins(fs: int, window: int, f_lo: float, f_hi: float) -> np.ndarray:
+    """Mask of the bins of a ``window``-sample transform at ``fs`` Hz whose
+    center frequency lies in [f_lo, f_hi]."""
+    freqs = np.arange(window // 2 + 1, dtype=np.float64) * fs / window
+    return (freqs >= f_lo) & (freqs <= f_hi)
+
+
+def band_energy(spec: Spectrogram, f_lo: float = SNAP_BAND_HZ[0], f_hi: float = SNAP_BAND_HZ[1]) -> np.ndarray:
     """Per-frame sum of magnitude-squared over bins with center frequency
     in [f_lo, f_hi]."""
     if not f_lo < f_hi:
         raise ValueError("need f_lo < f_hi")
     if f_hi > spec.fs / 2:
         raise ValueError("f_hi must not exceed Nyquist")
-    mask = (spec.freqs >= f_lo) & (spec.freqs <= f_hi)
+    mask = band_bins(spec.fs, spec.window, f_lo, f_hi)
     if not mask.any():
         raise ValueError("band contains no bins")
     return spec.power[:, mask].sum(axis=1)
@@ -133,11 +135,10 @@ def _refine_peak_time(energy: np.ndarray, peak: int, baseline: float, spec: Spec
     With 50 % overlap a short burst excites exactly two adjacent frames with
     Hann-squared weights, so the energy ratio of the peak and its larger
     neighbor inverts in closed form to the burst position.  Falls back to an
-    energy centroid (and finally the frame center) for other hop sizes or
-    degenerate neighborhoods.  ``times`` is ``spec.frame_times``.
+    energy centroid for other hop sizes or degenerate neighborhoods, and to
+    the frame center for a peak that does not rise above ``baseline``.
+    ``peak`` is an interior frame.  ``times`` is ``spec.frame_times``.
     """
-    if peak == 0 or peak == len(energy) - 1:
-        return float(times[peak])
     e_prev = energy[peak - 1] - baseline
     e_next = energy[peak + 1] - baseline
     e_peak = energy[peak] - baseline
@@ -156,27 +157,20 @@ def _refine_peak_time(energy: np.ndarray, peak: int, baseline: float, spec: Spec
             offset = spec.hop + spec.window * phi / (2.0 * np.pi)
             return float((left * spec.hop + offset) / spec.fs)
 
-    weights = np.maximum([e_prev, e_peak, e_next], 0.0)
-    if weights.sum() <= 0:
-        return float(times[peak])
+    weights = np.maximum([e_prev, e_peak, e_next], 0.0)  # e_peak > 0, so the weights sum above 0
     return float(np.dot(weights, times[peak - 1 : peak + 2]) / weights.sum())
 
 
-def detect_snaps(
-    energy: np.ndarray,
-    spec: Spectrogram,
-    duration: float,
-    threshold_sigma: float = 0.1,
-    refractory_s: float = 0.005,
-    min_peak_ratio: float = 2.0,
-) -> SnapDetection:
-    """Count transient spikes in a band-energy series.
+def detect_snaps(energy: np.ndarray, spec: Spectrogram, duration: float, config: AcousticsConfig | None = None) -> SnapDetection:
+    """Count transient spikes in a band-energy series, with the thresholds
+    and refractory gap of ``config`` (default :class:`AcousticsConfig`).
 
     A constant series (std below 1e-12) yields zero snaps.  Candidates are
     interior local maxima above both the relative threshold and the
     prominence floor; candidates closer than the refractory gap merge into
     the larger peak.
     """
+    cfg = config or AcousticsConfig()
     energy = np.asarray(energy, dtype=np.float64)
     if len(energy) < 8:
         raise ValueError("need at least 8 frames of band energy")
@@ -189,19 +183,17 @@ def detect_snaps(
         return SnapDetection(np.empty(0), 0, 0.0)
 
     baseline = np.quantile(energy, BACKGROUND_QUANTILE)
-    threshold = max(mu + threshold_sigma * sigma, min_peak_ratio * baseline)
+    threshold = max(mu + cfg.threshold_sigma * sigma, cfg.min_peak_ratio * baseline)
 
     interior = energy[1:-1]
     is_peak = (interior > energy[:-2]) & (interior >= energy[2:]) & (interior > threshold)
     candidates = np.flatnonzero(is_peak) + 1
-    if len(candidates) == 0:
-        return SnapDetection(np.empty(0), 0, 0.0)
 
     # Merge candidates within the refractory gap, keeping the larger peak.
     frame_period = spec.hop / spec.fs
     kept: list[int] = []
     for c in candidates:
-        if kept and (c - kept[-1]) * frame_period < refractory_s:
+        if kept and (c - kept[-1]) * frame_period < cfg.refractory_s:
             if energy[c] > energy[kept[-1]]:
                 kept[-1] = c
         else:
@@ -223,14 +215,7 @@ def detect_snaps_in_window(window: AudioWindow, config: AcousticsConfig | None =
         raise SaturatedWindowError("window is saturated (thruster noise); detection refused")
     spec = stft(window.samples, window.fs, cfg.window, cfg.hop)
     energy = band_energy(spec, *cfg.band_hz)
-    return detect_snaps(
-        energy,
-        spec,
-        window.duration,
-        threshold_sigma=cfg.threshold_sigma,
-        refractory_s=cfg.refractory_s,
-        min_peak_ratio=cfg.min_peak_ratio,
-    )
+    return detect_snaps(energy, spec, window.duration, cfg)
 
 
 @dataclass
@@ -259,10 +244,10 @@ def snap_rate_series(log, config: AcousticsConfig | None = None) -> list[SnapRat
         raise DataError("mission log contains no drift windows")
     # The checks of stft, band_energy and detect_snaps, made once for the log's windows.
     fs, (lo, hi) = log.audio_fs_hz, cfg.band_hz
-    n_samples = round(log.drift_duration_s * fs)
+    n_samples = log.drift_samples
     if hi > fs / 2:
         raise ConfigError(f"acoustics.band_hz: {hi} Hz exceeds the log's Nyquist frequency {fs / 2} Hz")
-    if not any(lo <= k * fs / cfg.window <= hi for k in range(cfg.window // 2 + 1)):
+    if not band_bins(fs, cfg.window, lo, hi).any():
         raise ConfigError(f"acoustics.band_hz: no frequency bin of a {cfg.window}-sample window at {fs} Hz lies in it")
     n_frames = max((n_samples - cfg.window) // cfg.hop + 1, 0)
     if n_frames < 8:

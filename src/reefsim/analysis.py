@@ -30,11 +30,20 @@ from pathlib import Path
 import numpy as np
 
 from .acoustics import AcousticsConfig, SnapRate, export_snap_rates_csv, snap_rate_series
-from .errors import DataError, DegenerateDataError, write_csv
+from .errors import DataError, DegenerateDataError, check_section, write_csv
 from .mission import DRIFT, TRANSIT
 from .rng import substream
 from .topics import TopicModel, TopicsConfig, merge_groups_by_appearance
 from .worker import Worker
+
+
+@dataclass(frozen=True)
+class AnalysisConfig:
+    ridge: float = 1e-8
+    prune_below: float = 0.05
+
+    def __post_init__(self) -> None:
+        check_section(self, ("ridge", lambda: self.ridge >= 0, "must be non-negative"))
 
 
 @dataclass
@@ -55,7 +64,7 @@ def fit_shrimp_habitat(
     topic_vectors: np.ndarray,
     snap_rates: np.ndarray,
     topic_labels: list[int] | None = None,
-    ridge: float = 1e-8,
+    ridge: float = AnalysisConfig.ridge,
 ) -> RegressionFit:
     """Least-squares fit of normalized snap rate onto topic mixtures.
 
@@ -191,8 +200,7 @@ def analyze_log(
     acoustics_config: AcousticsConfig | None = None,
     topics_config: TopicsConfig | None = None,
     seed: int = 0,
-    prune_below: float = 0.05,
-    ridge: float = 1e-8,
+    analysis_config: AnalysisConfig | None = None,
 ) -> AnalysisReport:
     """Run the full audio-visual analysis on one mission log.
 
@@ -202,12 +210,13 @@ def analyze_log(
     correlation between observed and predicted normalized rates.
 
     Topics whose mean mixture weight over the paired windows falls below
-    ``prune_below`` never reach meaningful prevalence (sampler debris, not
-    habitats); they are dropped from the regression design so their
-    near-zero columns cannot soak up residual noise.
+    ``analysis_config.prune_below`` never reach meaningful prevalence
+    (sampler debris, not habitats); they are dropped from the regression
+    design so their near-zero columns cannot soak up residual noise.
     """
     acoustics_config = acoustics_config or AcousticsConfig()
     topics_config = topics_config or TopicsConfig()
+    analysis_config = analysis_config or AnalysisConfig()
 
     # Checked here, not in the worker, so that a log without drift windows
     # or images, or a beta the sampler cannot carry, fails at once; drift
@@ -261,7 +270,7 @@ def analyze_log(
     topic_matrix = leg_vectors[used]
     rates = np.asarray([leg_windows[i].rate for i in used])
 
-    retained = np.flatnonzero(topic_matrix.mean(axis=0) >= prune_below)
+    retained = np.flatnonzero(topic_matrix.mean(axis=0) >= analysis_config.prune_below)
     # One retained column would duplicate the intercept once renormalized.
     if retained.size < 2:
         raise DataError(f"fewer than two topics pass the prevalence threshold ({retained.size} of {len(merged_labels)})")
@@ -273,7 +282,7 @@ def analyze_log(
     if len(used) < len(retained_labels) + 2:
         raise DataError("too few usable drift windows for the regression")
 
-    fit = fit_shrimp_habitat(topic_matrix, rates, topic_labels=retained_labels, ridge=ridge)
+    fit = fit_shrimp_habitat(topic_matrix, rates, topic_labels=retained_labels, ridge=analysis_config.ridge)
     predicted = predict_snap_rate(fit, topic_matrix)
     observed_norm = fit.normalize(rates)
     r = pearson(observed_norm, predicted)

@@ -133,14 +133,7 @@ def cmd_analyze(log_path, config_path, seed, out_dir) -> None:
     """Snap detection, habitat discovery, regression, and the report bundle."""
     config, out, effective_seed = _prepare(config_path, out_dir, seed)
     log = mission_mod.load_log(log_path)
-    report = analyze_log(
-        log,
-        acoustics_config=config.acoustics,
-        topics_config=config.topics,
-        seed=effective_seed,
-        prune_below=config.analysis.prune_below,
-        ridge=config.analysis.ridge,
-    )
+    report = analyze_log(log, config.acoustics, config.topics, effective_seed, config.analysis)
     write_report(report, out)
     click.echo(
         f"analyze: {report.n_windows_used} windows, {len(report.fit.topic_labels)} habitat topics, "
@@ -159,7 +152,8 @@ def cmd_track(world_path, config_path, seed, out_dir) -> None:
     world = GridWorld.load(world_path)
     log = run_tracking_episode(world, config.vehicle, config.tracking, config.episode.duration_s, effective_seed)
     save_track_log(log, out / "track_log.jsonl")
-    export_track_metrics_csv(log, config.tracking.camera, out / "track_metrics.csv")
+    summary = log.summary(config.tracking.camera)
+    export_track_metrics_csv(summary, out / "track_metrics.csv")
     vehicle_xy = np.array([[f.vehicle[0], f.vehicle[1]] for f in log.frames])
     target_xy = np.array([[f.target[0], f.target[1]] for f in log.frames])
     (out / "trajectory.svg").write_text(
@@ -172,7 +166,6 @@ def cmd_track(world_path, config_path, seed, out_dir) -> None:
             world.height_m,
         )
     )
-    summary = log.summary(config.tracking.camera)
     click.echo(
         f"track: {summary['n_frames']} frames, central fraction {summary['central_fraction']:.3f}, "
         f"losses {summary['loss_count']}, ended_lost={summary['ended_lost']} -> {out / 'track_log.jsonl'}"

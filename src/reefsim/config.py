@@ -1,14 +1,16 @@
 """Run configuration: one structured file covering every component.
 
 Configs load from YAML (JSON is valid YAML).  Each section is a dataclass
-beside the code it configures; ``analysis`` and ``episode`` live here, in
-:class:`RunConfig`.  Unknown keys are rejected; missing keys fall back to
-the dataclasses' defaults.  Loading only converts, through the builder
-the file readers share (:func:`reefsim.errors.build`: a mapping becomes its
-dataclass, a list a tuple, nothing is coerced); every section checks itself
-when it is built, and a failed check names its dotted key.  The fully
-resolved configuration is echoed into each command's output directory so
-results are reproducible from the artifact alone.
+beside the code it configures, and that code takes its defaults from the
+section, so each default is written once.  Only ``episode``, which sizes
+the ``track`` command's episode, lives here, in :class:`RunConfig`.
+Unknown keys are rejected; missing keys fall back to the dataclasses'
+defaults.  Loading only converts, through the builder the file readers
+share (:func:`reefsim.errors.build`: a mapping becomes its dataclass, a
+list a tuple, nothing is coerced); every section checks itself when it is
+built, and a failed check names its dotted key.  The fully resolved
+configuration is echoed into each command's output directory so results
+are reproducible from the artifact alone.
 """
 
 from __future__ import annotations
@@ -21,21 +23,13 @@ from pathlib import Path
 import yaml
 
 from .acoustics import AcousticsConfig
+from .analysis import AnalysisConfig
 from .errors import ConfigError, build, check_section
 from .mission import MissionConfig, MissionPlan
 from .tracking import TrackingConfig
 from .vehicle import NoiseConfig, VehicleConfig
 from .world import WorldConfig
 from .topics import TopicsConfig
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    ridge: float = 1e-8
-    prune_below: float = 0.05
-
-    def __post_init__(self) -> None:
-        check_section(self, ("ridge", lambda: self.ridge >= 0, "must be non-negative"))
 
 
 @dataclass(frozen=True)

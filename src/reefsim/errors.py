@@ -13,10 +13,15 @@ section need not check it again.  So do the mission log, the world and the
 topic checkpoint, which are built once per file.  A mission-log record and
 its audio reference have no ``__post_init__``: the vehicle loop builds them
 unchecked, and :func:`build` checks them where a log is read.  These
-dataclasses are the files' schema.  The file readers parse through
+dataclasses are the files' schema, on both sides: the readers build them
+and the writers write their fields, so a field added to one is read and
+written with no second edit.  The file readers parse through
 :func:`json_object` inside :func:`data_errors`, so every malformed file
-becomes a :class:`DataError`; the writers write through :func:`json_line`.
-Every CSV file the package writes goes through :func:`write_csv`.
+becomes a :class:`DataError`.  Every JSON file the package writes (the
+world, the topic checkpoint and both logs) goes through the one JSON-lines
+writer, :func:`write_json_lines`; a log's header and end line are the log
+dataclass's fields on either side of its item list
+(:func:`fields_around`).  Every CSV file goes through :func:`write_csv`.
 """
 
 import csv
@@ -174,6 +179,22 @@ def json_line(payload) -> str:
     every file the package writes; a dataclass in it is written as its
     fields (``vars``)."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=vars)
+
+
+def write_json_lines(path, payloads) -> None:
+    """Write each payload as its :func:`json_line` followed by ``\\n``."""
+    with open(path, "w") as f:
+        for payload in payloads:
+            f.write(json_line(payload) + "\n")
+
+
+def fields_around(instance, name: str) -> tuple[dict, dict]:
+    """A dataclass instance's fields declared before and after its field
+    ``name``, as two dicts: a log's header and end line, around its list of
+    records or frames."""
+    items = [(f.name, getattr(instance, f.name)) for f in dataclasses.fields(instance)]
+    split = [key for key, _ in items].index(name)
+    return dict(items[:split]), dict(items[split + 1:])
 
 
 def write_csv(path, header, rows) -> None:

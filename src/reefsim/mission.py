@@ -20,7 +20,7 @@ record is written per simulation step.  On disk it is line-delimited JSON
 lives only in its 32-bit float WAV file, in the log's audio directory: the
 record holds the file's name and an :class:`AudioRef` describing it.  The
 dataclasses :class:`MissionLog`, :class:`LogRecord` and :class:`AudioRef`
-are the file's schema: :func:`save_log` writes each record's fields, and
+are the file's schema: :func:`save_log` writes their fields, and
 :func:`load_log` reads each line through the builder the config uses
 (:func:`reefsim.errors.build`), so a value of the wrong type, a non-finite
 number or a tuple of the wrong length is a :class:`DataError` naming the
@@ -42,13 +42,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, build, check_section, data_errors, json_line, json_object
+from .errors import ConfigError, DataError, build, check_section, data_errors, fields_around, json_object, write_json_lines
 from .rng import substream
 from .vehicle import (
     Command,
@@ -159,6 +160,9 @@ class LogRecord:
 
 @dataclass
 class MissionLog:
+    """A survey's records.  On disk the fields declared before ``records``
+    form the header line and those after it the end line."""
+
     grid_nx: int
     grid_ny: int
     cell_size_m: float
@@ -182,6 +186,11 @@ class MissionLog:
     def drift_records(self) -> list[LogRecord]:
         return [r for r in self.records if r.mode == DRIFT]
 
+    @property
+    def drift_samples(self) -> int:
+        """The sample count of every drift window's WAV."""
+        return round(self.drift_duration_s * self.audio_fs_hz)
+
     def audio_window(self, record: LogRecord) -> AudioWindow:
         """Read a drift record's window from its WAV, checked against the
         record: sample rate, length, duration and finite samples in
@@ -193,7 +202,7 @@ class MissionLog:
         path = self.audio_dir / ref.filename
         samples, fs = read_wav(path)
         with data_errors(f"WAV {path}"):
-            if not (fs == ref.fs == self.audio_fs_hz and len(samples) == round(self.drift_duration_s * fs) and ref.duration == len(samples) / fs):
+            if not (fs == ref.fs == self.audio_fs_hz and len(samples) == self.drift_samples and ref.duration == len(samples) / fs):
                 raise ValueError(f"holds {len(samples)} samples at {fs} Hz, not the record's {ref.duration} s at {ref.fs} Hz"
                                  f" in a {self.drift_duration_s} s drift at {self.audio_fs_hz} Hz")
             window = AudioWindow(samples=samples, fs=fs, truth_snap_times=np.asarray(ref.truth_snap_times, dtype=np.float64), saturated=ref.saturated)
@@ -393,23 +402,12 @@ def save_log(log: MissionLog, path: str | Path) -> None:
     Rewriting the same log produces byte-identical output.
     """
     path = Path(path)
-    header = {
-        "type": "header",
-        "format": LOG_FORMAT,
-        "grid_nx": log.grid_nx,
-        "grid_ny": log.grid_ny,
-        "cell_size_m": log.cell_size_m,
-        "audio_fs_hz": log.audio_fs_hz,
-        "drift_duration_s": log.drift_duration_s,
-        "audio_dir": os.path.relpath(log.audio_dir, path.parent),
-    }
-    lines = [json_line(header)]
+    header, end = fields_around(log, "records")
+    header["audio_dir"] = os.path.relpath(log.audio_dir, path.parent)
     # A record line holds its record's fields but for a TRANSIT record's
     # audio and a DRIFT record's words, which are None.
-    for record in log.records:
-        lines.append(json_line({"type": "record", **{k: v for k, v in vars(record).items() if v is not None}}))
-    lines.append(json_line({"type": "end", "aborted": log.aborted, "abort_reason": log.abort_reason}))
-    path.write_text("\n".join(lines) + "\n")
+    records = ({"type": "record", **{k: v for k, v in vars(record).items() if v is not None}} for record in log.records)
+    write_json_lines(path, itertools.chain([{"type": "header", "format": LOG_FORMAT, **header}], records, [{"type": "end", **end}]))
 
 
 def _load_record(payload: dict, log: MissionLog) -> LogRecord:
@@ -452,7 +450,7 @@ def load_log(path: str | Path) -> MissionLog:
             payload = json_object(line)
             kind = payload.pop("type", None)
             if kind == "end":
-                log = dataclasses.replace(log, aborted=payload.pop("aborted"), abort_reason=payload.pop("abort_reason"))
+                log = dataclasses.replace(log, **{name: payload.pop(name) for name in fields_around(log, "records")[1]})
                 if payload:
                     raise ValueError(f"unknown keys {sorted(payload)}")
                 saw_end = True

@@ -24,6 +24,10 @@ PALETTE = [
     "#ffbb78",
 ]
 
+CHART_WIDTH_PX, CHART_HEIGHT_PX = 640, 360  # line chart canvas
+CELL_PX = 18  # heat map cell edge
+SCALE_PX_PER_M = 24.0  # trajectory plot scale
+
 
 def _fmt(value: float) -> str:
     return f"{value:.3f}"
@@ -44,14 +48,9 @@ def _axis_range(values) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def line_chart_svg(
-    series: list[tuple[str, list, list, str]],
-    width: int = 640,
-    height: int = 360,
-    x_label: str = "",
-    y_label: str = "",
-) -> str:
+def line_chart_svg(series: list[tuple[str, list, list, str]], x_label: str = "", y_label: str = "") -> str:
     """Polyline chart.  ``series`` entries are (label, xs, ys, css style)."""
+    width, height = CHART_WIDTH_PX, CHART_HEIGHT_PX
     margin = 48
     all_x = [x for _, xs, _, _ in series for x in xs]
     all_y = [y for _, _, ys, _ in series for y in ys]
@@ -95,51 +94,46 @@ def line_chart_svg(
     return _document(width, height, parts)
 
 
-def grid_heatmap_svg(labels: np.ndarray, cell_px: int = 18, legend: list[str] | None = None) -> str:
+def grid_heatmap_svg(labels: np.ndarray, legend: list[str] | None = None) -> str:
     """Categorical heat map of an (ny, nx) integer label grid.  Row 0 is
     drawn at the bottom (world y up); label -1 renders as white."""
     labels = np.asarray(labels)
     ny, nx = labels.shape
     legend = legend or []
     legend_h = 22 if legend else 0
-    width, height = nx * cell_px, ny * cell_px + legend_h
+    width, height = nx * CELL_PX, ny * CELL_PX + legend_h
     parts = []
     for iy in range(ny):
         for ix in range(nx):
             label = int(labels[iy, ix])
             color = "#ffffff" if label < 0 else PALETTE[label % len(PALETTE)]
-            x = ix * cell_px
-            y = (ny - 1 - iy) * cell_px
-            parts.append(f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" fill="{color}"/>')
+            x = ix * CELL_PX
+            y = (ny - 1 - iy) * CELL_PX
+            parts.append(f'<rect x="{x}" y="{y}" width="{CELL_PX}" height="{CELL_PX}" fill="{color}"/>')
     for i, name in enumerate(legend):
         color = PALETTE[i % len(PALETTE)]
         x = 4 + i * 110
-        y = ny * cell_px + 6
+        y = ny * CELL_PX + 6
         parts.append(f'<rect x="{x}" y="{y}" width="12" height="12" fill="{color}"/>')
         parts.append(f'<text x="{x + 16}" y="{y + 10}" font-size="11">{name}</text>')
     return _document(width, height, parts)
 
 
-def trajectory_svg(
-    paths: list[tuple[str, np.ndarray, str]],
-    width_m: float,
-    height_m: float,
-    scale_px_per_m: float = 24.0,
-) -> str:
+def trajectory_svg(paths: list[tuple[str, np.ndarray, str]], width_m: float, height_m: float) -> str:
     """Top-down trajectory plot.  ``paths`` entries are (label, (n, 2) xy
     array, css style); world y points up."""
-    width = int(width_m * scale_px_per_m) + 40
-    height = int(height_m * scale_px_per_m) + 40
+    width = int(width_m * SCALE_PX_PER_M) + 40
+    height = int(height_m * SCALE_PX_PER_M) + 40
 
     def sx(x: float) -> float:
-        return 20 + x * scale_px_per_m
+        return 20 + x * SCALE_PX_PER_M
 
     def sy(y: float) -> float:
-        return height - 20 - y * scale_px_per_m
+        return height - 20 - y * SCALE_PX_PER_M
 
     parts = [
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<rect x="20" y="20" width="{_fmt(width_m * scale_px_per_m)}" height="{_fmt(height_m * scale_px_per_m)}" '
+        f'<rect x="20" y="20" width="{_fmt(width_m * SCALE_PX_PER_M)}" height="{_fmt(height_m * SCALE_PX_PER_M)}" '
         f'fill="none" stroke="#999999"/>',
     ]
     for i, (label, xy, style) in enumerate(paths):

@@ -56,9 +56,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, build, check_section, data_errors, json_line, json_object
+from .errors import ConfigError, DataError, build, check_section, data_errors, json_object, write_json_lines
 
 CHECKPOINT_FORMAT = "reefsim-topic-model-v1"
+
+# merge_groups_by_appearance: the largest total-variation distance at which
+# a topic joins a group, and the fewest tokens a topic founding one holds.
+MERGE_TV_THRESHOLD = 0.5
+MERGE_MIN_TOKENS = 50
 
 
 @dataclass(frozen=True)
@@ -377,7 +382,7 @@ class TopicModel:
     def save(self, path: str | Path) -> None:
         checkpoint = _Checkpoint(self.vocab_size, self.grid_nx, self.grid_ny, self.config, self.n_topics, self.labels,
                                  self._next_label, _Tokens(self._tok_cell, self._tok_word, self._tok_topic))
-        Path(path).write_text(json_line({"format": CHECKPOINT_FORMAT, **vars(checkpoint)}) + "\n")
+        write_json_lines(path, [{"format": CHECKPOINT_FORMAT, **vars(checkpoint)}])
 
     @classmethod
     def load(cls, path: str | Path) -> "TopicModel":
@@ -432,9 +437,7 @@ def appearance_distributions(model: TopicModel) -> np.ndarray:
     return model._appearance()[0].T
 
 
-def merge_groups_by_appearance(
-    model: TopicModel, tv_threshold: float = 0.5, min_tokens: int = 50
-) -> list[list[int]]:
+def merge_groups_by_appearance(model: TopicModel) -> list[list[int]]:
     """Group topics whose appearance models nearly coincide.
 
     The sampler can mint several topics for one habitat: disconnected
@@ -445,9 +448,9 @@ def merge_groups_by_appearance(
     Greedy leader clustering by size: topics are visited largest first;
     a topic joins the nearest existing representative when the
     total-variation distance of their appearance models is at most
-    ``tv_threshold``, otherwise it founds a new group if it holds at least
-    ``min_tokens`` tokens (a near-empty topic's smoothed appearance is
-    close to uniform, which must not anchor a habitat).  Distances are
+    ``MERGE_TV_THRESHOLD``, otherwise it founds a new group if it holds at
+    least ``MERGE_MIN_TOKENS`` tokens (a near-empty topic's smoothed
+    appearance is close to uniform, which must not anchor a habitat).  Distances are
     measured to representatives only, so chains of intermediates cannot
     glue distinct habitats together.  Leftover small topics stay singleton
     groups for downstream prevalence pruning.
@@ -469,9 +472,9 @@ def merge_groups_by_appearance(
             tv = 0.5 * float(np.abs(phi[i] - phi[rep]).sum())
             if tv < nearest_tv:
                 nearest, nearest_tv = rep, tv
-        if nearest is not None and nearest_tv <= tv_threshold:
+        if nearest is not None and nearest_tv <= MERGE_TV_THRESHOLD:
             groups[nearest].append(i)
-        elif totals[i] >= min_tokens:
+        elif totals[i] >= MERGE_MIN_TOKENS:
             representatives.append(i)
             groups[i] = [i]
         else:

@@ -16,13 +16,14 @@ its heading, which makes the apparent width aspect-dependent).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, check_section, json_line, write_csv
+from .errors import ConfigError, check_section, fields_around, write_csv, write_json_lines
 from .rng import substream
 from .vehicle import Command, VehicleConfig, VehicleState, step_dynamics, wrap_angle
 
@@ -304,6 +305,9 @@ class TrackFrame:
 
 @dataclass
 class TrackLog:
+    """An episode's frames.  On disk the fields declared before ``frames``
+    form the header line and those after it the end line."""
+
     frame_rate_hz: float
     frames: list[TrackFrame] = field(default_factory=list)
     loss_events: list[float] = field(default_factory=list)  # times LOST was raised
@@ -449,14 +453,13 @@ def run_tracking_episode(
 
 def save_track_log(log: TrackLog, path: str | Path) -> None:
     """Line-delimited JSON track log (header, frames, end marker)."""
-    lines = [json_line({"type": "header", "format": TRACK_LOG_FORMAT, "frame_rate_hz": log.frame_rate_hz})]
-    lines.extend(json_line({"type": "frame", **vars(frame)}) for frame in log.frames)
-    lines.append(json_line({"type": "end", "loss_events": log.loss_events, "ended_lost": log.ended_lost}))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header, end = fields_around(log, "frames")
+    frames = ({"type": "frame", **vars(frame)} for frame in log.frames)
+    write_json_lines(path, itertools.chain([{"type": "header", "format": TRACK_LOG_FORMAT, **header}], frames, [{"type": "end", **end}]))
 
 
-def export_track_metrics_csv(log: TrackLog, camera: Camera, path: str | Path) -> None:
-    """CSV: the episode summary's keys, sorted, over one row of values."""
-    summary = log.summary(camera)
+def export_track_metrics_csv(summary: dict, path: str | Path) -> None:
+    """CSV: the keys of an episode summary (:meth:`TrackLog.summary`),
+    sorted, over one row of values."""
     keys = sorted(summary)
     write_csv(path, keys, [[summary[k] for k in keys]])

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
-from .errors import DataError, build, check_section, check_value, data_errors, json_line, json_object
+from .errors import DataError, build, check_section, check_value, data_errors, field_types, json_object, write_json_lines
 
 WORLD_FORMAT = "reefsim-world-v1"
 
@@ -163,27 +162,15 @@ class GridWorld:
         return np.meshgrid(cx, cy)
 
     def save(self, path: str | Path) -> None:
-        """Write the world as a single self-describing JSON file."""
-        payload = {
-            "format": WORLD_FORMAT,
-            "width_m": self.width_m,
-            "height_m": self.height_m,
-            "cell_size_m": self.cell_size_m,
-            "seed": self.seed,
-            "snap_amplitude": self.snap_amplitude,
-            "background_sigma": self.background_sigma,
-            "bathymetry": self.bathymetry.tolist(),
-            "habitat_field": self.habitat_field.tolist(),
-            "appearance": self.appearance.tolist(),
-            "snap_rate": self.snap_rate.tolist(),
-        }
-        Path(path).write_text(json_line(payload) + "\n")
+        """Write the world's fields as a single self-describing JSON line."""
+        fields = {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in vars(self).items()}
+        write_json_lines(path, [{"format": WORLD_FORMAT, **fields}])
 
     @classmethod
     def load(cls, path: str | Path) -> "GridWorld":
         """Read a world file; any way it can fail to be one raises
         :class:`DataError`.  Every field must match its annotation.  The
-        four arrays are read as float64 once each leaf that is not a float
+        array fields are read as float64 once each leaf that is not a float
         has been checked as a ``float`` field is: ``np.asarray`` alone would
         read ``true`` as 1.0 and ``"7.5"`` as 7.5."""
         with data_errors(f"world file {path}"):
@@ -191,7 +178,7 @@ class GridWorld:
             world_format = payload.pop("format", None)
             if world_format != WORLD_FORMAT:
                 raise ValueError(f"unsupported world format {world_format!r}")
-            for key in ("bathymetry", "habitat_field", "appearance", "snap_rate"):
+            for key in (name for name, annotation in field_types(cls).items() if annotation is np.ndarray):
                 leaves = np.asarray(payload[key], dtype=object)
                 if not set(map(type, leaves.flat)) <= {float}:
                     for index in np.ndindex(leaves.shape):
@@ -409,12 +396,16 @@ def synthesize_audio(
 
 def write_wav(path: str | Path, window: AudioWindow) -> None:
     """Export a window as 32-bit float WAV."""
+    from scipy.io import wavfile
+
     wavfile.write(str(path), window.fs, window.samples.astype(np.float32))
 
 
 def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
     """Read a 32-bit float WAV back as (samples, fs).  Whatever the reader
     raises or warns about a damaged file raises :class:`DataError`."""
+    from scipy.io import wavfile
+
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", wavfile.WavFileWarning)

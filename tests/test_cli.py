@@ -7,6 +7,8 @@ import json
 import math
 import multiprocessing
 import shutil
+import subprocess
+import sys
 import types
 import typing
 from pathlib import Path
@@ -19,10 +21,15 @@ from scipy.io import wavfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reefsim
 from reefsim import cli, mission
 from reefsim.cli import main
 from reefsim.config import RunConfig, config_from_dict, config_to_dict, load_config
 from reefsim.errors import ConfigError, DataError
+from reefsim.mission import LogRecord, MissionLog
+from reefsim.topics import _Checkpoint
+from reefsim.tracking import TrackFrame, TrackLog
+from reefsim.world import GridWorld
 
 SMALL_CONFIG = {
     "world": {"width_m": 16.0, "height_m": 16.0, "snap_rates_per_s": [20.0, 0.0, 0.0]},
@@ -799,6 +806,40 @@ class TestGoldenDigests:
         if np.__version__ != golden["numpy"]:
             pytest.skip(f"digests pinned with numpy {golden['numpy']}, installed numpy is {np.__version__}")
         assert run_all_commands(runner, workspace, tmp_path) == golden["artifacts"]
+
+
+def field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_written_keys_are_the_dataclass_fields(runner, workspace, tmp_path) -> None:
+    """Each JSON file holds its dataclass's fields and no other key but
+    ``format`` and ``type``.  A log's header and end line share only
+    ``type`` and together hold every log field but the item list."""
+    _, _, world_out, survey_out = workspace
+    run_all_commands(runner, workspace, tmp_path)
+    assert json.loads((world_out / "world.json").read_text()).keys() == field_names(GridWorld) | {"format"}
+    assert json.loads((tmp_path / "analyze" / "topic_model.json").read_text()).keys() == field_names(_Checkpoint) | {"format"}
+    for path, log_class, items, item_class in (
+        (survey_out / "mission_log.jsonl", MissionLog, "records", LogRecord),
+        (tmp_path / "track" / "track_log.jsonl", TrackLog, "frames", TrackFrame),
+    ):
+        header, *lines, end = [json.loads(line) for line in path.read_text().splitlines()]
+        assert (header["type"], end["type"]) == ("header", "end")
+        assert header.keys() & end.keys() == {"type"}
+        assert header.keys() | end.keys() == field_names(log_class) - {items} | {"type", "format"}
+        # A mission record line leaves out a field that is None.
+        assert all(line.keys() <= field_names(item_class) | {"type"} for line in lines)
+        assert set().union(*lines) == field_names(item_class) | {"type"}
+
+
+def test_import_loads_no_scipy() -> None:
+    """scipy is imported where it is used (WAV I/O, the likelihood, label
+    matching), not by importing the package and its CLI."""
+    src = str(Path(reefsim.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import reefsim, reefsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout == "[]\n"
 
 
 class TestHelp:

@@ -9,7 +9,8 @@ import pytest
 import yaml
 
 from reefsim.acoustics import AcousticsConfig
-from reefsim.config import AnalysisConfig, ConfigLoader, EpisodeConfig, RunConfig, config_to_dict, load_config
+from reefsim.analysis import AnalysisConfig
+from reefsim.config import ConfigLoader, EpisodeConfig, RunConfig, config_to_dict, load_config
 from reefsim.errors import ConfigError
 from reefsim.mission import MissionConfig, MissionPlan, plan_lawnmower
 from reefsim.topics import TopicsConfig
