@@ -31,7 +31,6 @@ import numpy as np
 
 from .acoustics import AcousticsConfig, SnapRate, export_snap_rates_csv, snap_rate_series
 from .errors import DataError, DegenerateDataError, check_section, write_csv
-from .mission import DRIFT, TRANSIT
 from .rng import substream
 from .topics import TopicModel, TopicsConfig, merge_groups_by_appearance
 from .worker import Worker
@@ -249,11 +248,11 @@ def analyze_log(
     timeseries, leg_windows, leg_means, leg = [], [], [], []
     windows = iter(snap_rates)
     for record in log.records:
-        if record.mode == TRANSIT and record.words is not None:
+        if record.words is not None:
             mixture = model.record_mixture(record.words)
             timeseries.append((record.t, mixture @ member_matrix))
             leg.append(mixture)
-        elif record.mode == DRIFT:
+        else:
             window = next(windows)
             if leg:
                 leg_windows.append(window)

@@ -66,8 +66,8 @@ class RunConfig:
                       ("noise.yaw_rate_sigma", lambda: _square(n.yaw_rate_sigma) < math.inf, "must have a finite square"),
                       ("noise.depth_sigma", lambda: 0 < _square(n.depth_sigma) < math.inf, "must have a finite positive square"),
                       ("noise.heading_sigma", lambda: 0 < _square(n.heading_sigma) < math.inf, "must have a finite positive square"),
-                      ("noise.usbl_sigma", lambda: not (n.usbl_enabled and n.usbl_period_s > 0) or 0 < _square(n.usbl_sigma) < math.inf,
-                       "must have a finite positive square while USBL fixes are enabled"))
+                      ("noise.usbl_sigma", lambda: n.usbl_period_s == 0 or 0 < _square(n.usbl_sigma) < math.inf,
+                       "must have a finite positive square unless noise.usbl_period_s is 0"))
 
 
 def _square(sigma: float) -> float:

@@ -16,9 +16,12 @@ analysis skips it (see ``acoustics.snap_rate_series``).
 
 The log is an append-only, strictly time-ordered record sequence; at most one
 record is written per simulation step.  On disk it is line-delimited JSON
-(one self-describing record per line, header first).  A drift window's audio
-lives only in its 32-bit float WAV file, in the log's audio directory: the
-record holds the file's name and an :class:`AudioRef` describing it.  The
+(one self-describing record per line, header first).  A record's kind
+follows from its content: one with ``words`` is an imaging record, taken in
+transit, one with ``audio`` a drift record, and each holds exactly one.  A
+drift window's audio lives only in its 32-bit float WAV file, in the log's
+audio directory, at the header's sample rate and length: the record holds
+the file's name and an :class:`AudioRef` describing it.  The
 dataclasses :class:`MissionLog`, :class:`LogRecord` and :class:`AudioRef`
 are the file's schema: :func:`save_log` writes their fields, and
 :func:`load_log` reads each line through the builder the config uses
@@ -44,6 +47,7 @@ import dataclasses
 import functools
 import itertools
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,10 +71,15 @@ from .vehicle import (
 from .worker import Worker
 from .world import MIN_AUDIO_FS, AudioWindow, GridWorld, read_wav, sample_image_words, synthesize_audio, write_wav
 
-LOG_FORMAT = "reefsim-mission-log-v1"
+LOG_FORMAT = "reefsim-mission-log-v2"
 
-TRANSIT = "TRANSIT"
-DRIFT = "DRIFT"
+
+def _drift_window_rules(s) -> tuple:
+    """A plan's and a log header's rules on the drift windows.  The rate is
+    bounded before the product: an int too large for a float overflows it."""
+    return (("drift_duration_s", lambda: s.drift_duration_s >= 0, "must be non-negative"),
+            ("audio_fs_hz", lambda: MIN_AUDIO_FS <= s.audio_fs_hz <= sys.float_info.max, f"must be at least {MIN_AUDIO_FS} and fit a float"),
+            ("drift_duration_s", lambda: s.drift_duration_s * s.audio_fs_hz <= sys.float_info.max, "times audio_fs_hz must be a finite sample count"))
 
 
 @dataclass(frozen=True)
@@ -96,9 +105,8 @@ class MissionPlan:
                       ("leg_spacing_m", lambda: self.leg_spacing_m > 0, "must be positive"),
                       ("leg_spacing_m", lambda: self.leg_spacing_m <= max(b[2] - b[0], b[3] - b[1]), "is larger than both bound extents"),
                       ("waypoint_spacing_m", lambda: self.waypoint_spacing_m is None or self.waypoint_spacing_m > 0, "must be positive"),
-                      ("drift_duration_s", lambda: self.drift_duration_s >= 0, "must be non-negative"),
                       ("imaging_period_s", lambda: self.imaging_period_s > 0, "must be positive"),
-                      ("audio_fs_hz", lambda: self.audio_fs_hz >= MIN_AUDIO_FS, f"must be at least {MIN_AUDIO_FS}"))
+                      *_drift_window_rules(self))
 
     @functools.cached_property
     def waypoints(self) -> tuple[tuple[float, float], ...]:
@@ -140,8 +148,6 @@ plan_lawnmower = MissionPlan
 @dataclass
 class AudioRef:
     filename: str
-    fs: int
-    duration: float
     saturated: bool
     truth_snap_times: tuple[float, ...]
 
@@ -149,13 +155,12 @@ class AudioRef:
 @dataclass
 class LogRecord:
     t: float
-    mode: str  # TRANSIT | DRIFT
     true_pose: tuple[float, float, float, float]  # x, y, z, psi
     est_mean: tuple[float, float, float, float]
     est_cov_diag: tuple[float, float, float, float]
     cell_id: int
-    words: tuple[int, ...] | None = None  # visual-word histogram, TRANSIT only
-    audio: AudioRef | None = None
+    words: tuple[int, ...] | None = None  # visual-word histogram: an imaging record
+    audio: AudioRef | None = None  # a drift record's window
 
 
 @dataclass
@@ -170,21 +175,23 @@ class MissionLog:
     drift_duration_s: float
     audio_dir: Path  # the directory holding the drift windows' WAV files
     records: list[LogRecord] = field(default_factory=list)
-    aborted: bool = False
     abort_reason: str | None = None
 
     def __post_init__(self) -> None:
         check_section(self, ("grid_nx", lambda: self.grid_nx >= 1, "must be at least 1"),
                       ("grid_ny", lambda: self.grid_ny >= 1, "must be at least 1"),
                       ("cell_size_m", lambda: self.cell_size_m > 0, "must be positive"),
-                      ("audio_fs_hz", lambda: self.audio_fs_hz >= MIN_AUDIO_FS, f"must be at least {MIN_AUDIO_FS}"),
-                      ("drift_duration_s", lambda: self.drift_duration_s >= 0, "must be non-negative"))
+                      *_drift_window_rules(self))
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
 
     def imaging_records(self) -> list[LogRecord]:
-        return [r for r in self.records if r.mode == TRANSIT and r.words is not None]
+        return [r for r in self.records if r.words is not None]
 
     def drift_records(self) -> list[LogRecord]:
-        return [r for r in self.records if r.mode == DRIFT]
+        return [r for r in self.records if r.words is None]
 
     @property
     def drift_samples(self) -> int:
@@ -193,18 +200,15 @@ class MissionLog:
 
     def audio_window(self, record: LogRecord) -> AudioWindow:
         """Read a drift record's window from its WAV, checked against the
-        record: sample rate, length, duration and finite samples in
-        [-1, 1].  A failed check raises a one-line :class:`DataError` that
-        names the file."""
+        header: sample rate, length and finite samples in [-1, 1].  A failed
+        check raises a one-line :class:`DataError` that names the file."""
         ref = record.audio
-        if ref is None:
-            raise DataError(f"record at t={record.t} carries no audio")
         path = self.audio_dir / ref.filename
         samples, fs = read_wav(path)
         with data_errors(f"WAV {path}"):
-            if not (fs == ref.fs == self.audio_fs_hz and len(samples) == self.drift_samples and ref.duration == len(samples) / fs):
-                raise ValueError(f"holds {len(samples)} samples at {fs} Hz, not the record's {ref.duration} s at {ref.fs} Hz"
-                                 f" in a {self.drift_duration_s} s drift at {self.audio_fs_hz} Hz")
+            if fs != self.audio_fs_hz or len(samples) != self.drift_samples:
+                raise ValueError(f"holds {len(samples)} samples at {fs} Hz, not the {self.drift_samples} samples at"
+                                 f" {self.audio_fs_hz} Hz of a {self.drift_duration_s} s drift")
             window = AudioWindow(samples=samples, fs=fs, truth_snap_times=np.asarray(ref.truth_snap_times, dtype=np.float64), saturated=ref.saturated)
             window.validate()
         return window
@@ -214,10 +218,8 @@ class MissionLog:
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("record timestamps must be strictly increasing")
         for r in self.records:
-            if r.audio is not None and r.mode != DRIFT:
-                raise ValueError("audio present outside a DRIFT record")
-            if r.words is not None and r.mode != TRANSIT:
-                raise ValueError("word histogram present outside a TRANSIT record")
+            if (r.words is None) == (r.audio is None):
+                raise ValueError(f"record at t={r.t} must hold exactly one of words and audio")
 
 
 def execute(
@@ -241,7 +243,7 @@ def execute(
     The vehicle loop runs in a worker process; this process renders each
     drift window as the worker reaches its station and writes it at once to
     ``audio_dir/drift_NNNN.wav`` (the directory is created if needed), then
-    gives each DRIFT record the worker returns its window's
+    gives each drift record the worker returns its window's
     :class:`AudioRef`.  A mission that fails part-way leaves behind the WAVs
     it already wrote.
     """
@@ -258,7 +260,7 @@ def execute(
             window = synthesize_audio(world, x, y, plan.drift_duration_s, plan.audio_fs_hz, thrusters_on=False, rng=rng)
             filename = f"drift_{drift_index:04d}.wav"
             write_wav(audio_dir / filename, window)
-            refs.append(AudioRef(filename, window.fs, window.duration, window.saturated, tuple(window.truth_snap_times.tolist())))
+            refs.append(AudioRef(filename, window.saturated, tuple(window.truth_snap_times.tolist())))
         log = worker.result()
 
     for record, ref in zip(log.drift_records(), refs, strict=True):
@@ -280,8 +282,8 @@ def _run_vehicle(
     """The fixed-step vehicle loop of :func:`execute`, run in its worker.
 
     At each drift station it sends ``(drift_index, x, y)``, where the drift
-    index is the waypoint's, and logs the DRIFT record without audio.
-    Returns the log with no audio attached.
+    index is the waypoint's, and logs the drift record (no words) without
+    audio.  Returns the log with no audio attached.
     """
     dt = mission_config.dt_s
     rng = substream(seed, "mission")
@@ -317,10 +319,9 @@ def _run_vehicle(
             return s
         return VehicleState(x=x, y=y, z=s.z, psi=s.psi, u=s.u, v=s.v, w=s.w, yaw_rate=s.yaw_rate)
 
-    def snapshot(t: float, mode: str, words=None) -> LogRecord:
+    def snapshot(t: float, words=None) -> LogRecord:
         return LogRecord(
             t=t,
-            mode=mode,
             true_pose=(state.x, state.y, state.z, state.psi),
             est_mean=tuple(float(m) for m in est.mean),
             est_cov_diag=tuple(float(c) for c in np.diag(est.cov)),
@@ -350,7 +351,6 @@ def _run_vehicle(
         while True:
             t = step * dt
             if t > deadline:
-                log.aborted = True
                 log.abort_reason = f"waypoint {wp_index} unreachable within {timeout} s"
                 return log
             guidance, arrived = waypoint_command(est.mean, waypoint, vehicle_config)
@@ -358,7 +358,7 @@ def _run_vehicle(
                 break
             if t + 1e-9 >= next_imaging_time:
                 words = sample_image_words(world, state.x, state.y, mission_config.words_per_image, rng)
-                log.records.append(snapshot(t, TRANSIT, words=tuple(words.tolist())))
+                log.records.append(snapshot(t, words=tuple(words.tolist())))
                 next_imaging_time += plan.imaging_period_s
             sensors_alt = simulate_sensors(state, world, noise_config, t, rng)
             heave, _fallback = altitude_hold_command(
@@ -375,7 +375,7 @@ def _run_vehicle(
         if not drift_steps:
             continue
         send((wp_index, state.x, state.y))
-        log.records.append(snapshot(t, DRIFT))
+        log.records.append(snapshot(t))
 
         # DRIFT: thrusters off, carried only by ambient current.
         cos_psi, sin_psi = np.cos(state.psi), np.sin(state.psi)
@@ -404,8 +404,7 @@ def save_log(log: MissionLog, path: str | Path) -> None:
     path = Path(path)
     header, end = fields_around(log, "records")
     header["audio_dir"] = os.path.relpath(log.audio_dir, path.parent)
-    # A record line holds its record's fields but for a TRANSIT record's
-    # audio and a DRIFT record's words, which are None.
+    # A record line leaves out whichever of words and audio is None.
     records = ({"type": "record", **{k: v for k, v in vars(record).items() if v is not None}} for record in log.records)
     write_json_lines(path, itertools.chain([{"type": "header", "format": LOG_FORMAT, **header}], records, [{"type": "end", **end}]))
 
@@ -415,8 +414,6 @@ def _load_record(payload: dict, log: MissionLog) -> LogRecord:
     A field that fails its check raises ``ValueError`` or
     :class:`ConfigError`."""
     record = build(LogRecord, payload)
-    if record.mode not in (TRANSIT, DRIFT):
-        raise ValueError("mode must be TRANSIT or DRIFT")
     if not 0 <= record.cell_id < log.grid_nx * log.grid_ny:
         raise ValueError(f"cell_id {record.cell_id} is outside the {log.grid_nx}x{log.grid_ny} grid")
     if record.words and min(record.words) < 0:
@@ -440,8 +437,9 @@ def load_log(path: str | Path) -> MissionLog:
 
     with data_errors(f"mission log {path} line 1"):
         header = json_object(lines[0])
-        if header.pop("type", None) != "header" or header.pop("format", None) != LOG_FORMAT:
-            raise ValueError("unsupported mission log format")
+        log_format = header.pop("format", None)
+        if header.pop("type", None) != "header" or log_format != LOG_FORMAT:
+            raise ValueError(f"not a {LOG_FORMAT} header: format {log_format!r}")
         log = build(MissionLog, {**header, "audio_dir": path.parent / header["audio_dir"]})
 
     saw_end = False

@@ -27,7 +27,7 @@ from .errors import ConfigError, check_section, fields_around, write_csv, write_
 from .rng import substream
 from .vehicle import Command, VehicleConfig, VehicleState, step_dynamics, wrap_angle
 
-TRACK_LOG_FORMAT = "reefsim-track-log-v1"
+TRACK_LOG_FORMAT = "reefsim-track-log-v2"
 
 MIDWATER_CRUISER = "midwater-cruiser"
 BENTHIC_GLIDER = "benthic-glider"
@@ -306,14 +306,17 @@ class TrackFrame:
 @dataclass
 class TrackLog:
     """An episode's frames.  On disk the fields declared before ``frames``
-    form the header line and those after it the end line."""
+    form the header line; the end line only marks a file not cut short."""
 
     frame_rate_hz: float
     frames: list[TrackFrame] = field(default_factory=list)
-    loss_events: list[float] = field(default_factory=list)  # times LOST was raised
-    ended_lost: bool = False
+
+    @property
+    def ended_lost(self) -> bool:
+        return bool(self.frames) and self.frames[-1].lost
 
     def summary(self, camera: Camera) -> dict:
+        """Frame counts, centering and losses: a loss is a lost frame whose predecessor, if any, is not."""
         inside = 0
         observed = 0
         errors = []
@@ -331,13 +334,14 @@ class TrackLog:
                 inside += 1
         errors = np.asarray(errors) if errors else np.zeros(1)
         n = len(self.frames)
+        lost = [frame.lost for frame in self.frames]
         return {
             "n_frames": n,
             "observed_fraction": observed / n if n else 0.0,
             "central_fraction": inside / n if n else 0.0,
             "centering_p50_px": float(np.percentile(errors, 50)),
             "centering_p90_px": float(np.percentile(errors, 90)),
-            "loss_count": len(self.loss_events),
+            "loss_count": sum(now and not before for before, now in zip([False, *lost], lost)),
             "ended_lost": self.ended_lost,
             "duration_s": n / self.frame_rate_hz if n else 0.0,
         }
@@ -360,8 +364,8 @@ def run_tracking_episode(
     viewing the body broadside).  Perception and control run at the tracker
     frame rate; dynamics integrate at their own step with zero-order-hold
     commands.  After ``hold_s`` without a box the command zeroes; after
-    ``lost_after_s`` without the target in view, a LOST event is logged (it
-    clears if the target comes back into view).  A body the camera has
+    ``lost_after_s`` without the target in view, frames are marked lost
+    until the target comes back into view.  A body the camera has
     closed inside of is out of view for that frame.
     """
     if duration_s <= 0:
@@ -425,11 +429,9 @@ def run_tracking_episode(
 
             if true_box is not None:
                 last_seen_time = t
-                if lost:
-                    lost = False
-            elif t - last_seen_time > tracking_config.lost_after_s and not lost:
+                lost = False
+            elif t - last_seen_time > tracking_config.lost_after_s:
                 lost = True
-                log.loss_events.append(t)
 
             log.frames.append(
                 TrackFrame(
@@ -447,7 +449,6 @@ def run_tracking_episode(
         target = step_target(target, target_cfg, world, dt, rng)
         vehicle = step_dynamics(vehicle, command, dt, vehicle_config)
 
-    log.ended_lost = lost
     return log
 
 

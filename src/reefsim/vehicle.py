@@ -66,11 +66,10 @@ class NoiseConfig:
     depth_sigma: float = 0.02  # m
     usbl_sigma: float = 0.5  # m per axis
     usbl_period_s: float = 1.0  # 0 disables USBL
-    usbl_enabled: bool = True
 
     def __post_init__(self) -> None:
-        sigmas = [f.name for f in fields(self) if f.name.endswith("_sigma")]
-        check_section(self, *((name, lambda name=name: getattr(self, name) >= 0, "must be non-negative") for name in sigmas))
+        names = [f.name for f in fields(self) if f.name.endswith("_sigma")] + ["usbl_period_s"]
+        check_section(self, *((name, lambda name=name: getattr(self, name) >= 0, "must be non-negative") for name in names))
 
 
 @dataclass
@@ -183,7 +182,7 @@ def simulate_sensors(
     depth = state.z + rng.normal(0.0, noise.depth_sigma)
 
     usbl = None
-    if noise.usbl_enabled and noise.usbl_period_s > 0:
+    if noise.usbl_period_s > 0:
         cycles = t / noise.usbl_period_s
         if abs(cycles - round(cycles)) < 1e-6 and round(cycles) > 0:
             usbl = np.array([state.x, state.y]) + rng.normal(0.0, noise.usbl_sigma, 2)

@@ -21,6 +21,7 @@ import time
 
 import numpy as np
 import pytest
+from filter_run import filter_run
 from scipy.stats import chi2
 
 from reefsim.acoustics import AcousticsConfig, band_energy, detect_snaps_in_window, hann_window, stft
@@ -30,7 +31,7 @@ from reefsim.mission import MissionConfig, execute, plan_lawnmower
 from reefsim.rng import substream
 from reefsim.topics import TopicModel, TopicsConfig, match_accuracy
 from reefsim.tracking import Camera, DistractorConfig, TargetConfig, TrackingConfig, run_tracking_episode
-from reefsim.vehicle import EkfEstimate, NoiseConfig, VehicleConfig, ekf_predict, ekf_update, wrap_angle
+from reefsim.vehicle import NoiseConfig, VehicleConfig, wrap_angle
 from reefsim.world import WorldConfig, generate_world, make_snap_burst, synthesize_audio
 
 FULL = os.environ.get("REEFSIM_FULL_ACCEPTANCE", "") == "1"
@@ -234,43 +235,11 @@ class TestCriterion3TopicRecovery:
 # --- criterion 4: EKF ---------------------------------------------------------
 
 
-def filter_run(seed: int, n_steps: int, noise: NoiseConfig, exact_start: bool = False, dt: float = 0.05):
-    rng = substream(seed, "acc-ekf")
-    p0 = np.diag([0.25, 0.25, 0.04, 0.01])
-    truth = np.array([5.0, 5.0, 7.0, 0.3])
-    if exact_start:
-        est = EkfEstimate(truth.copy(), np.eye(4) * 1e-6)
-    else:
-        est = EkfEstimate(truth + rng.multivariate_normal(np.zeros(4), p0), p0.copy())
-    u, v, w_up, r = 0.4, 0.0, 0.0, 0.05
-    for k in range(n_steps):
-        t = (k + 1) * dt
-        cos_psi, sin_psi = np.cos(truth[3]), np.sin(truth[3])
-        truth = np.array(
-            [
-                truth[0] + dt * (u * cos_psi - v * sin_psi),
-                truth[1] + dt * (u * sin_psi + v * cos_psi),
-                truth[2] - dt * w_up,
-                wrap_angle(truth[3] + dt * r),
-            ]
-        )
-        velocity = np.array([u, v, w_up]) + rng.normal(0, noise.dvl_velocity_sigma, 3)
-        yaw_rate = r + rng.normal(0, noise.yaw_rate_sigma)
-        est = ekf_predict(est, velocity, yaw_rate, dt, noise)
-        est = ekf_update(est, "depth", truth[2] + rng.normal(0, noise.depth_sigma), noise.depth_sigma**2)
-        est = ekf_update(est, "heading", wrap_angle(truth[3] + rng.normal(0, noise.heading_sigma)), noise.heading_sigma**2)
-        if noise.usbl_enabled:
-            cycles = t / noise.usbl_period_s
-            if abs(cycles - round(cycles)) < 1e-6 and round(cycles) > 0:
-                est = ekf_update(est, "usbl", truth[:2] + rng.normal(0, noise.usbl_sigma, 2), noise.usbl_sigma**2)
-        yield truth.copy(), est
-
-
 class TestCriterion4Ekf:
     def test_steady_state_rms_with_usbl(self) -> None:
         noise = NoiseConfig(usbl_sigma=0.5, usbl_period_s=1.0)
         errors = np.asarray(
-            [np.hypot(t[0] - e.mean[0], t[1] - e.mean[1]) for t, e in filter_run(0, 12_000, noise)]
+            [np.hypot(t[0] - e.mean[0], t[1] - e.mean[1]) for t, e in filter_run("acc-ekf", 0, 12_000, noise)]
         )
         rms = float(np.sqrt(np.mean(errors[1200:] ** 2)))  # steady state after 60 s of a 10-min run
         passed = rms <= 1.0
@@ -278,11 +247,11 @@ class TestCriterion4Ekf:
         assert rms <= 1.0
 
     def test_dead_reckoning_drift_grows(self) -> None:
-        noise = NoiseConfig(usbl_enabled=False)
+        noise = NoiseConfig(usbl_period_s=0.0)
         rms_60, rms_600 = [], []
         for seed in range(5):
             errors = np.asarray(
-                [np.hypot(t[0] - e.mean[0], t[1] - e.mean[1]) for t, e in filter_run(seed, 12_000, noise, exact_start=True)]
+                [np.hypot(t[0] - e.mean[0], t[1] - e.mean[1]) for t, e in filter_run("acc-ekf", seed, 12_000, noise, exact_start=True)]
             )
             rms_60.append(np.sqrt(np.mean(errors[1000:1400] ** 2)))
             rms_600.append(np.sqrt(np.mean(errors[-400:] ** 2)))
@@ -298,7 +267,7 @@ class TestCriterion4Ekf:
         n_runs, n_steps = 100, 600
         nees = np.zeros((n_runs, n_steps))
         for run in range(n_runs):
-            for k, (truth, est) in enumerate(filter_run(run, n_steps, NoiseConfig())):
+            for k, (truth, est) in enumerate(filter_run("acc-ekf", run, n_steps, NoiseConfig())):
                 err = truth - est.mean
                 err[3] = wrap_angle(err[3])
                 nees[run, k] = err @ np.linalg.solve(est.cov, err)

@@ -307,12 +307,12 @@ class TestAnalyzeLogWorker:
 
     @pytest.mark.parametrize(
         "keep, message",
-        [("", "no drift windows"), ("DRIFT", "no imaging records"), ("TRANSIT", "no drift windows")],
+        [(lambda r: False, "no drift windows"), (lambda r: r.words is None, "no imaging records"), (lambda r: r.words is not None, "no drift windows")],
         ids=["empty", "drift-only", "imaging-only"],
     )
     def test_empty_log_fails_before_the_worker_starts(self, survey_log, monkeypatch, keep, message) -> None:
         monkeypatch.setattr(analysis, "Worker", _no_worker)
-        log = dataclasses.replace(survey_log, records=[r for r in survey_log.records if r.mode == keep])
+        log = dataclasses.replace(survey_log, records=[r for r in survey_log.records if keep(r)])
         with pytest.raises(DataError, match=message):
             analyze_log(log)
 

@@ -101,7 +101,6 @@ class TestConfigLoading:
             config_from_dict({"topics": {"alpha": -1.0}})
 
     def test_zero_usbl_sigma_allowed_without_usbl_fixes(self) -> None:
-        assert config_from_dict({"noise": {"usbl_sigma": 0.0, "usbl_enabled": False}}).noise.usbl_sigma == 0.0
         assert config_from_dict({"noise": {"usbl_sigma": 0.0, "usbl_period_s": 0.0}}).noise.usbl_sigma == 0.0
 
 
@@ -334,10 +333,10 @@ class TestSurveyAnalyzeTrack:
             (4, lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "est_mean"}), None),
             (4, lambda line: json.dumps(json.loads(line)["true_pose"]), None),
             (4, lambda line: json.dumps({**json.loads(line), "est_mean": None}), None),
-            (4, lambda line: json.dumps({**json.loads(line), "mode": "HOVER"}), None),
+            (4, lambda line: json.dumps({**json.loads(line), "mode": "TRANSIT"}), "unknown keys ['mode']"),
             (1, lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "grid_nx"}), None),
             (1, lambda line: json.dumps({**json.loads(line), "audio_dir": 7}), None),
-            # Line 2 is the first DRIFT record, line 4 an imaging record and line -1 the end marker.
+            # Line 2 is the first drift record, line 4 an imaging record and line -1 the end marker.
             (2, lambda line: _edit_json(line, "audio", lambda audio: {**audio, "saturated": "no"}), "audio.saturated"),
             (4, lambda line: _edit_json(line, "cell_id", lambda _: 1.7), "cell_id"),
             (4, lambda line: _edit_json(line, "cell_id", lambda _: "1"), "cell_id"),
@@ -345,9 +344,10 @@ class TestSurveyAnalyzeTrack:
             (4, lambda line: _edit_json(line, "t", lambda _: math.nan), "t"),
             (4, lambda line: _edit_json(line, "est_mean", lambda mean: [math.nan, *mean[1:]]), "est_mean[0]"),
             (4, lambda line: _edit_json(line, "true_pose", lambda pose: pose[:3]), "true_pose"),
-            (-1, lambda line: _edit_json(line, "aborted", lambda _: "false"), "aborted"),
+            (-1, lambda line: _edit_json(line, "abort_reason", lambda _: 5), "abort_reason"),
             (1, lambda line: _edit_json(line, "grid_nx", lambda _: 16.9), "grid_nx"),
-            (2, lambda line: _edit_json(line, "audio", lambda audio: {**audio, "fs": 48000.5}), "audio.fs"),
+            (1, lambda line: _edit_json(line, "audio_fs_hz", lambda _: 48000.5), "audio_fs_hz"),
+            (1, lambda line: _edit_json(line, "audio_fs_hz", lambda _: 10**400), "audio_fs_hz"),
             (2, lambda line: _edit_json(line, "audio", lambda audio: {**audio, "truth_snap_times": [str(audio["truth_snap_times"][0]), *audio["truth_snap_times"][1:]]}), "audio.truth_snap_times[0]"),
             (1, lambda line: json.dumps({**json.loads(line), "grid_nx": -4, "grid_ny": -64}), "grid_nx"),
             (1, lambda line: _edit_json(line, "cell_size_m", lambda _: -1.0), "cell_size_m"),
@@ -371,9 +371,10 @@ class TestSurveyAnalyzeTrack:
             "t-nan",
             "est-mean-nan",
             "true-pose-three-values",
-            "aborted-not-bool",
+            "reason-not-str",
             "grid-nx-fractional",
             "fs-fractional",
+            "fs-overflow",
             "truth-time-string",
             "negative-grid",
             "negative-cell-size",
@@ -406,11 +407,10 @@ class TestSurveyAnalyzeTrack:
         "key, edit",
         [
             ("words", lambda record: {**record, "t": 0.0}),
-            ("audio", lambda record: {**record, "mode": "TRANSIT"}),
-            ("words", lambda record: {**record, "mode": "DRIFT"}),
-            ("audio", lambda record: {**record, "audio": {**record["audio"], "duration": 5.0}}),
+            ("audio", lambda record: {**record, "words": [1, 0, 2]}),
+            ("words", lambda record: {k: v for k, v in record.items() if k != "words"}),
         ],
-        ids=["timestamps-not-increasing", "audio-outside-drift", "words-outside-transit", "audio-duration-mismatch"],
+        ids=["timestamps-not-increasing", "both-kinds", "neither-kind"],
     )
     def test_analyze_inconsistent_log_is_data_error(self, workspace, tmp_path, key, edit) -> None:
         _, config, _, survey_out = workspace
@@ -427,6 +427,29 @@ class TestSurveyAnalyzeTrack:
             ["analyze", "--log", str(log_path), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "r")],
         )
         assert result.exit_code == 3, result.output
+        assert result.output.count("\n") == 1
+
+    def test_analyze_v1_log_is_data_error(self, workspace, tmp_path) -> None:
+        """A log in the v1 format, which named each record's mode and
+        repeated the header's rate and length in each audio reference, is
+        refused with one line that names its format."""
+        _, config, _, survey_out = workspace
+        v1 = tmp_path / "v1"
+        shutil.copytree(survey_out, v1)
+        log_path = v1 / "mission_log.jsonl"
+        header, *records, end = [json.loads(line) for line in log_path.read_text().splitlines()]
+        for record in records:
+            record["mode"] = "TRANSIT" if "words" in record else "DRIFT"
+            if "audio" in record:
+                record["audio"].update(fs=header["audio_fs_hz"], duration=header["drift_duration_s"])
+        lines = [{**header, "format": "reefsim-mission-log-v1"}, *records, {**end, "aborted": False}]
+        log_path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        result = CliRunner().invoke(
+            main,
+            ["analyze", "--log", str(log_path), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "r")],
+        )
+        assert result.exit_code == 3, result.output
+        assert result.output == f"error: mission log {log_path} line 1: not a reefsim-mission-log-v2 header: format 'reefsim-mission-log-v1'\n"
 
     @pytest.mark.parametrize(
         "section, key, bad",
@@ -529,6 +552,9 @@ class TestSurveyAnalyzeTrack:
             ("survey", "vehicle", "v_max_mps", -1e308),
             ("survey", "vehicle", "heave_max_mps", -1e308),
             ("track", "vehicle", "heave_max_mps", -1e308),
+            ("survey", "noise", "usbl_period_s", -1.0),
+            pytest.param("survey", "plan", "audio_fs_hz", 10**400, id="survey-plan-audio_fs_hz-10**400"),
+            ("survey", "plan", "drift_duration_s", 1e308),
         ],
     )
     def test_bad_config_value_names_its_key(self, workspace, tmp_path, command, section, key, bad) -> None:
@@ -546,6 +572,13 @@ class TestSurveyAnalyzeTrack:
         assert result.exit_code == 2, result.output
         assert result.output.startswith(f"error: {section}.{key}")
         assert result.output.count("\n") == 1
+
+    def test_removed_usbl_enabled_key_is_config_error(self, workspace, tmp_path) -> None:
+        """USBL is off only at ``noise.usbl_period_s: 0``; the old switch is an unknown key."""
+        config = write_config(tmp_path, {**SMALL_CONFIG, "noise": {"usbl_enabled": False}})
+        result = CliRunner().invoke(main, ["world-gen", "--config", str(config), "--seed", "0", "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: noise: unknown keys ['usbl_enabled']\n"
 
     def test_resolved_config_round_trips(self, workspace) -> None:
         _, config, _, survey_out = workspace
@@ -602,9 +635,10 @@ class TestSurveyAnalyzeTrack:
         [
             lambda path: wavfile.write(path, 48_000, np.where(np.arange(48_000) == 100, np.nan, 0.0).astype(np.float32)),
             lambda path: wavfile.write(path, 96_000, wavfile.read(path)[1]),
+            lambda path: wavfile.write(path, 48_000, wavfile.read(path)[1][:-1]),
             lambda path: path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2]),
         ],
-        ids=["nan-sample", "wrong-sample-rate", "truncated"],
+        ids=["nan-sample", "wrong-sample-rate", "wrong-length", "truncated"],
     )
     def test_analyze_bad_wav_is_data_error(self, workspace, tmp_path, edit) -> None:
         _, config, _, survey_out = workspace
@@ -831,6 +865,11 @@ def test_written_keys_are_the_dataclass_fields(runner, workspace, tmp_path) -> N
         # A mission record line leaves out a field that is None.
         assert all(line.keys() <= field_names(item_class) | {"type"} for line in lines)
         assert set().union(*lines) == field_names(item_class) | {"type"}
+        if log_class is MissionLog:
+            # A record's kind follows from its content: words or audio, never both.
+            assert all(("words" in line) != ("audio" in line) for line in lines)
+        else:
+            assert end == {"type": "end"}
 
 
 def test_import_loads_no_scipy() -> None:

@@ -16,8 +16,6 @@ from json_leaves import OTHER_JSON_VALUES, leaf, leaf_paths, other_type, replace
 from reefsim import mission
 from reefsim.errors import ConfigError, DataError
 from reefsim.mission import (
-    DRIFT,
-    TRANSIT,
     AudioRef,
     LogRecord,
     MissionConfig,
@@ -75,7 +73,7 @@ class TestExecute:
 
     def test_drift_segments_have_requested_duration(self, small_log) -> None:
         for record in small_log.drift_records():
-            assert record.audio.duration == pytest.approx(2.0)
+            assert small_log.audio_window(record).duration == pytest.approx(2.0)
 
     def test_zero_drift_duration_gives_pure_visual_survey(self, world, make_audio_dir) -> None:
         plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=0.0)
@@ -119,11 +117,11 @@ class TestExecute:
     # (it still runs one step) and a waypoint timeout that aborts the mission.
     LOOP_BRANCH_DIGESTS = {
         "ambient-current": ({"drift_duration_s": 1.0}, {"current_mps": (0.03, -0.02)},
-                            "e7ac9d5e39af2c0fd77459d2b62886b3a36827cc5fad2313f776980a6891d0a3"),
+                            "c95db40b70c94e9644f423f97317472482bb16b77ba8616f7d326ab4f8cc934c"),
         "drift-rounds-to-zero-steps": ({"drift_duration_s": 0.01}, {},
-                                       "e6f2968aebf09f7c8eace52e75b11f2da1dca631a39cd9d8cb7caf008b19fe6a"),
+                                       "bdadd48a6796c83a834b7e336d56677f6e9f2919de32c647275cc2f14523fb1d"),
         "waypoint-timeout": ({"drift_duration_s": 1.0}, {"waypoint_timeout_s": 6.0},
-                             "326e2711e2d3ad540007b7c7618a7e149ec7058abd9a09842c330c55f58d59b1"),
+                             "37c6732741f104a76518b62dc629180a7cd25132510db80c17d1223cfadf61a1"),
     }
 
     @pytest.mark.parametrize("case", sorted(LOOP_BRANCH_DIGESTS))
@@ -205,10 +203,8 @@ class TestLogInvariants:
 
     def test_audio_only_in_drift_records(self, small_log) -> None:
         for record in small_log.records:
-            if record.audio is not None:
-                assert record.mode == DRIFT
-            if record.words is not None:
-                assert record.mode == TRANSIT
+            assert (record.audio is None) != (record.words is None)
+        assert small_log.drift_records() == [r for r in small_log.records if r.audio is not None]
 
     def test_no_saturated_audio_marked_drift(self, small_log) -> None:
         for record in small_log.drift_records():
@@ -233,9 +229,10 @@ class TestLogInvariants:
         drift = small_log.drift_records()[0]
         import dataclasses
 
-        broken.records = [dataclasses.replace(drift, mode=TRANSIT, words=None)]
-        with pytest.raises(ValueError):
-            broken.validate()
+        for record in (dataclasses.replace(drift, words=(1, 0, 2)), dataclasses.replace(drift, audio=None)):
+            broken.records = [record]
+            with pytest.raises(ValueError, match="exactly one of words and audio"):
+                broken.validate()
 
 
 class TestLogPersistence:
@@ -278,8 +275,8 @@ def tiny_log_lines(tmp_path_factory):
     pose = (0.5, 0.5, 7.0, 0.0)
     log = MissionLog(grid_nx=2, grid_ny=2, cell_size_m=1.0, audio_fs_hz=48_000, drift_duration_s=0.01, audio_dir=directory / "audio")
     log.records = [
-        LogRecord(0.0, DRIFT, pose, pose, (0.1, 0.1, 0.1, 0.1), 0, audio=AudioRef("drift_0000.wav", 48_000, 0.01, False, (0.002, 0.005))),
-        LogRecord(0.05, TRANSIT, pose, pose, (0.1, 0.1, 0.1, 0.1), 3, words=(2, 0, 1)),
+        LogRecord(0.0, pose, pose, (0.1, 0.1, 0.1, 0.1), 0, audio=AudioRef("drift_0000.wav", False, (0.002, 0.005))),
+        LogRecord(0.05, pose, pose, (0.1, 0.1, 0.1, 0.1), 3, words=(2, 0, 1)),
     ]
     save_log(log, directory / "mission_log.jsonl")
     return directory, [json.loads(line) for line in (directory / "mission_log.jsonl").read_text().splitlines()]

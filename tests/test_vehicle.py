@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from filter_run import filter_run
 from scipy.stats import chi2
 
 from reefsim.rng import substream
@@ -280,49 +281,6 @@ class TestScalarEkfUpdate:
             ekf_update(EkfEstimate(), "usbl", [0.0], 0.01)
 
 
-def simulate_filter_run(seed: int, n_steps: int, noise: NoiseConfig, dt: float = 0.05, exact_start: bool = False):
-    """Shared truth/filter simulation for consistency and error experiments.
-
-    Truth moves at constant body velocity with a gentle turn; the filter
-    sees noisy inputs and measurements drawn from the same models.  The
-    initial estimate is drawn from the prior (as NEES consistency requires)
-    unless ``exact_start`` pins it to the truth (a known initial fix, for
-    drift-growth experiments).  Yields (truth, estimate) after every step.
-    """
-    rng = substream(seed, "mc")
-    p0 = np.diag([0.25, 0.25, 0.04, 0.01])
-    truth = np.array([5.0, 5.0, 7.0, 0.3])
-    if exact_start:
-        est = EkfEstimate(truth.copy(), np.diag([1e-6, 1e-6, 1e-6, 1e-6]))
-    else:
-        est = EkfEstimate(truth + rng.multivariate_normal(np.zeros(4), p0), p0.copy())
-    u, v, w_up, r = 0.4, 0.0, 0.0, 0.05
-    for k in range(n_steps):
-        t = (k + 1) * dt
-        cos_psi, sin_psi = np.cos(truth[3]), np.sin(truth[3])
-        truth = np.array(
-            [
-                truth[0] + dt * (u * cos_psi - v * sin_psi),
-                truth[1] + dt * (u * sin_psi + v * cos_psi),
-                truth[2] - dt * w_up,
-                wrap_angle(truth[3] + dt * r),
-            ]
-        )
-        velocity = np.array([u, v, w_up]) + rng.normal(0, noise.dvl_velocity_sigma, 3)
-        yaw_rate = r + rng.normal(0, noise.yaw_rate_sigma)
-        est = ekf_predict(est, velocity, yaw_rate, dt, noise)
-        est = ekf_update(est, "depth", truth[2] + rng.normal(0, noise.depth_sigma), noise.depth_sigma**2)
-        est = ekf_update(
-            est, "heading", wrap_angle(truth[3] + rng.normal(0, noise.heading_sigma)), noise.heading_sigma**2
-        )
-        if noise.usbl_enabled:
-            cycles = t / noise.usbl_period_s
-            if abs(cycles - round(cycles)) < 1e-6 and round(cycles) > 0:
-                fix = truth[:2] + rng.normal(0, noise.usbl_sigma, 2)
-                est = ekf_update(est, "usbl", fix, noise.usbl_sigma**2)
-        yield truth.copy(), est
-
-
 class TestFilterConsistency:
     def test_monte_carlo_nees_inside_chi2_envelope(self) -> None:
         # Oracle: Monte Carlo consistency test; the ensemble-average NEES of
@@ -330,7 +288,7 @@ class TestFilterConsistency:
         n_runs, n_steps = 100, 600
         nees = np.zeros((n_runs, n_steps))
         for run in range(n_runs):
-            for k, (truth, est) in enumerate(simulate_filter_run(run, n_steps, NoiseConfig())):
+            for k, (truth, est) in enumerate(filter_run("mc", run, n_steps, NoiseConfig())):
                 err = truth - est.mean
                 err[3] = wrap_angle(err[3])
                 nees[run, k] = err @ np.linalg.solve(est.cov, err)
@@ -343,7 +301,7 @@ class TestFilterConsistency:
     def test_steady_state_rms_bounded_by_twice_usbl_sigma(self) -> None:
         noise = NoiseConfig()
         errors = []
-        for truth, est in simulate_filter_run(7, 6000, noise):
+        for truth, est in filter_run("mc", 7, 6000, noise):
             errors.append(np.hypot(truth[0] - est.mean[0], truth[1] - est.mean[1]))
         errors = np.asarray(errors)
         steady = errors[1200:]  # after 60 s
@@ -352,13 +310,13 @@ class TestFilterConsistency:
     def test_dead_reckoning_drift_grows(self) -> None:
         # Random-walk drift: a single run can wander back toward zero, so
         # average the windowed RMS over a few runs.
-        noise = NoiseConfig(usbl_enabled=False)
+        noise = NoiseConfig(usbl_period_s=0.0)
         rms_60, rms_600 = [], []
         for seed in range(5):
             errors = np.asarray(
                 [
                     np.hypot(truth[0] - est.mean[0], truth[1] - est.mean[1])
-                    for truth, est in simulate_filter_run(seed, 12000, noise, exact_start=True)
+                    for truth, est in filter_run("mc", seed, 12000, noise, exact_start=True)
                 ]
             )
             rms_60.append(np.sqrt(np.mean(errors[1000:1400] ** 2)))  # around t = 60 s
