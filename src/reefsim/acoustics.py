@@ -13,6 +13,18 @@ scale-free prominence condition therefore applies: a peak must also exceed
 level even when most frames contain snaps).  Both conditions are invariant
 under global gain scaling of the audio.
 
+:func:`stft` transforms the frames in blocks of ``STFT_BLOCK_SAMPLES``
+worth of samples (64 frames of 512).  Each block is windowed, transformed
+and squared through two reused buffers straight into its rows of the
+spectrogram, so no frame copy or whole-window spectrum is ever built.  The
+result is byte-identical to transforming all frames at once: the window
+product, modulus and square are elementwise and the real FFT works row by
+row, so a frame's bits do not depend on the block that holds it, and a
+float32 recording widens to float64 exactly inside the multiply.  The kept
+peaks are timed together by array operations that repeat the scalar rule's
+arithmetic elementwise; only the centroid fallback, whose dot product has
+no elementwise twin, still runs peak by peak.
+
 :func:`snap_rate_series` returns one :class:`SnapRate` row per drift window,
 in log order; a saturated window's row names the reason it was skipped.
 Those rows are the lines of ``snap_rates.csv``.
@@ -28,6 +40,7 @@ from .errors import ConfigError, DataError, SaturatedWindowError, check_section,
 from .world import SNAP_BAND_HZ, AudioWindow
 
 BACKGROUND_QUANTILE = 0.1
+STFT_BLOCK_SAMPLES = 32_768  # each transform block holds this many samples' worth of frames, at least one
 
 
 @dataclass(frozen=True)
@@ -86,19 +99,33 @@ def stft(samples: np.ndarray, fs: int, window: int = AcousticsConfig.window, hop
 
     Frames start every ``hop`` samples; the count is
     ``floor((n - window) / hop) + 1`` and trailing samples that do not fill
-    a frame are dropped.
+    a frame are dropped.  The frames are transformed ``STFT_BLOCK_SAMPLES /
+    window`` at a time (see the module docstring).
     """
     if window < 64 or window & (window - 1):
         raise ValueError("window must be a power of two >= 64")
     if not 0 < hop <= window:
         raise ValueError("hop must be in (0, window]")
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = np.asarray(samples)
+    if samples.dtype != np.float32:  # float32 widens exactly inside the multiply
+        samples = np.asarray(samples, dtype=np.float64)
     n = len(samples)
     if n < window:
         raise ValueError(f"need at least {window} samples, got {n}")
 
-    frames = np.lib.stride_tricks.sliding_window_view(samples, window)[::hop] * hann_window(window)
-    power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
+    frames = np.lib.stride_tricks.sliding_window_view(samples, window)[::hop]
+    taper = hann_window(window)
+    block = max(STFT_BLOCK_SAMPLES // window, 1)
+    windowed = np.empty((block, window))
+    spectrum = np.empty((block, window // 2 + 1), dtype=np.complex128)
+    power = np.empty((len(frames), window // 2 + 1))
+    for start in range(0, len(frames), block):
+        rows = power[start : start + block]
+        m = len(rows)
+        np.multiply(frames[start : start + m], taper, out=windowed[:m])
+        np.fft.rfft(windowed[:m], axis=1, out=spectrum[:m])
+        np.abs(spectrum[:m], out=rows)
+        np.square(rows, out=rows)
     return Spectrogram(power=power, fs=fs, window=window, hop=hop)
 
 
@@ -130,7 +157,7 @@ class SnapDetection:
 
 
 def _refine_peak_time(energy: np.ndarray, peak: int, baseline: float, spec: Spectrogram, times: np.ndarray) -> float:
-    """Sub-frame timing of an impulsive peak.
+    """Sub-frame timing of one impulsive peak.
 
     With 50 % overlap a short burst excites exactly two adjacent frames with
     Hann-squared weights, so the energy ratio of the peak and its larger
@@ -138,6 +165,7 @@ def _refine_peak_time(energy: np.ndarray, peak: int, baseline: float, spec: Spec
     energy centroid for other hop sizes or degenerate neighborhoods, and to
     the frame center for a peak that does not rise above ``baseline``.
     ``peak`` is an interior frame.  ``times`` is ``spec.frame_times``.
+    :func:`_refine_peak_times` is the same rule for all peaks at once.
     """
     e_prev = energy[peak - 1] - baseline
     e_next = energy[peak + 1] - baseline
@@ -159,6 +187,37 @@ def _refine_peak_time(energy: np.ndarray, peak: int, baseline: float, spec: Spec
 
     weights = np.maximum([e_prev, e_peak, e_next], 0.0)  # e_peak > 0, so the weights sum above 0
     return float(np.dot(weights, times[peak - 1 : peak + 2]) / weights.sum())
+
+
+def _refine_peak_times(energy: np.ndarray, peaks: np.ndarray, baseline: float, spec: Spectrogram) -> np.ndarray:
+    """:func:`_refine_peak_time` of every interior frame in ``peaks``, with
+    the same floating-point operations applied elementwise, so each time is
+    bitwise the scalar one.  The centroid fallback's ``np.dot`` has no
+    elementwise twin, so its rare rows still go through the scalar rule."""
+    frame_times = spec.frame_times
+    times = frame_times[peaks]
+    e_prev = energy[peaks - 1] - baseline
+    e_peak = energy[peaks] - baseline
+    e_next = energy[peaks + 1] - baseline
+    # Each comparison is written as the scalar rule writes it, so a NaN takes the same branch.
+    rising = ~(e_peak <= 0)
+    closed = np.zeros_like(rising)
+    if spec.hop * 2 == spec.window:
+        # The pair's left frame is the previous one when that is the larger neighbor, else the peak.
+        prev_side = e_prev >= e_next
+        e_left = np.where(prev_side, e_prev, e_peak)
+        e_right = np.where(prev_side, e_peak, e_next)
+        larger = np.where(e_next > e_prev, e_next, e_prev)  # Python's max(e_prev, e_next)
+        closed = rising & (larger > 0) & (e_left > 0) & (e_right > 0)
+        left = (peaks - prev_side)[closed]
+        sqrt_rho = np.sqrt(e_right[closed] / e_left[closed])
+        cos_phi = np.clip((1.0 - sqrt_rho) / (1.0 + sqrt_rho), -1.0, 1.0)
+        phi = np.arccos(cos_phi)
+        offset = spec.hop + spec.window * phi / (2.0 * np.pi)
+        times[closed] = (left * spec.hop + offset) / spec.fs
+    for i in np.flatnonzero(rising & ~closed):
+        times[i] = _refine_peak_time(energy, peaks[i], baseline, spec, frame_times)
+    return times
 
 
 def detect_snaps(energy: np.ndarray, spec: Spectrogram, duration: float, config: AcousticsConfig | None = None) -> SnapDetection:
@@ -199,8 +258,7 @@ def detect_snaps(energy: np.ndarray, spec: Spectrogram, duration: float, config:
         else:
             kept.append(c)
 
-    frame_times = spec.frame_times
-    times = np.array(sorted(_refine_peak_time(energy, c, baseline, spec, frame_times) for c in kept))
+    times = np.sort(_refine_peak_times(energy, np.array(kept, dtype=np.intp), baseline, spec))
     return SnapDetection(times, len(kept), len(kept) / duration)
 
 

@@ -57,12 +57,16 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # The survey's EKF squares these sigmas: the DVL velocity and yaw-rate
-        # ones into its process noise, which may be 0, and those of the
+        # The survey's EKF squares these values: a drift's body velocities,
+        # which are the current's, into its covariance (the speed clamp keeps
+        # them as bounded as in transit); the DVL velocity and yaw-rate sigmas
+        # into its process noise, which may be 0; and the sigmas of the
         # channels it fuses into a measurement variance, which a Kalman update
         # needs > 0.
         n = self.noise
-        check_section(self, ("noise.dvl_velocity_sigma", lambda: _square(n.dvl_velocity_sigma) < math.inf, "must have a finite square"),
+        check_section(self, ("mission.current_mps", lambda: math.hypot(*self.mission.current_mps) <= self.vehicle.v_max_mps,
+                             "must be no faster than vehicle.v_max_mps"),
+                      ("noise.dvl_velocity_sigma", lambda: _square(n.dvl_velocity_sigma) < math.inf, "must have a finite square"),
                       ("noise.yaw_rate_sigma", lambda: _square(n.yaw_rate_sigma) < math.inf, "must have a finite square"),
                       ("noise.depth_sigma", lambda: 0 < _square(n.depth_sigma) < math.inf, "must have a finite positive square"),
                       ("noise.heading_sigma", lambda: 0 < _square(n.heading_sigma) < math.inf, "must have a finite positive square"),

@@ -122,7 +122,11 @@ class TrackingConfig:
 
     def __post_init__(self) -> None:
         check_section(self, ("frame_rate_hz", lambda: self.frame_rate_hz > 0, "must be positive"),
-                      ("dynamics_dt_s", lambda: 0 < self.dynamics_dt_s <= 0.5, "must be in (0, 0.5]"))
+                      ("dynamics_dt_s", lambda: 0 < self.dynamics_dt_s <= 0.5, "must be in (0, 0.5]"),
+                      ("pixel_noise_px", lambda: self.pixel_noise_px >= 0, "must be non-negative"),
+                      ("dropout_prob", lambda: 0 <= self.dropout_prob <= 1, "must be in [0, 1]"),
+                      ("hold_s", lambda: self.hold_s >= 0, "must be non-negative"),
+                      ("lost_after_s", lambda: self.lost_after_s >= 0, "must be non-negative"))
 
 
 @dataclass

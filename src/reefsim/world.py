@@ -205,8 +205,8 @@ class AudioWindow:
         return len(self.samples) / self.fs
 
     def validate(self) -> None:
-        # Written so that a NaN sample fails: it compares false with 1.0.
-        if not np.max(np.abs(self.samples), initial=0.0) <= 1.0:
+        # Written so that a NaN sample fails: it compares false with +-1.0.
+        if not (np.max(self.samples, initial=0.0) <= 1.0 and np.min(self.samples, initial=0.0) >= -1.0):
             raise ValueError("samples must be finite and lie in [-1, 1]")
         if len(self.truth_snap_times):
             if np.any(np.diff(self.truth_snap_times) < 0):

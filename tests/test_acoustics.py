@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 
 from reefsim.acoustics import (
+    STFT_BLOCK_SAMPLES,
+    Spectrogram,
+    _refine_peak_time,
+    _refine_peak_times,
     band_energy,
     detect_snaps,
     detect_snaps_in_window,
@@ -21,6 +25,11 @@ from reefsim.rng import substream
 from reefsim.world import WorldConfig, generate_world, make_snap_burst, synthesize_audio
 
 FS = 96_000
+BLOCK = STFT_BLOCK_SAMPLES // 1024  # frames per transform block at a 1024-sample window
+
+
+def samples_for(n_frames: int, window: int = 1024, hop: int = 512) -> int:
+    return window + (n_frames - 1) * hop
 
 
 def white_noise(n: int, seed: int = 0) -> np.ndarray:
@@ -75,13 +84,29 @@ class TestStft:
             stft(white_noise(1000), FS, window=1024)
 
 
-    @pytest.mark.parametrize("n, window, hop", [(10_000, 1024, 512), (96_000, 1024, 512), (5_000, 256, 100), (4_096, 1024, 1024)])
+    @pytest.mark.parametrize(
+        "n, window, hop",
+        [
+            (10_000, 1024, 512),
+            (96_000, 1024, 512),
+            (5_000, 256, 100),
+            (4_096, 1024, 1024),
+            # frame counts around the transform block: below, exactly, one over, and not a multiple
+            (samples_for(BLOCK - 1), 1024, 512),
+            (samples_for(BLOCK), 1024, 512),
+            (samples_for(BLOCK + 1), 1024, 512),
+            (samples_for(2 * BLOCK + 5) + 300, 1024, 512),
+        ],
+    )
     def test_matches_index_gather_reference(self, n, window, hop) -> None:
         samples = white_noise(n, seed=n)
         n_frames = (n - window) // hop + 1
         idx = np.arange(window)[None, :] + hop * np.arange(n_frames)[:, None]
         expected = np.abs(np.fft.rfft(samples[idx] * hann_window(window)[None, :], axis=1)) ** 2
         assert stft(samples, FS, window, hop).power.tobytes() == expected.tobytes()
+        # A float32 recording (as read from a WAV) gives the spectrogram of its float64 copy.
+        samples32 = (0.1 * samples).astype(np.float32)
+        assert stft(samples32, FS, window, hop).power.tobytes() == stft(samples32.astype(np.float64), FS, window, hop).power.tobytes()
 
 
 class TestBandEnergy:
@@ -179,6 +204,33 @@ class TestDetectSnaps:
         assert hashlib.sha256(detection.times.tobytes()).hexdigest() == (
             "eaad3f130803269c4de2637dded2b41a4a12de65bf71c94edcd3b18400eb7256"
         )
+
+
+class TestPeakTiming:
+    @pytest.mark.parametrize("hop, window", [(512, 1024), (256, 512), (400, 1024), (1024, 1024)])
+    def test_array_timing_matches_scalar_rule(self, hop, window) -> None:
+        """The array form of the sub-frame timing gives each kept peak the
+        scalar rule's time, bit for bit, on every branch of that rule."""
+        rng = np.random.default_rng(hop + window)
+        n, baseline = 2_000, 0.5
+        energy = np.round(rng.exponential(1.0, n), 1)  # rounding makes ties and values at the baseline common
+        energy[rng.choice(n, 40, replace=False)] = np.nan  # and a NaN takes the scalar rule's branch too
+        spec = Spectrogram(np.zeros((n, 1)), FS, window, hop)
+        peaks = np.arange(1, n - 1)
+        expected = np.array([_refine_peak_time(energy, p, baseline, spec, spec.frame_times) for p in peaks])
+        assert np.array_equal(_refine_peak_times(energy, peaks, baseline, spec), expected, equal_nan=True)
+
+        e_prev, e_peak, e_next = energy[:-2] - baseline, energy[1:-1] - baseline, energy[2:] - baseline
+        rising = e_peak > 0
+        assert (~rising).any()  # e_peak <= 0: the frame center
+        assert (rising & (np.maximum(e_prev, e_next) <= 0)).any()  # both neighbors <= 0: the centroid
+        assert (rising & (np.minimum(e_prev, e_next) <= 0) & (np.maximum(e_prev, e_next) > 0)).any()  # one neighbor <= 0
+        assert (rising & (e_prev == e_next) & (e_prev > 0)).any()  # a tie picks the previous frame
+
+    def test_no_peaks(self) -> None:
+        spec = Spectrogram(np.zeros((10, 1)), FS, 1024, 512)
+        times = _refine_peak_times(np.ones(10), np.empty(0, dtype=np.intp), 0.5, spec)
+        assert times.dtype == np.float64 and times.shape == (0,)
 
 
 def snr_amplitude(target_snr_db: float, background_sigma: float, fs: int, window: int = 1024) -> float:

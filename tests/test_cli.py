@@ -555,6 +555,11 @@ class TestSurveyAnalyzeTrack:
             ("survey", "noise", "usbl_period_s", -1.0),
             pytest.param("survey", "plan", "audio_fs_hz", 10**400, id="survey-plan-audio_fs_hz-10**400"),
             ("survey", "plan", "drift_duration_s", 1e308),
+            pytest.param("survey", "mission", "current_mps", [1e308, 0.0], id="survey-mission-current_mps-1e308"),
+            ("track", "tracking", "dropout_prob", 2.0),
+            ("track", "tracking", "pixel_noise_px", -5.0),
+            ("track", "tracking", "hold_s", -1.0),
+            ("track", "tracking", "lost_after_s", -1.0),
         ],
     )
     def test_bad_config_value_names_its_key(self, workspace, tmp_path, command, section, key, bad) -> None:

@@ -11,6 +11,7 @@ from json_leaves import OTHER_JSON_VALUES, leaf, leaf_paths, other_type, replace
 from reefsim.errors import ConfigError, DataError
 from reefsim.rng import substream
 from reefsim.world import (
+    AudioWindow,
     GridWorld,
     WorldConfig,
     expected_snap_rate,
@@ -194,6 +195,20 @@ class TestSynthesizeAudio:
         w2 = synthesize_audio(default_world, 8.0, 8.0, 0.5, 96_000, False, substream(11, "det"))
         assert np.array_equal(w1.samples, w2.samples)
         assert np.array_equal(w1.truth_snap_times, w2.truth_snap_times)
+
+
+class TestAudioWindowValidate:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0000001, -1.0000001], ids=["nan", "+inf", "-inf", "above-1", "below-minus-1"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sample_outside_unit_range_rejected(self, bad, dtype) -> None:
+        samples = np.zeros(1000, dtype=dtype)
+        samples[417] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            AudioWindow(samples, 48_000).validate()
+
+    @pytest.mark.parametrize("samples", [np.ones(4), -np.ones(4), np.full(4, -0.5), np.empty(0, dtype=np.float32)], ids=["all-1", "all-minus-1", "all-negative", "empty"])
+    def test_samples_in_unit_range_accepted(self, samples) -> None:
+        AudioWindow(samples, 48_000).validate()
 
 
 def synthesize_audio_per_snap(world, x, y, duration, fs, rng):
