@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 import yaml
@@ -62,7 +63,8 @@ class RunConfig:
         # them as bounded as in transit); the DVL velocity and yaw-rate sigmas
         # into its process noise, which may be 0; and the sigmas of the
         # channels it fuses into a measurement variance, which a Kalman update
-        # needs > 0.
+        # needs > 0.  An episode's dynamics step count must fit a float before
+        # ``track`` rounds it to an int.
         n = self.noise
         check_section(self, ("mission.current_mps", lambda: math.hypot(*self.mission.current_mps) <= self.vehicle.v_max_mps,
                              "must be no faster than vehicle.v_max_mps"),
@@ -71,7 +73,9 @@ class RunConfig:
                       ("noise.depth_sigma", lambda: 0 < _square(n.depth_sigma) < math.inf, "must have a finite positive square"),
                       ("noise.heading_sigma", lambda: 0 < _square(n.heading_sigma) < math.inf, "must have a finite positive square"),
                       ("noise.usbl_sigma", lambda: n.usbl_period_s == 0 or 0 < _square(n.usbl_sigma) < math.inf,
-                       "must have a finite positive square unless noise.usbl_period_s is 0"))
+                       "must have a finite positive square unless noise.usbl_period_s is 0"),
+                      ("episode.duration_s", lambda: self.episode.duration_s / self.tracking.dynamics_dt_s <= sys.float_info.max,
+                       "divided by tracking.dynamics_dt_s must be a finite step count"))
 
 
 def _square(sigma: float) -> float:

@@ -26,6 +26,14 @@ from .errors import check_section
 
 TWO_PI = 2.0 * np.pi
 
+# Upper bound on ``VehicleConfig.v_max_mps``, far past any survey vehicle.
+# The EKF squares a body velocity (times dt and the heading variance) into
+# its covariance every step, and a drift takes the current's velocity, which
+# may be as fast as ``v_max_mps``.  Near sqrt(float max) ~ 1.3e154 m/s that
+# product overflows to inf in the survey worker; this bound keeps it finite
+# by nearly 300 orders of magnitude.
+MAX_SPEED_LIMIT_MPS = 1e6
+
 
 def wrap_angle(angle: float) -> float:
     """Wrap an angle to (-pi, pi].  Angles already in range pass through
@@ -50,7 +58,7 @@ class VehicleConfig:
 
     def __post_init__(self) -> None:
         check_section(self, ("tau_s", lambda: self.tau_s > 0, "must be positive"),
-                      ("v_max_mps", lambda: self.v_max_mps > 0, "must be positive"),
+                      ("v_max_mps", lambda: 0 < self.v_max_mps <= MAX_SPEED_LIMIT_MPS, f"must be in (0, {MAX_SPEED_LIMIT_MPS:g}]"),
                       ("heave_max_mps", lambda: self.heave_max_mps > 0, "must be positive"))
 
 

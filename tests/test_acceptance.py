@@ -22,17 +22,29 @@ import time
 import numpy as np
 import pytest
 from filter_run import filter_run
+from panels import (
+    DRIFT_RUNS,
+    FS,
+    NEES_RUNS,
+    NEES_STEPS,
+    dead_reckoning_rms,
+    detector_panel,
+    detector_world,
+    follow_summary,
+    nees_run,
+    track_world,
+)
 from scipy.stats import chi2
 
-from reefsim.acoustics import AcousticsConfig, band_energy, detect_snaps_in_window, hann_window, stft
-from reefsim.analysis import analyze_log, fit_shrimp_habitat, pearson
+from reefsim.acoustics import AcousticsConfig, detect_snaps_in_window, hann_window, stft
+from reefsim.analysis import analyze_log, fit_shrimp_habitat
 from reefsim.errors import SaturatedWindowError
 from reefsim.mission import MissionConfig, execute, plan_lawnmower
 from reefsim.rng import substream
 from reefsim.topics import TopicModel, TopicsConfig, match_accuracy
-from reefsim.tracking import Camera, DistractorConfig, TargetConfig, TrackingConfig, run_tracking_episode
-from reefsim.vehicle import NoiseConfig, VehicleConfig, wrap_angle
-from reefsim.world import WorldConfig, generate_world, make_snap_burst, synthesize_audio
+from reefsim.tracking import Camera, TargetConfig, TrackingConfig, run_tracking_episode
+from reefsim.vehicle import EkfEstimate, NoiseConfig, VehicleConfig
+from reefsim.world import WorldConfig, _block_appearance, generate_world, synthesize_audio
 
 FULL = os.environ.get("REEFSIM_FULL_ACCEPTANCE", "") == "1"
 
@@ -104,52 +116,25 @@ class TestCriterion1SurveyRegression:
 # --- criterion 2: snap detector ---------------------------------------------
 
 
-def snr_amplitude(target_snr_db: float, background_sigma: float, fs: int, window: int = 1024) -> float:
-    rng = substream(0, "snr-calib")
-    burst_energy = np.mean([np.sum(make_snap_burst(fs, rng) ** 2) for _ in range(200)])
-    noise = np.random.default_rng(1).normal(0.0, background_sigma, fs)
-    bg_frame = float(np.mean(band_energy(stft(noise, fs, window=window))))
-    gain = float(np.mean(hann_window(window) ** 2))
-    return float(np.sqrt(10 ** (target_snr_db / 10.0) * bg_frame / (burst_energy * gain * window / 2.0)))
-
-
 class TestCriterion2SnapDetector:
     def test_recall_precision_gain_invariance_saturation(self) -> None:
-        fs = 96_000
-        background = 0.003
-        amplitude = snr_amplitude(10.0, background, fs)
-        config = WorldConfig(snap_rates_per_s=(0.0, 0.0, 0.0), snap_amplitude=amplitude, background_sigma=background)
-        world = generate_world(config, seed=0)
-        world.snap_rate[10, 10] = 2.0
+        world = detector_world()  # ~10 dB in-band SNR, one emitter at 2 snaps/s
 
-        matched = truth_total = detected_total = 0
-        for seed in range(40):
-            window = synthesize_audio(world, 10.5, 10.5, 10.0, fs, False, substream(seed, "pr"))
-            detection = detect_snaps_in_window(window)
-            detected_total += detection.count
-            truth_total += len(window.truth_snap_times)
-            used: set[int] = set()
-            for t in window.truth_snap_times:
-                if detection.count == 0:
-                    continue
-                j = int(np.argmin(np.abs(detection.times - t)))
-                if j not in used and abs(detection.times[j] - t) <= 0.002:
-                    matched += 1
-                    used.add(j)
+        matched, truth_total, detected_total = detector_panel()  # 40 windows, +-2 ms matching
         recall = matched / truth_total
         precision = matched / max(detected_total, 1)
 
         # gain invariance on one window
-        window = synthesize_audio(world, 10.5, 10.5, 5.0, fs, False, substream(99, "gain"))
+        window = synthesize_audio(world, 10.5, 10.5, 5.0, FS, False, substream(99, "gain"))
         baseline = detect_snaps_in_window(window).count
         gains_ok = True
         for gain in (0.02, 0.5, 7.0):
-            scaled = synthesize_audio(world, 10.5, 10.5, 5.0, fs, False, substream(99, "gain"))
+            scaled = synthesize_audio(world, 10.5, 10.5, 5.0, FS, False, substream(99, "gain"))
             scaled.samples = (scaled.samples * np.float32(gain)).astype(np.float32)
             gains_ok &= detect_snaps_in_window(scaled).count == baseline
 
         # saturated windows always rejected
-        saturated = synthesize_audio(world, 10.5, 10.5, 1.0, fs, True, substream(7, "sat"))
+        saturated = synthesize_audio(world, 10.5, 10.5, 1.0, FS, True, substream(7, "sat"))
         with pytest.raises(SaturatedWindowError):
             detect_snaps_in_window(saturated)
 
@@ -167,19 +152,10 @@ class TestCriterion2SnapDetector:
 # --- criterion 3: topic recovery ---------------------------------------------
 
 
-def block_appearance(n_habitats: int, vocab: int, overlap: float = 0.05) -> np.ndarray:
-    blocks = np.arange(vocab) * n_habitats // vocab
-    appearance = np.full((n_habitats, vocab), overlap / vocab)
-    for h in range(n_habitats):
-        members = blocks == h
-        appearance[h, members] += (1 - overlap) / members.sum()
-    return appearance
-
-
 class TestCriterion3TopicRecovery:
     def test_recovery_accuracy_panel(self) -> None:
         seeds, required = panel(20, 100, 0.90)
-        appearance = block_appearance(3, 30)
+        appearance = _block_appearance(3, 30, 0.05)
         nx = ny = 10
         truth = np.zeros(nx * ny, dtype=int)
         rows = np.arange(nx * ny) // nx
@@ -213,7 +189,7 @@ class TestCriterion3TopicRecovery:
         n_ops = 100_000
         rng = substream(0, "fuzz")
         model = TopicModel(10, 5, 5, TopicsConfig(max_topics=8))
-        appearance = block_appearance(3, 10)
+        appearance = _block_appearance(3, 10, 0.05)
         violations = 0
         for op in range(n_ops):
             if op % 5000 == 4999 and model.token_count:
@@ -247,14 +223,7 @@ class TestCriterion4Ekf:
         assert rms <= 1.0
 
     def test_dead_reckoning_drift_grows(self) -> None:
-        noise = NoiseConfig(usbl_period_s=0.0)
-        rms_60, rms_600 = [], []
-        for seed in range(5):
-            errors = np.asarray(
-                [np.hypot(t[0] - e.mean[0], t[1] - e.mean[1]) for t, e in filter_run("acc-ekf", seed, 12_000, noise, exact_start=True)]
-            )
-            rms_60.append(np.sqrt(np.mean(errors[1000:1400] ** 2)))
-            rms_600.append(np.sqrt(np.mean(errors[-400:] ** 2)))
+        rms_60, rms_600 = zip(*(dead_reckoning_rms(seed) for seed in range(DRIFT_RUNS)))
         passed = np.mean(rms_600) > np.mean(rms_60)
         report(
             "criterion 4b (dead-reckoning drift)",
@@ -264,14 +233,12 @@ class TestCriterion4Ekf:
         assert passed
 
     def test_nees_within_chi2_envelope(self) -> None:
-        n_runs, n_steps = 100, 600
-        nees = np.zeros((n_runs, n_steps))
+        n_runs = NEES_RUNS
+        nees = np.zeros((n_runs, NEES_STEPS))
         for run in range(n_runs):
-            for k, (truth, est) in enumerate(filter_run("acc-ekf", run, n_steps, NoiseConfig())):
-                err = truth - est.mean
-                err[3] = wrap_angle(err[3])
-                nees[run, k] = err @ np.linalg.solve(est.cov, err)
-                est.validate()  # covariance symmetric PSD at every step
+            nees[run], means, covs = nees_run(run)
+            for mean, cov in zip(means, covs):
+                EkfEstimate(mean, cov).validate()  # covariance symmetric PSD at every step
         average = nees.mean(axis=0)
         lo = chi2.ppf(0.025, 4 * n_runs) / n_runs
         hi = chi2.ppf(0.975, 4 * n_runs) / n_runs
@@ -288,23 +255,17 @@ class TestCriterion4Ekf:
 
 # --- criterion 5: tracking ------------------------------------------------------
 
-TRACK_WORLD = WorldConfig(width_m=60.0, height_m=60.0, snap_rates_per_s=(0.0, 0.0, 0.0))
-
 
 class TestCriterion5Tracking:
     def test_midwater_centering_panel(self) -> None:
         seeds, required = panel(20, 100, 0.90)
-        world = generate_world(TRACK_WORLD, 5)
-        camera = Camera()
-        config = TrackingConfig()  # default noise, 0.25 m/s cruiser
         passes = 0
         central, lost = [], []
         for seed in seeds:
-            log = run_tracking_episode(world, VehicleConfig(), config, 300.0, seed=seed)
-            summary = log.summary(camera)
+            summary = follow_summary("cruiser", seed)  # default noise, 0.25 m/s cruiser
             passes += summary["central_fraction"] >= 0.9
             central.append(summary["central_fraction"])
-            if log.ended_lost:
+            if summary["ended_lost"]:
                 lost.append(seed)
         passed = passes >= required
         report(
@@ -316,23 +277,13 @@ class TestCriterion5Tracking:
 
     def test_benthic_distractor_panel(self) -> None:
         seeds, required = panel(20, 100, 0.80)
-        world = generate_world(TRACK_WORLD, 5)
-        config = TrackingConfig(
-            target=TargetConfig(
-                kind="benthic-glider",
-                speed_mps=0.15,
-                heading_walk_sigma=0.05,
-                distractor=DistractorConfig(switch_prob_per_s=0.02, mean_lock_s=3.0),
-            )
-        )
-        camera = Camera()
         passes = 0
         central, lost = [], []
         for seed in seeds:
-            log = run_tracking_episode(world, VehicleConfig(), config, 300.0, seed=seed)
-            passes += not log.ended_lost
-            central.append(log.summary(camera)["central_fraction"])
-            if log.ended_lost:
+            summary = follow_summary("benthic-distractor", seed)
+            passes += not summary["ended_lost"]
+            central.append(summary["central_fraction"])
+            if summary["ended_lost"]:
                 lost.append(seed)
         passed = passes >= required
         report(
@@ -343,7 +294,7 @@ class TestCriterion5Tracking:
         assert passes >= required
 
     def test_zero_noise_equilibrium(self) -> None:
-        world = generate_world(TRACK_WORLD, 5)
+        world = track_world()
         config = TrackingConfig(pixel_noise_px=0.0, dropout_prob=0.0, target=TargetConfig(speed_mps=0.0))
         camera = Camera()
         nominal = camera.fx * config.target.body_length_m / (config.width_ratio_setpoint * camera.width_px)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from panels import detector_panel
 
 from reefsim.acoustics import (
     STFT_BLOCK_SAMPLES,
@@ -22,7 +23,7 @@ from reefsim.acoustics import (
 )
 from reefsim.errors import SaturatedWindowError
 from reefsim.rng import substream
-from reefsim.world import WorldConfig, generate_world, make_snap_burst, synthesize_audio
+from reefsim.world import WorldConfig, generate_world, synthesize_audio
 
 FS = 96_000
 BLOCK = STFT_BLOCK_SAMPLES // 1024  # frames per transform block at a 1024-sample window
@@ -233,52 +234,11 @@ class TestPeakTiming:
         assert times.dtype == np.float64 and times.shape == (0,)
 
 
-def snr_amplitude(target_snr_db: float, background_sigma: float, fs: int, window: int = 1024) -> float:
-    """Amplitude giving the requested in-band energy SNR: the burst's
-    contribution to a frame's band magnitude-squared sum over the mean
-    background band sum per frame.
-
-    A short burst of time energy E windowed at mean Hann-squared gain adds
-    about (window/2) * E * gain to the raw band sum (Parseval, interior
-    bins counted once in the band sum but twice in the energy identity).
-    """
-    rng = substream(0, "snr-calib")
-    burst_energy = np.mean([np.sum(make_snap_burst(fs, rng) ** 2) for _ in range(200)])
-    noise = np.random.default_rng(1).normal(0.0, background_sigma, fs)
-    bg_frame = float(np.mean(band_energy(stft(noise, fs, window=window))))
-    gain = float(np.mean(hann_window(window) ** 2))
-    burst_band_sum = burst_energy * gain * window / 2.0
-    return float(np.sqrt(10 ** (target_snr_db / 10.0) * bg_frame / burst_band_sum))
-
-
 class TestDetectorRecallPrecision:
     def test_recall_and_precision_at_10db(self) -> None:
-        # Injected ground truth at ~10 dB in-band SNR, +-2 ms matching.
-        background = 0.003
-        amplitude = snr_amplitude(10.0, background, FS)
-        config = WorldConfig(
-            snap_rates_per_s=(0.0, 0.0, 0.0),
-            snap_amplitude=amplitude,
-            background_sigma=background,
-        )
-        world = generate_world(config, seed=0)
-        world.snap_rate[10, 10] = 2.0
-        matched = 0
-        truth_total = 0
-        detected_total = 0
-        for seed in range(40):
-            window = synthesize_audio(world, 10.5, 10.5, 10.0, FS, False, substream(seed, "pr"))
-            detection = detect_snaps_in_window(window)
-            detected_total += detection.count
-            truth_total += len(window.truth_snap_times)
-            used: set[int] = set()
-            for t in window.truth_snap_times:
-                if detection.count == 0:
-                    continue
-                j = int(np.argmin(np.abs(detection.times - t)))
-                if j not in used and abs(detection.times[j] - t) <= 0.002:
-                    matched += 1
-                    used.add(j)
+        # Injected ground truth at ~10 dB in-band SNR, +-2 ms matching:
+        # criterion 2's 40 windows.
+        matched, truth_total, detected_total = detector_panel()
         assert truth_total > 30
         recall = matched / truth_total
         precision = matched / max(detected_total, 1)
@@ -286,29 +246,19 @@ class TestDetectorRecallPrecision:
         assert precision >= 0.9
 
 
-@pytest.fixture(scope="module")
-def mission_log(make_audio_dir):
-    from reefsim.mission import MissionConfig, execute, plan_lawnmower
-    from reefsim.vehicle import NoiseConfig, VehicleConfig
-
-    world = generate_world(WorldConfig(), seed=7)
-    plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=2.0)
-    return execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=5, audio_dir=make_audio_dir())
-
-
 class TestSnapRateSeries:
 
-    def test_one_rate_entry_per_drift_window(self, mission_log) -> None:
-        series = snap_rate_series(mission_log)
-        assert len(series) == len(mission_log.drift_records())
+    def test_one_rate_entry_per_drift_window(self, small_log) -> None:
+        series = snap_rate_series(small_log)
+        assert len(series) == len(small_log.drift_records())
         assert all(row.rate is not None for row in series)
 
-    def test_entries_in_time_order_and_match_per_window_detection(self, mission_log) -> None:
-        series = snap_rate_series(mission_log)
+    def test_entries_in_time_order_and_match_per_window_detection(self, small_log) -> None:
+        series = snap_rate_series(small_log)
         times = [e.t_start for e in series]
         assert times == sorted(times)
-        first = mission_log.drift_records()[0]
-        direct = detect_snaps_in_window(mission_log.audio_window(first))
+        first = small_log.drift_records()[0]
+        direct = detect_snaps_in_window(small_log.audio_window(first))
         assert series[0].rate == pytest.approx(direct.rate)
 
     def test_log_without_drift_windows_rejected(self, quiet_world, make_audio_dir) -> None:
@@ -321,8 +271,8 @@ class TestSnapRateSeries:
         with pytest.raises(DataError):
             snap_rate_series(log)
 
-    def test_csv_export(self, mission_log, tmp_path) -> None:
-        series = snap_rate_series(mission_log)
+    def test_csv_export(self, small_log, tmp_path) -> None:
+        series = snap_rate_series(small_log)
         path = tmp_path / "rates.csv"
         export_snap_rates_csv(series, path)
         lines = path.read_text().splitlines()

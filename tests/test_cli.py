@@ -20,6 +20,7 @@ from click.testing import CliRunner
 from scipy.io import wavfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from json_leaves import leaf_paths
 
 import reefsim
 from reefsim import cli, mission
@@ -104,18 +105,6 @@ class TestConfigLoading:
         assert config_from_dict({"noise": {"usbl_sigma": 0.0, "usbl_period_s": 0.0}}).noise.usbl_sigma == 0.0
 
 
-def leaf_paths(tree, path=()):
-    """Key paths of every scalar, ``None`` and list item in a config tree."""
-    if isinstance(tree, dict):
-        for key, value in tree.items():
-            yield from leaf_paths(value, (*path, key))
-    elif isinstance(tree, list):
-        for i, value in enumerate(tree):
-            yield from leaf_paths(value, (*path, i))
-    else:
-        yield path
-
-
 def assert_annotated_types(value, annotation) -> None:
     """Every leaf of a built config has its annotated type; numbers are finite."""
     if dataclasses.is_dataclass(annotation):
@@ -145,7 +134,7 @@ DEFAULT_TREE = config_to_dict(RunConfig())
 
 @settings(max_examples=300, deadline=None)
 @given(
-    path=st.sampled_from(list(leaf_paths(DEFAULT_TREE))),
+    path=st.sampled_from(leaf_paths(DEFAULT_TREE)),
     bad=st.sampled_from([math.nan, math.inf, -math.inf, "abc", [1, 2], True, None, {}]),
 )
 def test_config_leaf_is_rejected_or_well_typed(path, bad) -> None:
@@ -560,6 +549,7 @@ class TestSurveyAnalyzeTrack:
             ("track", "tracking", "pixel_noise_px", -5.0),
             ("track", "tracking", "hold_s", -1.0),
             ("track", "tracking", "lost_after_s", -1.0),
+            ("track", "episode", "duration_s", 1e308),
         ],
     )
     def test_bad_config_value_names_its_key(self, workspace, tmp_path, command, section, key, bad) -> None:
@@ -576,6 +566,19 @@ class TestSurveyAnalyzeTrack:
         )
         assert result.exit_code == 2, result.output
         assert result.output.startswith(f"error: {section}.{key}")
+        assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize("current", [1e160, 1e308])
+    def test_huge_speed_limit_and_current_name_the_speed_limit(self, workspace, tmp_path, current) -> None:
+        """A current under a huge speed limit once overflowed the drift's EKF
+        covariance in the survey worker; the speed limit is bounded instead."""
+        _, _, world_out, _ = workspace
+        config = write_config(tmp_path, {**SMALL_CONFIG, "vehicle": {"v_max_mps": 1e308}, "mission": {"current_mps": [current, 0.0]}})
+        result = CliRunner().invoke(
+            main, ["survey", "--world", str(world_out / "world.json"), "--config", str(config), "--seed", "3", "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: vehicle.v_max_mps")
         assert result.output.count("\n") == 1
 
     def test_removed_usbl_enabled_key_is_config_error(self, workspace, tmp_path) -> None:

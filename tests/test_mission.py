@@ -26,18 +26,7 @@ from reefsim.mission import (
     save_log,
 )
 from reefsim.vehicle import NoiseConfig, VehicleConfig
-from reefsim.world import AudioWindow, WorldConfig, generate_world, write_wav
-
-
-@pytest.fixture(scope="module")
-def world():
-    return generate_world(WorldConfig(), seed=7)
-
-
-@pytest.fixture(scope="module")
-def small_log(world, make_audio_dir):
-    plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=2.0)
-    return execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=5, audio_dir=make_audio_dir())
+from reefsim.world import AudioWindow, write_wav
 
 
 class TestPlanLawnmower:
@@ -67,7 +56,7 @@ class TestPlanLawnmower:
 
 
 class TestExecute:
-    def test_every_waypoint_yields_one_drift_window(self, world, small_log) -> None:
+    def test_every_waypoint_yields_one_drift_window(self, small_log) -> None:
         plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=2.0)
         assert len(small_log.drift_records()) == len(plan.waypoints)
 
@@ -75,13 +64,13 @@ class TestExecute:
         for record in small_log.drift_records():
             assert small_log.audio_window(record).duration == pytest.approx(2.0)
 
-    def test_zero_drift_duration_gives_pure_visual_survey(self, world, make_audio_dir) -> None:
+    def test_zero_drift_duration_gives_pure_visual_survey(self, default_world, make_audio_dir) -> None:
         plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=0.0)
-        log = execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=1, audio_dir=make_audio_dir())
+        log = execute(plan, default_world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=1, audio_dir=make_audio_dir())
         assert log.drift_records() == []
         assert len(log.imaging_records()) > 0
 
-    def test_imaging_count_matches_transit_time(self, world, small_log) -> None:
+    def test_imaging_count_matches_transit_time(self, small_log) -> None:
         # Oracle: recount from the log's own timestamps.  Transit time is
         # total time minus drift time; images arrive at the imaging period.
         n_drifts = len(small_log.drift_records())
@@ -91,25 +80,25 @@ class TestExecute:
         n_legs = n_drifts  # one leg per waypoint
         assert abs(len(small_log.imaging_records()) - expected) <= n_legs + 1
 
-    def test_same_seed_reproduces_identical_log(self, world, make_audio_dir) -> None:
+    def test_same_seed_reproduces_identical_log(self, default_world, make_audio_dir) -> None:
         plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=1.0)
-        a = execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=3, audio_dir=make_audio_dir())
-        b = execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=3, audio_dir=make_audio_dir())
+        a = execute(plan, default_world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=3, audio_dir=make_audio_dir())
+        b = execute(plan, default_world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=3, audio_dir=make_audio_dir())
         assert len(a.records) == len(b.records)
         assert all(ra == rb for ra, rb in zip(a.records, b.records))
         assert all(np.array_equal(a.audio_window(r).samples, b.audio_window(r).samples) for r in a.drift_records())
 
-    def test_unreachable_waypoint_aborts_with_marker(self, world, make_audio_dir) -> None:
+    def test_unreachable_waypoint_aborts_with_marker(self, default_world, make_audio_dir) -> None:
         plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=0.0)
         config = MissionConfig(waypoint_timeout_s=5.0)  # far too short to cross a leg
-        log = execute(plan, world, VehicleConfig(), NoiseConfig(), config, seed=2, audio_dir=make_audio_dir())
+        log = execute(plan, default_world, VehicleConfig(), NoiseConfig(), config, seed=2, audio_dir=make_audio_dir())
         assert log.aborted
         assert "timeout" in log.abort_reason or "unreachable" in log.abort_reason
 
-    def test_waypoints_outside_world_rejected(self, world, make_audio_dir) -> None:
+    def test_waypoints_outside_world_rejected(self, default_world, make_audio_dir) -> None:
         plan = plan_lawnmower((1.0, 1.0, 25.0, 19.0), 9.0)
         with pytest.raises(ConfigError):
-            execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0, audio_dir=make_audio_dir())
+            execute(plan, default_world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0, audio_dir=make_audio_dir())
 
     # Digests of the WAVs ``execute`` writes and the ``save_log`` JSONL of
     # three plans whose branches of the vehicle loop no CLI digest covers:
@@ -125,13 +114,13 @@ class TestExecute:
     }
 
     @pytest.mark.parametrize("case", sorted(LOOP_BRANCH_DIGESTS))
-    def test_loop_branches_match_pinned_digests(self, world, case, tmp_path) -> None:
+    def test_loop_branches_match_pinned_digests(self, default_world, case, tmp_path) -> None:
         pinned = json.loads((Path(__file__).parent / "golden_cli_digests.json").read_text())["numpy"]
         if np.__version__ != pinned:
             pytest.skip(f"digests pinned with numpy {pinned}, installed numpy is {np.__version__}")
         plan_kwargs, mission_kwargs, expected = self.LOOP_BRANCH_DIGESTS[case]
         plan = plan_lawnmower((1.0, 1.0, 7.0, 5.0), 4.0, audio_fs_hz=48_000, **plan_kwargs)
-        log = execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(**mission_kwargs), seed=3, audio_dir=tmp_path / "audio")
+        log = execute(plan, default_world, VehicleConfig(), NoiseConfig(), MissionConfig(**mission_kwargs), seed=3, audio_dir=tmp_path / "audio")
         save_log(log, tmp_path / "mission_log.jsonl")
         digest = hashlib.sha256()
         for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
@@ -139,9 +128,9 @@ class TestExecute:
             digest.update(path.read_bytes())
         assert digest.hexdigest() == expected
 
-    def test_altitude_stays_near_setpoint(self, world, small_log) -> None:
+    def test_altitude_stays_near_setpoint(self, default_world, small_log) -> None:
         altitudes = [
-            world.depth_at(r.true_pose[0], r.true_pose[1]) - r.true_pose[2] for r in small_log.records
+            default_world.depth_at(r.true_pose[0], r.true_pose[1]) - r.true_pose[2] for r in small_log.records
         ]
         assert min(altitudes) > 0.3
         assert max(altitudes) < 2.0
@@ -169,30 +158,30 @@ class TestWorkerProcess:
         assert small_log.drift_records()
         assert multiprocessing.active_children() == []
 
-    def test_audio_error_stops_the_worker(self, world, monkeypatch, make_audio_dir) -> None:
+    def test_audio_error_stops_the_worker(self, default_world, monkeypatch, make_audio_dir) -> None:
         def fail(*args, **kwargs):
             raise DataError("audio failed")
 
         monkeypatch.setattr(mission, "synthesize_audio", fail)
         plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=1.0)
         with pytest.raises(DataError, match="audio failed"):
-            execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0, audio_dir=make_audio_dir())
+            execute(plan, default_world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0, audio_dir=make_audio_dir())
         assert multiprocessing.active_children() == []
 
     @needs_fork
-    def test_worker_exception_keeps_its_type(self, world, monkeypatch, make_audio_dir) -> None:
+    def test_worker_exception_keeps_its_type(self, default_world, monkeypatch, make_audio_dir) -> None:
         monkeypatch.setattr(mission, "_run_vehicle", _raise_data_error)
         plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=1.0)
         with pytest.raises(DataError, match="vehicle loop failed"):
-            execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0, audio_dir=make_audio_dir())
+            execute(plan, default_world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0, audio_dir=make_audio_dir())
         assert multiprocessing.active_children() == []
 
     @needs_fork
-    def test_worker_that_dies_without_reply_names_its_exit_code(self, world, monkeypatch, make_audio_dir) -> None:
+    def test_worker_that_dies_without_reply_names_its_exit_code(self, default_world, monkeypatch, make_audio_dir) -> None:
         monkeypatch.setattr(mission, "_run_vehicle", _exit_without_reply)
         plan = plan_lawnmower((1.0, 1.0, 19.0, 19.0), 9.0, drift_duration_s=1.0)
         with pytest.raises(RuntimeError, match="exited with code 7"):
-            execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0, audio_dir=make_audio_dir())
+            execute(plan, default_world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0, audio_dir=make_audio_dir())
         assert multiprocessing.active_children() == []
 
 
@@ -210,9 +199,9 @@ class TestLogInvariants:
         for record in small_log.drift_records():
             assert not record.audio.saturated
 
-    def test_drift_cell_matches_true_pose_at_drift_start(self, world, small_log) -> None:
+    def test_drift_cell_matches_true_pose_at_drift_start(self, default_world, small_log) -> None:
         for record in small_log.drift_records():
-            assert record.cell_id == world.cell_id(record.true_pose[0], record.true_pose[1])
+            assert record.cell_id == default_world.cell_id(record.true_pose[0], record.true_pose[1])
 
     def test_validate_accepts_the_executor_output(self, small_log) -> None:
         small_log.validate()

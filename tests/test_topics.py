@@ -20,15 +20,7 @@ from reefsim.topics import (
     merge_groups_by_appearance,
     perplexity,
 )
-
-
-def block_appearance(n_habitats: int, vocab: int, overlap: float = 0.05) -> np.ndarray:
-    blocks = np.arange(vocab) * n_habitats // vocab
-    appearance = np.full((n_habitats, vocab), overlap / vocab)
-    for h in range(n_habitats):
-        members = blocks == h
-        appearance[h, members] += (1 - overlap) / members.sum()
-    return appearance
+from reefsim.world import _block_appearance
 
 
 def striped_world(nx: int = 10, ny: int = 10) -> np.ndarray:
@@ -124,7 +116,7 @@ class TestGibbsRefine:
             model.gibbs_refine(1, substream(0, "empty"))
 
     def test_retirement_keeps_labels_stable(self) -> None:
-        appearance = block_appearance(3, 24)
+        appearance = _block_appearance(3, 24, 0.05)
         truth = striped_world()
         rng = substream(5, "labels")
         model = TopicModel(24, 10, 10)
@@ -136,7 +128,7 @@ class TestGibbsRefine:
 
     def test_perplexity_improves_with_sweeps(self) -> None:
         # Repeated-seed experiment on a striped synthetic corpus.
-        appearance = block_appearance(3, 24)
+        appearance = _block_appearance(3, 24, 0.05)
         truth = striped_world()
         improved = 0
         n_seeds = 20
@@ -193,7 +185,7 @@ def test_extreme_beta_is_config_error_or_a_valid_fit(beta) -> None:
 def golden_run(max_topics: int) -> tuple[TopicModel, str]:
     """Seeded observe + refine on a small banded grid; returns the model and
     the sha256 of (token topics, labels, n_topics, next uniform)."""
-    appearance = block_appearance(3, 24)
+    appearance = _block_appearance(3, 24, 0.05)
     truth = striped_world(6, 6)
     rng = substream(21, "golden")
     model = TopicModel(24, 6, 6, TopicsConfig(max_topics=max_topics))
@@ -280,7 +272,7 @@ class TestTopicRecovery:
     def test_striped_world_recovered_after_survey_and_sweeps(self) -> None:
         # Well-separated vocabularies (TV = 0.95): dominant-topic labeling
         # of observed cells must match ground truth at >= 0.8 accuracy.
-        appearance = block_appearance(3, 30)
+        appearance = _block_appearance(3, 30, 0.05)
         truth = striped_world()
         passes = 0
         n_seeds = 5
@@ -296,7 +288,7 @@ class TestTopicRecovery:
     def test_vocabulary_permutation_does_not_change_accuracy(self) -> None:
         # Exchangeability smoke test: permuting word indices with a fixed
         # bijection leaves the achievable accuracy unchanged (within noise).
-        appearance = block_appearance(3, 24)
+        appearance = _block_appearance(3, 24, 0.05)
         truth = striped_world()
         perm = np.random.default_rng(0).permutation(24)
 
@@ -317,7 +309,7 @@ class TestTopicRecovery:
 
 class TestMergeGroups:
     def test_duplicate_appearance_topics_group_together(self) -> None:
-        appearance = block_appearance(2, 16, overlap=0.02)
+        appearance = _block_appearance(2, 16, 0.02)
         model = TopicModel(16, 12, 1)
         rng = substream(11, "merge")
         # two far-apart stretches of the same habitat, plus one different
@@ -377,7 +369,7 @@ class TestCheckpoint:
         # Totals and denominators derive from the counts, so a checkpoint
         # taken part-way through a stream resumes exactly, also for a beta
         # whose V * beta is not exact in binary (12 * 0.1 here).
-        appearance = block_appearance(3, 12)
+        appearance = _block_appearance(3, 12, 0.05)
         truth = striped_world(6, 6)
         model = TopicModel(12, 6, 6, TopicsConfig(beta=beta))
         rng = substream(16, "resume")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from panels import follow_summary, track_world
 
 from reefsim import tracking
 from reefsim.rng import substream
@@ -26,7 +27,7 @@ CAMERA = Camera()
 
 @pytest.fixture(scope="module")
 def open_world():
-    return generate_world(WorldConfig(width_m=60.0, height_m=60.0, snap_rates_per_s=(0.0, 0.0, 0.0)), seed=5)
+    return track_world()
 
 
 class TestProjectTarget:
@@ -152,10 +153,8 @@ class TestTrackingEpisode:
         assert len(a.frames) == len(b.frames)
         assert all(fa == fb for fa, fb in zip(a.frames, b.frames))
 
-    def test_cruiser_stays_centered_for_five_minutes(self, open_world) -> None:
-        config = TrackingConfig()  # default noise, 0.25 m/s cruiser
-        log = run_tracking_episode(open_world, VehicleConfig(), config, 300.0, seed=1)
-        summary = log.summary(CAMERA)
+    def test_cruiser_stays_centered_for_five_minutes(self) -> None:
+        summary = follow_summary("cruiser", 1)  # default noise, 0.25 m/s cruiser; seed 1 of the panels
         assert summary["central_fraction"] >= 0.9
         assert not summary["ended_lost"]
 
@@ -234,30 +233,20 @@ class TestTrackingEpisode:
 
 
 class TestEpisodePanels:
-    """Seeded Monte Carlo panels for the episode-level behavior."""
+    """Seeded Monte Carlo panels for the episode-level behavior: the
+    default panels of criteria 5a and 5b, read from the same episodes."""
 
-    def test_cruiser_panel(self, open_world) -> None:
-        config = TrackingConfig()
+    def test_cruiser_panel(self) -> None:
         passes = 0
         n_seeds = 20
         for seed in range(n_seeds):
-            log = run_tracking_episode(open_world, VehicleConfig(), config, 300.0, seed=seed)
-            summary = log.summary(CAMERA)
+            summary = follow_summary("cruiser", seed)
             passes += summary["central_fraction"] >= 0.9 and not summary["ended_lost"]
         assert passes >= 0.9 * n_seeds
 
-    def test_distractor_panel(self, open_world) -> None:
-        config = TrackingConfig(
-            target=TargetConfig(
-                kind="benthic-glider",
-                speed_mps=0.15,
-                heading_walk_sigma=0.05,
-                distractor=DistractorConfig(switch_prob_per_s=0.02, mean_lock_s=3.0),
-            )
-        )
+    def test_distractor_panel(self) -> None:
         passes = 0
         n_seeds = 20
         for seed in range(n_seeds):
-            log = run_tracking_episode(open_world, VehicleConfig(), config, 300.0, seed=seed)
-            passes += not log.ended_lost
+            passes += not follow_summary("benthic-distractor", seed)["ended_lost"]
         assert passes >= 0.8 * n_seeds

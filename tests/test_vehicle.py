@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from filter_run import filter_run
+from panels import DRIFT_RUNS, NEES_RUNS, dead_reckoning_rms, nees_run
 from scipy.stats import chi2
 
 from reefsim.rng import substream
@@ -285,13 +286,9 @@ class TestFilterConsistency:
     def test_monte_carlo_nees_inside_chi2_envelope(self) -> None:
         # Oracle: Monte Carlo consistency test; the ensemble-average NEES of
         # a consistent 4-state filter lives in the 95% chi-square envelope.
-        n_runs, n_steps = 100, 600
-        nees = np.zeros((n_runs, n_steps))
-        for run in range(n_runs):
-            for k, (truth, est) in enumerate(filter_run("mc", run, n_steps, NoiseConfig())):
-                err = truth - est.mean
-                err[3] = wrap_angle(err[3])
-                nees[run, k] = err @ np.linalg.solve(est.cov, err)
+        # The runs are criterion 4c's.
+        n_runs = NEES_RUNS
+        nees = np.stack([nees_run(run)[0] for run in range(n_runs)])
         average = nees.mean(axis=0)
         lo = chi2.ppf(0.025, 4 * n_runs) / n_runs
         hi = chi2.ppf(0.975, 4 * n_runs) / n_runs
@@ -309,18 +306,8 @@ class TestFilterConsistency:
 
     def test_dead_reckoning_drift_grows(self) -> None:
         # Random-walk drift: a single run can wander back toward zero, so
-        # average the windowed RMS over a few runs.
-        noise = NoiseConfig(usbl_period_s=0.0)
-        rms_60, rms_600 = [], []
-        for seed in range(5):
-            errors = np.asarray(
-                [
-                    np.hypot(truth[0] - est.mean[0], truth[1] - est.mean[1])
-                    for truth, est in filter_run("mc", seed, 12000, noise, exact_start=True)
-                ]
-            )
-            rms_60.append(np.sqrt(np.mean(errors[1000:1400] ** 2)))  # around t = 60 s
-            rms_600.append(np.sqrt(np.mean(errors[-400:] ** 2)))  # around t = 600 s
+        # average the windowed RMS over a few runs (criterion 4b's).
+        rms_60, rms_600 = zip(*(dead_reckoning_rms(seed) for seed in range(DRIFT_RUNS)))
         assert np.mean(rms_600) > np.mean(rms_60)
 
 

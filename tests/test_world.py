@@ -302,15 +302,10 @@ class TestWorldIO:
     x=st.floats(min_value=0.0, max_value=20.0),
     y=st.floats(min_value=0.0, max_value=20.0),
 )
-def test_word_mixture_is_distribution_everywhere(default_world_module, x, y) -> None:
-    mixture = default_world_module.word_mixture_at(x, y)
+def test_word_mixture_is_distribution_everywhere(default_world, x, y) -> None:
+    mixture = default_world.word_mixture_at(x, y)
     assert mixture.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(mixture >= 0)
-
-
-@pytest.fixture(scope="module")
-def default_world_module():
-    return generate_world(WorldConfig(), seed=7)
 
 
 @pytest.fixture(scope="module")
