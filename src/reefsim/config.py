@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 import yaml
@@ -27,7 +26,7 @@ from .acoustics import AcousticsConfig
 from .analysis import AnalysisConfig
 from .errors import ConfigError, build, check_section
 from .mission import MissionConfig, MissionPlan
-from .tracking import TrackingConfig
+from .tracking import MAX_EPISODE_STEPS, TrackingConfig
 from .vehicle import NoiseConfig, VehicleConfig
 from .world import WorldConfig
 from .topics import TopicsConfig
@@ -63,8 +62,9 @@ class RunConfig:
         # them as bounded as in transit); the DVL velocity and yaw-rate sigmas
         # into its process noise, which may be 0; and the sigmas of the
         # channels it fuses into a measurement variance, which a Kalman update
-        # needs > 0.  An episode's dynamics step count must fit a float before
-        # ``track`` rounds it to an int.
+        # needs > 0.  An episode runs at most ``MAX_EPISODE_STEPS`` dynamics
+        # steps: the duration is at fault when even the longest legal step
+        # (0.5 s) cannot fit it, the step otherwise.
         n = self.noise
         check_section(self, ("mission.current_mps", lambda: math.hypot(*self.mission.current_mps) <= self.vehicle.v_max_mps,
                              "must be no faster than vehicle.v_max_mps"),
@@ -74,8 +74,10 @@ class RunConfig:
                       ("noise.heading_sigma", lambda: 0 < _square(n.heading_sigma) < math.inf, "must have a finite positive square"),
                       ("noise.usbl_sigma", lambda: n.usbl_period_s == 0 or 0 < _square(n.usbl_sigma) < math.inf,
                        "must have a finite positive square unless noise.usbl_period_s is 0"),
-                      ("episode.duration_s", lambda: self.episode.duration_s / self.tracking.dynamics_dt_s <= sys.float_info.max,
-                       "divided by tracking.dynamics_dt_s must be a finite step count"))
+                      ("episode.duration_s", lambda: self.episode.duration_s <= MAX_EPISODE_STEPS * 0.5,
+                       f"must be at most {MAX_EPISODE_STEPS:,} dynamics steps of the longest, 0.5 s"),
+                      ("tracking.dynamics_dt_s", lambda: self.episode.duration_s / self.tracking.dynamics_dt_s <= MAX_EPISODE_STEPS,
+                       f"must be at least episode.duration_s / {MAX_EPISODE_STEPS:,}"))
 
 
 def _square(sigma: float) -> float:

@@ -104,7 +104,8 @@ class Command:
     yaw_rate: float = 0.0
 
     def finite(self) -> bool:
-        return all(math.isfinite(value) for value in (self.surge, self.sway, self.heave, self.yaw_rate))
+        isfinite = math.isfinite
+        return isfinite(self.surge) and isfinite(self.sway) and isfinite(self.heave) and isfinite(self.yaw_rate)
 
 
 def _clip(value: float, lo: float, hi: float) -> float:
@@ -143,7 +144,7 @@ def step_dynamics(state: VehicleState, command: Command, dt: float, config: Vehi
     w = float(_clip(state.w + alpha * (w_sp - state.w), -c.heave_max_mps, c.heave_max_mps))
     r = float(_clip(state.yaw_rate + alpha * (r_sp - state.yaw_rate), -c.yaw_rate_max, c.yaw_rate_max))
 
-    cos_psi, sin_psi = np.cos(state.psi), np.sin(state.psi)
+    cos_psi, sin_psi = math.cos(state.psi), math.sin(state.psi)  # numpy's bits, without the ufunc call
     return VehicleState(
         x=float(state.x + dt * (u * cos_psi - v * sin_psi)),
         y=float(state.y + dt * (u * sin_psi + v * cos_psi)),

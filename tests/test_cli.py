@@ -7,10 +7,12 @@ import json
 import math
 import multiprocessing
 import shutil
+import signal
 import subprocess
 import sys
 import types
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from click.testing import CliRunner
 from scipy.io import wavfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from json_leaves import leaf_paths
+from json_leaves import leaf, leaf_paths
 
 import reefsim
 from reefsim import cli, mission
@@ -29,7 +31,7 @@ from reefsim.config import RunConfig, config_from_dict, config_to_dict, load_con
 from reefsim.errors import ConfigError, DataError
 from reefsim.mission import LogRecord, MissionLog
 from reefsim.topics import _Checkpoint
-from reefsim.tracking import TrackFrame, TrackLog
+from reefsim.tracking import DistractorConfig, TargetConfig, TrackFrame, TrackingConfig, TrackLog
 from reefsim.world import GridWorld
 
 SMALL_CONFIG = {
@@ -524,6 +526,7 @@ class TestSurveyAnalyzeTrack:
             ("track", "tracking", "dynamics_dt_s", 0),
             ("track", "tracking", "dynamics_dt_s", 0.6),
             ("track", "tracking", "camera", {"width_px": 1}),
+            ("track", "tracking", "camera", {"hfov_deg": -1e6}),
             ("track", "tracking", "target", {"kind": "fish"}),
             ("track", "tracking", "target", {"distractor": {"mean_lock_s": -1}}),
             ("world-gen", "world", "background_sigma", -1.0),
@@ -550,6 +553,13 @@ class TestSurveyAnalyzeTrack:
             ("track", "tracking", "hold_s", -1.0),
             ("track", "tracking", "lost_after_s", -1.0),
             ("track", "episode", "duration_s", 1e308),
+            ("track", "episode", "duration_s", 1e300),
+            ("track", "tracking", "dynamics_dt_s", 1e-300),
+            ("track", "tracking", "frame_rate_hz", 30.0),
+            ("track", "tracking", "width_ratio_setpoint", 0.0),
+            ("track", "tracking", "width_ratio_setpoint", 1e-300),
+            ("track", "tracking", "target", {"distractor": {"offset_m": 1e308}}),
+            ("track", "tracking", "target", {"distractor": {"offset_m": -1e308}}),
         ],
     )
     def test_bad_config_value_names_its_key(self, workspace, tmp_path, command, section, key, bad) -> None:
@@ -566,6 +576,20 @@ class TestSurveyAnalyzeTrack:
         )
         assert result.exit_code == 2, result.output
         assert result.output.startswith(f"error: {section}.{key}")
+        assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize("section, value, key", [("camera", {"hfov_deg": 1e-300}, "camera.hfov_deg"),
+                                                     ("target", {"body_length_m": 1e308}, "target.body_length_m")])
+    def test_start_standoff_bound_names_its_factors(self, workspace, tmp_path, section, value, key) -> None:
+        """The start standoff is the setpoint's; its bound also names the
+        two other keys it is computed from."""
+        _, _, world_out, _ = workspace
+        config = write_config(tmp_path, {**SMALL_CONFIG, "tracking": {section: value}})
+        result = CliRunner().invoke(
+            main, ["track", "--world", str(world_out / "world.json"), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: tracking.width_ratio_setpoint") and key in result.output
         assert result.output.count("\n") == 1
 
     @pytest.mark.parametrize("current", [1e160, 1e308])
@@ -781,6 +805,65 @@ class TestLoudWorld:
             summary = json.loads((report / "summary.json").read_text())
             assert summary["n_windows_skipped"] == sum(saturated) > 0
             assert (report / "snap_rates.csv").read_text().count(",saturated\n") == sum(saturated)
+
+
+TRACK_SWEEP_VALUES = (1e308, -1e308, 1e-300, 0.0, 1e6, -1e6)
+BENTHIC_WITH_DISTRACTOR = {"kind": "benthic-glider", "speed_mps": 0.15, "heading_walk_sigma": 0.05, "distractor": {}}
+
+
+def track_float_leaves() -> list[tuple]:
+    """The key path of every float leaf ``track`` reads: its sections
+    ``tracking`` (camera, target and distractor included), ``vehicle`` and
+    ``episode``."""
+    data = config_to_dict(RunConfig(tracking=TrackingConfig(target=TargetConfig(distractor=DistractorConfig()))))
+    return [(section, *path) for section in ("tracking", "vehicle", "episode")
+            for path in leaf_paths(data[section]) if type(leaf(data[section], path)) is float]
+
+
+def track_sweep_config(path: tuple, value: float) -> dict:
+    """A 5 s episode with the leaf at ``path`` set to ``value``.  A target
+    leaf runs on the benthic glider with a distractor, except ``depth_m``,
+    which only the midwater cruiser reads; every other leaf on the default
+    cruiser."""
+    data = {"episode": {"duration_s": 5.0}}
+    if path[:2] == ("tracking", "target") and path[2] != "depth_m":
+        data["tracking"] = {"target": copy.deepcopy(BENTHIC_WITH_DISTRACTOR)}
+    node = data
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return data
+
+
+TRACK_SWEEP = [(path, value) for path in track_float_leaves() for value in TRACK_SWEEP_VALUES]
+
+
+@pytest.mark.parametrize("path, value", TRACK_SWEEP, ids=[f"{'.'.join(p)}={v:g}" for p, v in TRACK_SWEEP])
+def test_track_extreme_float_leaf_exits_cleanly(workspace, tmp_path, path, value) -> None:
+    """Every extreme float leaf ``track`` reads ends in an exit code of the
+    contract, with one line of output, within its alarm, with no numpy
+    warning (each is an error here) and no NaN or Infinity in the log."""
+    _, _, world_out, _ = workspace
+    config = write_config(tmp_path, track_sweep_config(path, value))
+    out = tmp_path / "o"
+
+    def alarm(signum, frame):
+        raise TimeoutError("track ran past its 10 s alarm")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(10)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = CliRunner().invoke(main, ["track", "--world", str(world_out / "world.json"), "--config", str(config), "--seed", "0", "--out", str(out)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert result.exit_code in (0, 2, 3), f"{result.output}{result.exception!r}"
+    assert result.output.count("\n") == 1, result.output
+    if (out / "track_log.jsonl").exists():
+        text = (out / "track_log.jsonl").read_text()
+        assert "NaN" not in text and "Infinity" not in text
 
 
 @pytest.fixture(scope="module")
