@@ -15,21 +15,24 @@ that empty out (topic 0 always survives).
 Topics are reported by stable labels assigned at creation; retirement
 compacts internal indices but never reuses a label.
 
-Both entry points share one sampling kernel, which mirrors the count rows
-it touches into Python lists for the duration of a call and writes them
-back at the end.  Every token draw consumes exactly one uniform and opening
+The model's state is the token assignments and three count tables, kept
+as plain Python lists of floats: ``n[w,k]`` (word-topic, one list per word),
+``m[c,k]`` (cell-topic, one list per cell) and the topic totals ``n[k]``,
+each ``max_topics`` wide with zeros past the active topics.  Floats, not
+ints, keep ``n + beta`` on the interpreter's float path.  Every count is a
+whole number far below ``2**53``, so the +-1 updates are exact.  Only the
+queries build numpy arrays, from the lists.
+
+Both entry points share one sampling kernel, which updates the rows it
+touches in place.  Every token draw consumes exactly one uniform and opening
 a topic consumes none, so the uniforms of a whole call (one ``observe`` or
 one refine sweep) are drawn up front with a single ``rng.random(n)``; the
 stream is the same as one ``rng.random()`` per token.  The denominators and
 neighborhood counts are updated by +-1 in place, never recomputed mid-call,
-so every double matches the one-token-at-a-time formulation.
-
-The model's state is the token assignments and the two count tables
-``n[w,k]`` (word-topic) and ``m[c,k]`` (cell-topic).  Topic totals ``n[k]``
-are column sums of ``n[w,k]``, computed once per call where they are read;
-the sampler derives its denominators ``n[k] + V*beta`` from them when a call
-starts.  With ``V*beta`` exact in binary (every shipped config), that gives
-the same doubles as carrying the denominators from call to call.
+so every double matches the one-token-at-a-time formulation.  A call derives
+its denominators ``n[k] + V*beta`` from the exact totals when it starts.
+With ``V*beta`` exact in binary (every shipped config), that gives the same
+doubles as carrying the denominators from call to call.
 
 When ``V*beta`` is not exact, the +-1 updates round.  A call computes each
 denominator once as ``n[k] + V*beta`` from the exact integer totals and then
@@ -118,6 +121,7 @@ class _Checkpoint:
         labels, tokens = self.labels, self.tokens
         check_section(self, ("grid_nx", lambda: self.grid_nx >= 1, "must be at least 1"),
                       ("grid_ny", lambda: self.grid_ny >= 1, "must be at least 1"),
+                      ("n_topics", lambda: 1 <= self.n_topics <= self.config.max_topics, "must be in [1, config.max_topics]"),
                       ("labels", lambda: len(labels) == self.n_topics, "must hold one label per topic"),
                       ("labels", lambda: len(set(labels)) == len(labels), "must be distinct"),
                       ("next_label", lambda: self.next_label not in labels, "must not be a label in use"),
@@ -137,8 +141,9 @@ class TopicModel:
         self.n_cells = grid_nx * grid_ny
 
         kmax = self.config.max_topics
-        self._word_topic = np.zeros((vocab_size, kmax), dtype=np.float64)
-        self._cell_topic = np.zeros((self.n_cells, kmax), dtype=np.float64)
+        self._word_topic = [[0.0] * kmax for _ in range(vocab_size)]
+        self._cell_topic = [[0.0] * kmax for _ in range(self.n_cells)]
+        self._topic_total = [0.0] * kmax
         self.n_topics = 1  # topic 0 exists from the start and is never retired
         self.labels: list[int] = [0]
         self._next_label = 1
@@ -171,15 +176,15 @@ class TopicModel:
 
     def word_topic_counts(self) -> np.ndarray:
         """(V, K) word-topic count table for the active topics."""
-        return self._word_topic[:, : self.n_topics].copy()
+        return np.array([row[: self.n_topics] for row in self._word_topic])
 
     def cell_topic_counts(self) -> np.ndarray:
         """(n_cells, K) cell-topic count table for the active topics."""
-        return self._cell_topic[:, : self.n_topics].copy()
+        return np.array([row[: self.n_topics] for row in self._cell_topic])
 
     def topic_totals(self) -> np.ndarray:
         """(K,) tokens per active topic: the column sums of the word-topic table."""
-        return self._word_topic[:, : self.n_topics].sum(axis=0)
+        return np.array(self._topic_total[: self.n_topics])
 
     def log_likelihood(self) -> float:
         """The collapsed ``log p(w | z)`` of the current assignments
@@ -191,22 +196,24 @@ class TopicModel:
         from scipy.special import gammaln
 
         beta, v = self.config.beta, self.vocab_size
-        counts = self._word_topic[:, : self.n_topics]
-        per_topic = gammaln(counts + beta).sum(axis=0) - gammaln(counts.sum(axis=0) + v * beta)
+        per_topic = gammaln(self.word_topic_counts() + beta).sum(axis=0) - gammaln(self.topic_totals() + v * beta)
         return float(self.n_topics * (gammaln(v * beta) - v * gammaln(beta)) + per_topic.sum())
 
     def validate_counts(self) -> None:
         k = self.n_topics
         if not 1 <= k <= self.config.max_topics:
             raise ValueError("active topic count out of range")
-        if np.any(self._word_topic < 0) or np.any(self._cell_topic < 0):
+        word_topic, cell_topic = np.array(self._word_topic), np.array(self._cell_topic)
+        if np.any(word_topic < 0) or np.any(cell_topic < 0):
             raise ValueError("negative counts")
-        if self._word_topic[:, :k].sum() != self.token_count:
+        if word_topic[:, :k].sum() != self.token_count:
             raise ValueError("word-topic table inconsistent with token count")
-        if self._cell_topic[:, :k].sum() != self.token_count:
+        if cell_topic[:, :k].sum() != self.token_count:
             raise ValueError("cell-topic table inconsistent with token count")
-        if np.any(self._word_topic[:, k:]) or np.any(self._cell_topic[:, k:]):
+        if np.any(word_topic[:, k:]) or np.any(cell_topic[:, k:]):
             raise ValueError("counts present beyond active topics")
+        if not np.array_equal(self._topic_total, word_topic.sum(axis=0)):
+            raise ValueError("topic totals differ from the word-topic column sums")
 
     # -- inference ----------------------------------------------------------
 
@@ -222,25 +229,24 @@ class TopicModel:
         new_weight = cfg.gamma / self.vocab_size
         unused_denom = self.vocab_size * beta
         tok_cell, tok_word, tok_topic = self._tok_cell, self._tok_word, self._tok_topic
-        cells = set(tok_cell[start:])
-        word_rows = {w: self._word_topic[w].tolist() for w in set(tok_word[start:])}
-        cell_rows = {c: self._cell_topic[c].tolist() for c in {n for c in cells for n in self._neighbors[c]}}
+        word_topic, cell_topic, totals, neighbors = self._word_topic, self._cell_topic, self._topic_total, self._neighbors
         # denom and mn_alpha hold one entry per active topic, so zip() over
         # them ignores the unused columns of the full-width rows.
-        denom = (self.topic_totals() + unused_denom).tolist()
+        denom = [total + unused_denom for total in totals[: self.n_topics]]
 
         current_cell = -1
         for i, u in enumerate(rng.random(len(tok_word) - start).tolist(), start):
             cell = tok_cell[i]
             if cell != current_cell:
                 current_cell = cell
-                cell_row = cell_rows[cell]
-                neighborhood = zip(*(cell_rows[c] for c in self._neighbors[cell]))
+                cell_row = cell_topic[cell]
+                neighborhood = zip(*(cell_topic[c] for c in neighbors[cell]))
                 mn_alpha = [sum(col) + alpha for col in islice(neighborhood, len(denom))]
-            row = word_rows[tok_word[i]]
+            row = word_topic[tok_word[i]]
             if resample:
                 old = tok_topic[i]
                 row[old] -= 1
+                totals[old] -= 1
                 denom[old] -= 1
                 cell_row[old] -= 1
                 mn_alpha[old] -= 1
@@ -260,15 +266,11 @@ class TopicModel:
                 mn_alpha.append(alpha)  # no counts yet anywhere
 
             row[k] += 1
+            totals[k] += 1
             denom[k] += 1
             cell_row[k] += 1
             mn_alpha[k] += 1
             tok_topic[i] = k
-
-        for w, row in word_rows.items():
-            self._word_topic[w] = row
-        for c in cells:
-            self._cell_topic[c] = cell_rows[c]
 
     def _create_topic(self) -> int:
         k = self.n_topics
@@ -312,21 +314,16 @@ class TopicModel:
 
     def _retire_empty_topics(self) -> None:
         k = self.n_topics
-        totals = self.topic_totals()
-        keep = [0] + [j for j in range(1, k) if totals[j] > 0]
+        keep = [0] + [j for j in range(1, k) if self._topic_total[j] > 0]
         if len(keep) == k:
             return
-        remap = np.full(k, -1, dtype=int)
-        for new, old in enumerate(keep):
-            remap[old] = new
-        n_keep = len(keep)
-        self._word_topic[:, :n_keep] = self._word_topic[:, keep]
-        self._word_topic[:, n_keep:k] = 0
-        self._cell_topic[:, :n_keep] = self._cell_topic[:, keep]
-        self._cell_topic[:, n_keep:k] = 0
+        zeros = [0.0] * (self.config.max_topics - len(keep))
+        for row in (*self._word_topic, *self._cell_topic, self._topic_total):
+            row[:] = [row[j] for j in keep] + zeros
+        remap = {old: new for new, old in enumerate(keep)}
         self.labels = [self.labels[j] for j in keep]
-        self.n_topics = n_keep
-        self._tok_topic[:] = [int(remap[t]) for t in self._tok_topic]
+        self.n_topics = len(keep)
+        self._tok_topic[:] = [remap[t] for t in self._tok_topic]
 
     # -- queries ------------------------------------------------------------
 
@@ -336,20 +333,19 @@ class TopicModel:
         if not 0 <= cell_id < self.n_cells:
             raise ValueError(f"cell_id {cell_id} outside grid")
         k = self.n_topics
-        counts = self._cell_topic[cell_id, :k]
+        counts = np.array(self._cell_topic[cell_id][:k])
         return (counts + self.config.alpha) / (counts.sum() + k * self.config.alpha)
 
     def habitat_map(self) -> np.ndarray:
         """(ny, nx, K) topic distribution over the whole grid."""
         k = self.n_topics
-        counts = self._cell_topic[:, :k]
+        counts = self.cell_topic_counts()
         dist = (counts + self.config.alpha) / (counts.sum(axis=1, keepdims=True) + k * self.config.alpha)
         return dist.reshape(self.grid_ny, self.grid_nx, k)
 
     def dominant_topic_cells(self) -> np.ndarray:
         """(n_cells,) most-likely topic index per cell; -1 where unobserved."""
-        k = self.n_topics
-        counts = self._cell_topic[:, :k]
+        counts = self.cell_topic_counts()
         dominant = np.argmax(counts, axis=1)
         dominant[counts.sum(axis=1) == 0] = -1
         return dominant
@@ -373,9 +369,8 @@ class TopicModel:
     def _appearance(self) -> tuple[np.ndarray, np.ndarray]:
         """The (V, K) appearance table ``(n[w,k] + beta) / (n[k] + V*beta)``
         of the active topics, and the topic totals ``n[k]``."""
-        counts = self._word_topic[:, : self.n_topics]
-        totals = counts.sum(axis=0)
-        return (counts + self.config.beta) / (totals + self.vocab_size * self.config.beta), totals
+        totals = self.topic_totals()
+        return (self.word_topic_counts() + self.config.beta) / (totals + self.vocab_size * self.config.beta), totals
 
     # -- persistence --------------------------------------------------------
 
@@ -408,10 +403,19 @@ class TopicModel:
             ):
                 if values and not 0 <= min(values) <= max(values) < bound:
                     raise ValueError(f"token {name} index outside [0, {bound})")
-            np.add.at(model._word_topic, (model._tok_word, model._tok_topic), 1.0)
-            np.add.at(model._cell_topic, (model._tok_cell, model._tok_topic), 1.0)
+            kmax = model.config.max_topics
+            model._word_topic = _count_rows(model._tok_word, model._tok_topic, model.vocab_size, kmax)
+            model._cell_topic = _count_rows(model._tok_cell, model._tok_topic, model.n_cells, kmax)
+            model._topic_total = [float(sum(column)) for column in zip(*model._word_topic)]
             model.validate_counts()
         return model
+
+
+def _count_rows(index: list[int], topic: list[int], n_rows: int, width: int) -> list[list[float]]:
+    """``n_rows`` lists of ``width`` floats: entry ``[r][k]`` counts the
+    tokens ``i`` with ``index[i] == r`` and ``topic[i] == k``."""
+    flat = np.asarray(index, dtype=np.int64) * width + np.asarray(topic, dtype=np.int64)
+    return np.bincount(flat, minlength=n_rows * width).reshape(n_rows, width).astype(np.float64).tolist()
 
 
 def perplexity(model: TopicModel, documents: list) -> float:

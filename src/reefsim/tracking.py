@@ -68,8 +68,20 @@ MAX_EPISODE_STEPS = 360_000
 # is a fraction of a pixel wide, or out of float range.
 MAX_FOLLOW_RANGE_M = 1e4
 
+# Upper bound on the camera's image width and height in pixels, past any
+# sensor a follow camera has.  Unbounded, an int such as 10**400 passed the
+# config check and then overflowed where it became a float.
+MAX_IMAGE_PX = 100_000
+
 # A frame is due once the step time is within this of its frame time.
 FRAME_TIME_TOL_S = 1e-9
+
+
+def frame_due(t: float, n_frames: int, frame_dt: float) -> bool:
+    """Whether the frame after ``n_frames`` frames is due at step time ``t``.
+    Its time is computed as ``n_frames * frame_dt``, not summed frame by
+    frame, so the schedule does not drift over a long episode."""
+    return t + FRAME_TIME_TOL_S >= n_frames * frame_dt
 
 
 @dataclass(frozen=True)
@@ -86,8 +98,8 @@ class Camera:
     def __post_init__(self) -> None:
         # The tangent test also rejects an angle whose half in radians
         # underflows to 0, which would leave no focal length at all.
-        check_section(self, ("width_px", lambda: self.width_px >= 2, "must be at least 2"),
-                      ("height_px", lambda: self.height_px >= 2, "must be at least 2"),
+        check_section(self, ("width_px", lambda: 2 <= self.width_px <= MAX_IMAGE_PX, f"must be in [2, {MAX_IMAGE_PX}]"),
+                      ("height_px", lambda: 2 <= self.height_px <= MAX_IMAGE_PX, f"must be in [2, {MAX_IMAGE_PX}]"),
                       ("hfov_deg", lambda: 0.0 < self.hfov_deg < 180.0 and np.tan(np.radians(self.hfov_deg) / 2.0) > 0.0,
                        "must be in (0, 180) degrees"))
 
@@ -460,13 +472,12 @@ def run_tracking_episode(
     last_box_time = 0.0
     last_seen_time = 0.0
     lost = False
-    next_frame_time = 0.0
     n_steps = int(round(duration_s / dt))
     companion_cfg = TargetConfig(kind=target_cfg.kind, body_length_m=max(0.3 * target_cfg.body_length_m, 0.1), body_aspect=1.0)
 
     for step in range(n_steps + 1):
         t = step * dt
-        if t + FRAME_TIME_TOL_S >= next_frame_time:
+        if frame_due(t, len(log.frames), frame_dt):
             pose = (vehicle.x, vehicle.y, vehicle.z, vehicle.psi)
             true_box = _frame_box(camera, pose, (target.x, target.y, target.z), target_cfg, target.heading)
             distractor_box = None
@@ -505,7 +516,6 @@ def run_tracking_episode(
                     distractor_locked=tracker_state.lock_remaining_s > 0,
                 )
             )
-            next_frame_time += frame_dt
 
         target = step_target(target, target_cfg, world, dt, rng)
         vehicle = step_dynamics(vehicle, command, dt, vehicle_config)

@@ -59,7 +59,8 @@ class VehicleConfig:
     def __post_init__(self) -> None:
         check_section(self, ("tau_s", lambda: self.tau_s > 0, "must be positive"),
                       ("v_max_mps", lambda: 0 < self.v_max_mps <= MAX_SPEED_LIMIT_MPS, f"must be in (0, {MAX_SPEED_LIMIT_MPS:g}]"),
-                      ("heave_max_mps", lambda: self.heave_max_mps > 0, "must be positive"))
+                      ("heave_max_mps", lambda: self.heave_max_mps > 0, "must be positive"),
+                      ("yaw_rate_max", lambda: self.yaw_rate_max > 0, "must be positive"))
 
 
 @dataclass(frozen=True)

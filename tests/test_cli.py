@@ -544,6 +544,8 @@ class TestSurveyAnalyzeTrack:
             ("survey", "vehicle", "v_max_mps", -1e308),
             ("survey", "vehicle", "heave_max_mps", -1e308),
             ("track", "vehicle", "heave_max_mps", -1e308),
+            ("track", "vehicle", "yaw_rate_max", -1e6),
+            pytest.param("track", "tracking", "camera", {"width_px": 10**400}, id="track-tracking-camera-width_px-10**400"),
             ("survey", "noise", "usbl_period_s", -1.0),
             pytest.param("survey", "plan", "audio_fs_hz", 10**400, id="survey-plan-audio_fs_hz-10**400"),
             ("survey", "plan", "drift_duration_s", 1e308),
@@ -807,20 +809,20 @@ class TestLoudWorld:
             assert (report / "snap_rates.csv").read_text().count(",saturated\n") == sum(saturated)
 
 
-TRACK_SWEEP_VALUES = (1e308, -1e308, 1e-300, 0.0, 1e6, -1e6)
+TRACK_SWEEP_VALUES = {float: (1e308, -1e308, 1e-300, 0.0, 1e6, -1e6), int: (10**400, 10**6, 0, -1)}
 BENTHIC_WITH_DISTRACTOR = {"kind": "benthic-glider", "speed_mps": 0.15, "heading_walk_sigma": 0.05, "distractor": {}}
 
 
-def track_float_leaves() -> list[tuple]:
-    """The key path of every float leaf ``track`` reads: its sections
-    ``tracking`` (camera, target and distractor included), ``vehicle`` and
-    ``episode``."""
+def track_leaves(kind: type) -> list[tuple]:
+    """The key path of every leaf of type ``kind`` that ``track`` reads: its
+    sections ``tracking`` (camera, target and distractor included),
+    ``vehicle`` and ``episode``."""
     data = config_to_dict(RunConfig(tracking=TrackingConfig(target=TargetConfig(distractor=DistractorConfig()))))
     return [(section, *path) for section in ("tracking", "vehicle", "episode")
-            for path in leaf_paths(data[section]) if type(leaf(data[section], path)) is float]
+            for path in leaf_paths(data[section]) if type(leaf(data[section], path)) is kind]
 
 
-def track_sweep_config(path: tuple, value: float) -> dict:
+def track_sweep_config(path: tuple, value: float | int) -> dict:
     """A 5 s episode with the leaf at ``path`` set to ``value``.  A target
     leaf runs on the benthic glider with a distractor, except ``depth_m``,
     which only the midwater cruiser reads; every other leaf on the default
@@ -835,14 +837,20 @@ def track_sweep_config(path: tuple, value: float) -> dict:
     return data
 
 
-TRACK_SWEEP = [(path, value) for path in track_float_leaves() for value in TRACK_SWEEP_VALUES]
+TRACK_SWEEP = [(path, value) for kind, values in TRACK_SWEEP_VALUES.items() for path in track_leaves(kind) for value in values]
 
 
-@pytest.mark.parametrize("path, value", TRACK_SWEEP, ids=[f"{'.'.join(p)}={v:g}" for p, v in TRACK_SWEEP])
+def sweep_id(path: tuple, value: float | int) -> str:
+    shown = f"{value:g}" if type(value) is float else ("10**400" if value == 10**400 else str(value))
+    return f"{'.'.join(path)}={shown}"
+
+
+@pytest.mark.parametrize("path, value", TRACK_SWEEP, ids=[sweep_id(p, v) for p, v in TRACK_SWEEP])
 def test_track_extreme_float_leaf_exits_cleanly(workspace, tmp_path, path, value) -> None:
-    """Every extreme float leaf ``track`` reads ends in an exit code of the
-    contract, with one line of output, within its alarm, with no numpy
-    warning (each is an error here) and no NaN or Infinity in the log."""
+    """Every extreme float or int leaf ``track`` reads ends in an exit code
+    of the contract, with one line of output, within its alarm, with no
+    numpy warning (each is an error here) and no NaN or Infinity in the
+    log."""
     _, _, world_out, _ = workspace
     config = write_config(tmp_path, track_sweep_config(path, value))
     out = tmp_path / "o"

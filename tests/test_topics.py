@@ -62,6 +62,16 @@ class TestObserve:
             model.validate_counts()
             assert model.word_topic_counts().sum() == model.token_count
 
+    def test_validate_counts_checks_the_topic_totals(self) -> None:
+        model = TopicModel(12, 5, 5)
+        rng = substream(2, "totals")
+        for cell in range(25):
+            model.observe(cell, rng.multinomial(8, np.full(12, 1 / 12)), rng)
+        model.validate_counts()
+        model._topic_total[0] += 1
+        with pytest.raises(ValueError, match="topic totals"):
+            model.validate_counts()
+
     def test_histogram_length_mismatch_rejected(self) -> None:
         model = TopicModel(10, 4, 1)
         with pytest.raises(DataError):
@@ -209,6 +219,35 @@ class TestGoldenStream:
         model, digest = golden_run(20)
         assert model._next_label > model.n_topics  # some topic retired
         assert digest == "5ae16714ca375fa23332cb3b0bcb5c4223032812bbef65d1a89b94f7c8422d2e"
+
+    def test_streaming_observes_with_refines_and_a_reload(self, tmp_path) -> None:
+        # The topic-stream benchmark's traffic in small: 5-word observes in
+        # lawnmower order over a banded 10x10 grid, a one-sweep refine every
+        # 300 ops and a save/load half-way, the counts checked after each op.
+        appearance = _block_appearance(3, 30, 0.05)
+        truth = striped_world(10, 10)
+        order = [iy * 10 + ix for iy in range(10) for ix in (range(10) if iy % 2 == 0 else range(9, -1, -1))]
+        rng = substream(8, "golden-stream")
+        model = TopicModel(30, 10, 10)
+        kinds = set()
+        for i in range(1, 1501):
+            if i == 750:
+                model.save(tmp_path / "model.json")
+                model = TopicModel.load(tmp_path / "model.json")
+                kinds.add("load")
+            elif i % 300 == 0:
+                retired = model._next_label - model.n_topics
+                model.gibbs_refine(1, rng)
+                kinds.add("retire" if model._next_label - model.n_topics > retired else "refine")
+            else:
+                cell = order[i % 100]
+                model.observe(cell, rng.multinomial(5, appearance[truth[cell]]), rng)
+                kinds.add("observe")
+            model.validate_counts()
+        assert kinds == {"observe", "refine", "retire", "load"}
+        state = [model._tok_topic, model.labels, model.n_topics, model._next_label, rng.random().hex()]
+        digest = hashlib.sha256(json.dumps(state).encode()).hexdigest()
+        assert digest == "9afa027af1f853650220f631d469d79769c9ba7f2e191eedbd4186570a79cea6"
 
 
 class TestHabitatDistribution:

@@ -243,6 +243,16 @@ class TestTrackingEpisode:
         with pytest.raises(ValueError):
             run_tracking_episode(open_world, VehicleConfig(), TrackingConfig(), 0.0, seed=0)
 
+    @pytest.mark.parametrize("frame_rate_hz, dt", [(20.0, 0.05), (15.0, 0.05), (3.0, 0.2)])
+    def test_frame_schedule_does_not_drift_over_the_longest_episode(self, frame_rate_hz, dt) -> None:
+        # The episode loop's frame test alone, over MAX_EPISODE_STEPS steps.
+        # A schedule summed frame by frame drifted one frame short on each.
+        frame_dt = 1.0 / frame_rate_hz
+        n_frames = 0
+        for step in range(tracking.MAX_EPISODE_STEPS + 1):
+            n_frames += tracking.frame_due(step * dt, n_frames, frame_dt)
+        assert n_frames == round(tracking.MAX_EPISODE_STEPS * dt * frame_rate_hz) + 1
+
 
 class TestEpisodePanels:
     """Seeded Monte Carlo panels for the episode-level behavior: the
