@@ -10,9 +10,7 @@ from .acoustics import AcousticsConfig, Spectrogram, band_energy, detect_snaps_i
 from .analysis import (
     AnalysisReport,
     analyze_log,
-    cooccurrence,
     fit_shrimp_habitat,
-    habitat_preference,
     pearson,
     predict_snap_rate,
 )
@@ -61,14 +59,12 @@ __all__ = [
     "WorldConfig",
     "analyze_log",
     "band_energy",
-    "cooccurrence",
     "detect_snaps_in_window",
     "ekf_predict",
     "ekf_update",
     "execute",
     "fit_shrimp_habitat",
     "generate_world",
-    "habitat_preference",
     "load_config",
     "load_log",
     "match_accuracy",

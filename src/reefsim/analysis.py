@@ -4,8 +4,7 @@ The central fit maps per-window habitat (topic) mixtures to min-max
 normalized snap rates by ordinary least squares with an intercept.  Because
 topic mixtures sum to one, the design is collinear with the intercept; a
 tiny ridge (1e-8) on the normal equations makes the solve deterministic
-without visibly biasing the fit.  Also provides Pearson correlation, track
-habitat preference, and track co-occurrence.
+without visibly biasing the fit.  Also provides Pearson correlation.
 
 :func:`analyze_log` runs on two cores.  The topic fit (model construction,
 streaming the imaging records, Gibbs refinement) runs in one worker process
@@ -136,46 +135,6 @@ def pearson(a, b) -> float:
     return float(np.clip(np.sum(da * db) / denom, -1.0, 1.0))
 
 
-def occupancy_histogram(track_xy: np.ndarray, grid_shape: tuple[int, int], cell_size_m: float) -> np.ndarray:
-    """Normalized visit-count histogram of a track over grid cells.
-
-    ``grid_shape`` is (ny, nx); positions must lie inside the grid.
-    """
-    track = np.asarray(track_xy, dtype=np.float64)
-    if track.ndim != 2 or track.shape[1] != 2 or len(track) == 0:
-        raise DegenerateDataError("track must be a non-empty sequence of (x, y)")
-    ny, nx = grid_shape
-    ix = np.floor(track[:, 0] / cell_size_m).astype(int)
-    iy = np.floor(track[:, 1] / cell_size_m).astype(int)
-    ix = np.where((track[:, 0] >= nx * cell_size_m) & (ix == nx), nx - 1, ix)
-    iy = np.where((track[:, 1] >= ny * cell_size_m) & (iy == ny), ny - 1, iy)
-    if np.any((ix < 0) | (ix >= nx) | (iy < 0) | (iy >= ny)):
-        raise ValueError("track leaves the grid")
-    counts = np.zeros(ny * nx)
-    np.add.at(counts, iy * nx + ix, 1.0)
-    return counts / counts.sum()
-
-
-def habitat_preference(track_xy: np.ndarray, habitat_field: np.ndarray, cell_size_m: float) -> np.ndarray:
-    """Habitat distribution preferred by a tracked animal:
-    sum_x P(habitat | x) P(x | track), with P(x | track) the empirical
-    cell-occupancy histogram.  Sums to one."""
-    habitat_field = np.asarray(habitat_field, dtype=np.float64)
-    if habitat_field.ndim != 3:
-        raise ValueError("habitat_field must be (ny, nx, H)")
-    ny, nx, n_habitats = habitat_field.shape
-    occupancy = occupancy_histogram(track_xy, (ny, nx), cell_size_m)
-    return occupancy @ habitat_field.reshape(ny * nx, n_habitats)
-
-
-def cooccurrence(track1_xy: np.ndarray, track2_xy: np.ndarray, grid_shape: tuple[int, int], cell_size_m: float) -> float:
-    """Spatial co-occurrence of two independent tracks: the inner product of
-    their normalized occupancy histograms."""
-    h1 = occupancy_histogram(track1_xy, grid_shape, cell_size_m)
-    h2 = occupancy_histogram(track2_xy, grid_shape, cell_size_m)
-    return float(h1 @ h2)
-
-
 # -- end-to-end report -------------------------------------------------------
 
 
@@ -218,16 +177,22 @@ def analyze_log(
     analysis_config = analysis_config or AnalysisConfig()
 
     # Checked here, not in the worker, so that a log without drift windows
-    # or images, or a beta the sampler cannot carry, fails at once; drift
-    # windows are checked first.
+    # or images, images without one vocabulary of at least two words, or a
+    # beta the sampler cannot carry, fails at once; drift windows are
+    # checked first.
     if not log.drift_records():
         raise DataError("mission log contains no drift windows")
     imaging = log.imaging_records()
     if not imaging:
         raise DataError("mission log has no imaging records")
+    vocab_size = len(imaging[0].words)
+    if any(len(record.words) != vocab_size for record in imaging):
+        raise DataError("imaging records hold word histograms of different lengths")
+    if vocab_size < 2:
+        raise DataError(f"imaging records hold {vocab_size}-word histograms; a vocabulary needs at least 2 words")
 
     observations = [(record.cell_id, record.words) for record in imaging]
-    shape = (len(imaging[0].words), log.grid_nx, log.grid_ny)
+    shape = (vocab_size, log.grid_nx, log.grid_ny)
     topics_config.check_beta(shape[0], sum(sum(words) for _, words in observations))
     with Worker(_fit_topics, observations, shape, topics_config, seed) as worker:
         snap_rates = snap_rate_series(log, acoustics_config)

@@ -40,6 +40,8 @@ EXIT_DATA_ERROR = 3
 def _prepare(config_path: str | None, out_dir: str, seed: int | None) -> tuple[RunConfig, Path, int]:
     config = load_config(config_path)
     effective_seed = seed if seed is not None else config.seed
+    if effective_seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {effective_seed}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dump_resolved(config, effective_seed, out / "resolved_config.yaml")

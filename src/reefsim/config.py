@@ -25,7 +25,7 @@ import yaml
 from .acoustics import AcousticsConfig
 from .analysis import AnalysisConfig
 from .errors import ConfigError, build, check_section
-from .mission import MissionConfig, MissionPlan
+from .mission import MAX_WAYPOINT_STEPS, MissionConfig, MissionPlan
 from .tracking import MAX_EPISODE_STEPS, TrackingConfig
 from .vehicle import NoiseConfig, VehicleConfig
 from .world import WorldConfig
@@ -64,8 +64,9 @@ class RunConfig:
         # channels it fuses into a measurement variance, which a Kalman update
         # needs > 0.  An episode runs at most ``MAX_EPISODE_STEPS`` dynamics
         # steps: the duration is at fault when even the longest legal step
-        # (0.5 s) cannot fit it, the step otherwise.
-        n = self.noise
+        # (0.5 s) cannot fit it, the step otherwise.  A survey waypoint's
+        # timeout and drift are bounded the same way by MAX_WAYPOINT_STEPS.
+        n, m, p = self.noise, self.mission, self.plan
         check_section(self, ("mission.current_mps", lambda: math.hypot(*self.mission.current_mps) <= self.vehicle.v_max_mps,
                              "must be no faster than vehicle.v_max_mps"),
                       ("noise.dvl_velocity_sigma", lambda: _square(n.dvl_velocity_sigma) < math.inf, "must have a finite square"),
@@ -77,7 +78,11 @@ class RunConfig:
                       ("episode.duration_s", lambda: self.episode.duration_s <= MAX_EPISODE_STEPS * 0.5,
                        f"must be at most {MAX_EPISODE_STEPS:,} dynamics steps of the longest, 0.5 s"),
                       ("tracking.dynamics_dt_s", lambda: self.episode.duration_s / self.tracking.dynamics_dt_s <= MAX_EPISODE_STEPS,
-                       f"must be at least episode.duration_s / {MAX_EPISODE_STEPS:,}"))
+                       f"must be at least episode.duration_s / {MAX_EPISODE_STEPS:,}"),
+                      ("mission.waypoint_timeout_s", lambda: m.waypoint_timeout_s + p.drift_duration_s <= MAX_WAYPOINT_STEPS * 0.5,
+                       f"plus plan.drift_duration_s must be at most {MAX_WAYPOINT_STEPS:,} dynamics steps of the longest, 0.5 s"),
+                      ("mission.dt_s", lambda: (m.waypoint_timeout_s + p.drift_duration_s) / m.dt_s <= MAX_WAYPOINT_STEPS,
+                       f"must be at least (mission.waypoint_timeout_s + plan.drift_duration_s) / {MAX_WAYPOINT_STEPS:,}"))
 
 
 def _square(sigma: float) -> float:

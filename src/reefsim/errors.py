@@ -52,7 +52,7 @@ class SaturatedWindowError(DataError):
 
 class DegenerateDataError(DataError):
     """Statistical operation received degenerate input (constant series,
-    rank-deficient design beyond ridge rescue, empty track)."""
+    rank-deficient design beyond ridge rescue)."""
 
 
 field_types = functools.cache(typing.get_type_hints)  # a dataclass's resolved annotations, once per class

@@ -73,13 +73,34 @@ from .world import MIN_AUDIO_FS, AudioWindow, GridWorld, read_wav, sample_image_
 
 LOG_FORMAT = "reefsim-mission-log-v2"
 
+# Upper bounds on a survey's work, checked before it starts: the waypoints of
+# a plan, and the dynamics steps of one waypoint, its
+# ``mission.waypoint_timeout_s / mission.dt_s`` of transit at most plus its
+# ``plan.drift_duration_s / mission.dt_s`` of drift.  The largest survey any
+# test, benchmark or example runs is the criterion-1 site: 50 waypoints, and
+# 3,600 + 200 steps per waypoint at the default 180 s timeout, 10 s drifts
+# and 0.05 s steps.  Each budget allows 100 times that.  They bound each
+# factor, not the product: on a 2-vCPU x86_64 VM a plan of 4,646 waypoints
+# without drifts ran in 9.7 s, and a step took about 0.1 ms, so a waypoint
+# that uses all 380,000 steps runs for about 40 s.
+MAX_WAYPOINTS = 5_000
+MAX_WAYPOINT_STEPS = 380_000
+
+# Upper bound on a drift window's samples, which are rendered, written and
+# detected whole.  The largest window any test, benchmark or example records
+# is 10 s at 96 kHz, 960,000 samples; this allows 10 times that.  On the same
+# VM a survey of four windows at the bound peaked at 260 MB, and one 2,000 s
+# drift at 96 kHz at 3.1 GB.
+MAX_WINDOW_SAMPLES = 9_600_000
+
 
 def _drift_window_rules(s) -> tuple:
     """A plan's and a log header's rules on the drift windows.  The rate is
     bounded before the product: an int too large for a float overflows it."""
     return (("drift_duration_s", lambda: s.drift_duration_s >= 0, "must be non-negative"),
             ("audio_fs_hz", lambda: MIN_AUDIO_FS <= s.audio_fs_hz <= sys.float_info.max, f"must be at least {MIN_AUDIO_FS} and fit a float"),
-            ("drift_duration_s", lambda: s.drift_duration_s * s.audio_fs_hz <= sys.float_info.max, "times audio_fs_hz must be a finite sample count"))
+            ("drift_duration_s", lambda: s.drift_duration_s * s.audio_fs_hz <= MAX_WINDOW_SAMPLES,
+             f"times audio_fs_hz must be at most {MAX_WINDOW_SAMPLES:,} samples"))
 
 
 @dataclass(frozen=True)
@@ -106,22 +127,39 @@ class MissionPlan:
                       ("leg_spacing_m", lambda: self.leg_spacing_m <= max(b[2] - b[0], b[3] - b[1]), "is larger than both bound extents"),
                       ("waypoint_spacing_m", lambda: self.waypoint_spacing_m is None or self.waypoint_spacing_m > 0, "must be positive"),
                       ("imaging_period_s", lambda: self.imaging_period_s > 0, "must be positive"),
-                      *_drift_window_rules(self))
+                      *_drift_window_rules(self),
+                      ("leg_spacing_m", lambda: self._layout()[0] <= MAX_WAYPOINTS, f"must give at most {MAX_WAYPOINTS:,} waypoints"),
+                      ("leg_spacing_m" if self.waypoint_spacing_m is None else "waypoint_spacing_m",
+                       lambda: self._waypoint_count() <= MAX_WAYPOINTS, f"must give at most {MAX_WAYPOINTS:,} waypoints"))
+
+    def _layout(self) -> tuple[float, float, bool]:
+        """``(legs, spans, closed)`` of :attr:`waypoints`, in closed form:
+        the legs, the whole ``waypoint_spacing_m`` steps along a leg, and
+        whether a station at ``x1`` closes a leg after them.  The counts are
+        floats, so that a spacing of 1e-300 gives a count to compare with a
+        budget, not a list too long to build."""
+        x0, y0, x1, y1 = self.bounds
+        legs = np.floor((y1 - y0) / self.leg_spacing_m + 1e-9) + 1
+        if self.waypoint_spacing_m is None:
+            return legs, 1.0, False
+        spans = np.floor((x1 - x0) / self.waypoint_spacing_m + 1e-9)
+        return legs, spans, bool(x0 + spans * self.waypoint_spacing_m < x1 - 1e-9)
+
+    def _waypoint_count(self) -> float:
+        legs, spans, closed = self._layout()
+        return legs * (spans + 1 + closed)
 
     @functools.cached_property
     def waypoints(self) -> tuple[tuple[float, float], ...]:
         """The waypoints in visiting order, derived once per plan."""
         x0, y0, x1, y1 = self.bounds
-        n_legs = int(np.floor((y1 - y0) / self.leg_spacing_m + 1e-9)) + 1
+        legs, spans, closed = self._layout()
         if self.waypoint_spacing_m is None:
             stations = [x0, x1]
         else:
-            n_spans = int(np.floor((x1 - x0) / self.waypoint_spacing_m + 1e-9))
-            stations = [x0 + i * self.waypoint_spacing_m for i in range(n_spans + 1)]
-            if stations[-1] < x1 - 1e-9:
-                stations.append(x1)
+            stations = [x0 + i * self.waypoint_spacing_m for i in range(int(spans) + 1)] + [x1] * closed
         waypoints: list[tuple[float, float]] = []
-        for i in range(n_legs):
+        for i in range(int(legs)):
             y = y0 + i * self.leg_spacing_m
             xs = stations if i % 2 == 0 else stations[::-1]
             waypoints.extend((x, y) for x in xs)
@@ -445,6 +483,8 @@ def load_log(path: str | Path) -> MissionLog:
     saw_end = False
     for number, line in enumerate(lines[1:], start=2):
         with data_errors(f"mission log {path} line {number}"):
+            if saw_end:
+                raise ValueError("follows the end marker")
             payload = json_object(line)
             kind = payload.pop("type", None)
             if kind == "end":

@@ -336,13 +336,6 @@ class TopicModel:
         counts = np.array(self._cell_topic[cell_id][:k])
         return (counts + self.config.alpha) / (counts.sum() + k * self.config.alpha)
 
-    def habitat_map(self) -> np.ndarray:
-        """(ny, nx, K) topic distribution over the whole grid."""
-        k = self.n_topics
-        counts = self.cell_topic_counts()
-        dist = (counts + self.config.alpha) / (counts.sum(axis=1, keepdims=True) + k * self.config.alpha)
-        return dist.reshape(self.grid_ny, self.grid_nx, k)
-
     def dominant_topic_cells(self) -> np.ndarray:
         """(n_cells,) most-likely topic index per cell; -1 where unobserved."""
         counts = self.cell_topic_counts()
@@ -416,24 +409,6 @@ def _count_rows(index: list[int], topic: list[int], n_rows: int, width: int) -> 
     tokens ``i`` with ``index[i] == r`` and ``topic[i] == k``."""
     flat = np.asarray(index, dtype=np.int64) * width + np.asarray(topic, dtype=np.int64)
     return np.bincount(flat, minlength=n_rows * width).reshape(n_rows, width).astype(np.float64).tolist()
-
-
-def perplexity(model: TopicModel, documents: list) -> float:
-    """Held-out perplexity of (histogram, ...) documents under the model's
-    appearance table, with each document's mixture inferred from its words."""
-    phi, _ = model._appearance()
-    total_ll = 0.0
-    total_tokens = 0
-    for histogram in documents:
-        histogram = np.asarray(histogram, dtype=np.float64)
-        theta = model.record_mixture(histogram)
-        word_probs = phi @ theta
-        nz = histogram > 0
-        total_ll += float(histogram[nz] @ np.log(word_probs[nz]))
-        total_tokens += int(histogram.sum())
-    if total_tokens == 0:
-        raise DataError("held-out corpus is empty")
-    return float(np.exp(-total_ll / total_tokens))
 
 
 def appearance_distributions(model: TopicModel) -> np.ndarray:

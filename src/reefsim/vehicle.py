@@ -215,9 +215,6 @@ class EkfEstimate:
     mean: np.ndarray = field(default_factory=lambda: np.zeros(4))
     cov: np.ndarray = field(default_factory=lambda: np.eye(4))
 
-    def copy(self) -> "EkfEstimate":
-        return EkfEstimate(self.mean.copy(), self.cov.copy())
-
     def validate(self, tol: float = 1e-9) -> None:
         if not np.allclose(self.cov, self.cov.T, atol=tol):
             raise ValueError("covariance not symmetric")

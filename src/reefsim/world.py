@@ -23,6 +23,7 @@ the bursts one by one, bit for bit.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,6 +40,18 @@ SNAP_DECAY_S = 2.0e-4
 SNAP_BAND_HZ = (2000.0, 24000.0)
 
 MIN_AUDIO_FS = 48_000
+
+# Upper bounds on the arrays a world is built from, so that a config cannot
+# ask for more cells, noise-lattice points or appearance entries than memory
+# holds.  The largest world any test, benchmark or example builds is 60 m x
+# 60 m at 1 m cells: 3,600 cells, 12 x 12 = 144 lattice points per noise
+# field (at the default 6 m patch length) and 3 x 30 = 90 appearance entries.
+# Each budget allows 100 times that.  At the cell budget, a 600 m x 600 m
+# world took 1.8 s and peaked at 179 MB with 3 habitats, and 12.6 s and
+# 2.0 GB with 94 habitats over 95 words, on a 2-vCPU x86_64 VM.
+MAX_GRID_CELLS = 360_000
+MAX_LATTICE_POINTS = 14_400
+MAX_APPEARANCE_ENTRIES = 9_000
 
 
 @dataclass(frozen=True)
@@ -73,7 +86,20 @@ class WorldConfig:
                       ("patch_length_m", lambda: self.patch_length_m > 0, "must be positive"),
                       ("background_sigma", lambda: self.background_sigma >= 0, "must be non-negative"),
                       ("base_depth_m", lambda: self.base_depth_m > 0, "must be positive"),
-                      ("habitat_fractions", lambda: fractions is None or (len(fractions) == self.n_habitats and min(fractions) > 0 and abs(sum(fractions) - 1) <= 1e-9), "must list one positive share per habitat, summing to 1"))
+                      ("habitat_fractions", lambda: fractions is None or (len(fractions) == self.n_habitats and min(fractions) > 0 and abs(sum(fractions) - 1) <= 1e-9), "must list one positive share per habitat, summing to 1"),
+                      # Each budget is checked in floats before the counts it bounds are rounded to ints.
+                      ("cell_size_m", lambda: max(self.width_m, self.height_m) / self.cell_size_m <= MAX_GRID_CELLS
+                       and math.prod(self.grid_shape) <= MAX_GRID_CELLS, f"must give at most {MAX_GRID_CELLS:,} cells over width_m x height_m"),
+                      ("patch_length_m", lambda: max(self.grid_shape) * self.cell_size_m / self.patch_length_m <= MAX_LATTICE_POINTS
+                       and math.prod(_lattice_shape(*self.grid_shape, self.cell_size_m, self.patch_length_m)) <= MAX_LATTICE_POINTS,
+                       f"must give at most {MAX_LATTICE_POINTS:,} value-noise lattice points over width_m x height_m"),
+                      ("vocab_size", lambda: self.n_habitats * self.vocab_size <= MAX_APPEARANCE_ENTRIES,
+                       f"times n_habitats must be at most {MAX_APPEARANCE_ENTRIES:,} appearance entries"))
+
+    @property
+    def grid_shape(self) -> tuple[int, int]:
+        """``(nx, ny)``: the cells across the width and the height."""
+        return max(1, round(self.width_m / self.cell_size_m)), max(1, round(self.height_m / self.cell_size_m))
 
 
 @dataclass
@@ -119,10 +145,6 @@ class GridWorld:
     @property
     def n_habitats(self) -> int:
         return self.habitat_field.shape[2]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.appearance.shape[1]
 
     def contains(self, x: float, y: float) -> bool:
         return 0.0 <= x <= self.width_m and 0.0 <= y <= self.height_m
@@ -215,12 +237,16 @@ class AudioWindow:
                 raise ValueError("truth_snap_times must lie within the window")
 
 
+def _lattice_shape(nx: int, ny: int, cell_size: float, length: float) -> tuple[int, int]:
+    """``(lat_nx, lat_ny)``: the value-noise lattice points across and up an
+    ``nx`` x ``ny`` grid at spacing ``length``, one beyond each edge."""
+    return int(np.ceil(nx * cell_size / length)) + 2, int(np.ceil(ny * cell_size / length)) + 2
+
+
 def _value_noise(nx: int, ny: int, cell_size: float, length: float, rng: np.random.Generator) -> np.ndarray:
     """Smooth random field at cell centers: iid normal lattice values at
     spacing ``length`` meters, bilinearly interpolated."""
-    width, height = nx * cell_size, ny * cell_size
-    lat_nx = int(np.ceil(width / length)) + 2
-    lat_ny = int(np.ceil(height / length)) + 2
+    lat_nx, lat_ny = _lattice_shape(nx, ny, cell_size, length)
     lattice = rng.standard_normal((lat_ny, lat_nx))
 
     cx = (np.arange(nx) + 0.5) * cell_size / length
@@ -265,8 +291,7 @@ def generate_world(config: WorldConfig, seed: int) -> GridWorld:
     """
     from .rng import substream
 
-    nx = max(1, round(config.width_m / config.cell_size_m))
-    ny = max(1, round(config.height_m / config.cell_size_m))
+    nx, ny = config.grid_shape
 
     habitat_noise = _value_noise(nx, ny, config.cell_size_m, config.patch_length_m, substream(seed, "world-habitat"))
     if config.n_habitats == 1:
@@ -336,11 +361,6 @@ def make_snap_bursts(fs: int, n_snaps: int, rng: np.random.Generator) -> np.ndar
     # A pathological draw keeps silence rather than dividing by ~0.
     silent = peak < 1e-12
     return np.where(silent, 0.0, bursts / np.where(silent, 1.0, peak))
-
-
-def make_snap_burst(fs: int, rng: np.random.Generator) -> np.ndarray:
-    """One unit-peak snap waveform (see :func:`make_snap_bursts`)."""
-    return make_snap_bursts(fs, 1, rng)[0]
 
 
 def synthesize_audio(

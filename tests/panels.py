@@ -19,7 +19,7 @@ from reefsim.acoustics import band_energy, detect_snaps_in_window, hann_window, 
 from reefsim.rng import substream
 from reefsim.tracking import Camera, DistractorConfig, TargetConfig, TrackingConfig, run_tracking_episode
 from reefsim.vehicle import NoiseConfig, VehicleConfig, wrap_angle
-from reefsim.world import GridWorld, WorldConfig, generate_world, make_snap_burst, synthesize_audio
+from reefsim.world import GridWorld, WorldConfig, generate_world, make_snap_bursts, synthesize_audio
 
 # --- follow episodes (criteria 5a and 5b, tests/test_tracking.py) ------------
 
@@ -64,7 +64,7 @@ def snr_amplitude(target_snr_db: float, background_sigma: float, fs: int, window
     bins counted once in the band sum but twice in the energy identity).
     """
     rng = substream(0, "snr-calib")
-    burst_energy = np.mean([np.sum(make_snap_burst(fs, rng) ** 2) for _ in range(200)])
+    burst_energy = np.mean([np.sum(make_snap_bursts(fs, 1, rng)[0] ** 2) for _ in range(200)])
     noise = np.random.default_rng(1).normal(0.0, background_sigma, fs)
     bg_frame = float(np.mean(band_energy(stft(noise, fs, window=window))))
     gain = float(np.mean(hann_window(window) ** 2))

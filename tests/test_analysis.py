@@ -13,10 +13,7 @@ from hypothesis import strategies as st
 from reefsim import analysis, mission
 from reefsim.analysis import (
     analyze_log,
-    cooccurrence,
     fit_shrimp_habitat,
-    habitat_preference,
-    occupancy_histogram,
     pearson,
     predict_snap_rate,
 )
@@ -163,81 +160,6 @@ class TestPearson:
         a = rng.normal(0, 1, 10)
         b = rng.normal(0, 1, 10)
         assert -1.0 <= pearson(a, b) <= 1.0
-
-
-class TestOccupancyAndPreference:
-    def test_track_in_pure_habitat_gives_point_mass(self) -> None:
-        habitat_field = np.zeros((4, 4, 2))
-        habitat_field[:, :, 0] = 1.0  # everything is habitat 0
-        track = np.asarray([[0.5, 0.5], [1.5, 0.5], [2.5, 3.5]])
-        preference = habitat_preference(track, habitat_field, 1.0)
-        np.testing.assert_allclose(preference, [1.0, 0.0])
-
-    def test_half_and_half_track_gives_even_preference(self) -> None:
-        habitat_field = np.zeros((2, 2, 2))
-        habitat_field[0, :, 0] = 1.0  # bottom row habitat 0
-        habitat_field[1, :, 1] = 1.0  # top row habitat 1
-        track = np.asarray([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]])
-        preference = habitat_preference(track, habitat_field, 1.0)
-        np.testing.assert_allclose(preference, [0.5, 0.5])
-
-    def test_matches_brute_force_cell_sum(self) -> None:
-        # Oracle: direct summation over cells of P(h | cell) * occupancy.
-        rng = np.random.default_rng(11)
-        habitat_field = rng.dirichlet(np.ones(3), size=(5, 5))
-        track = rng.uniform(0, 5, size=(40, 2))
-        preference = habitat_preference(track, habitat_field, 1.0)
-        occupancy = occupancy_histogram(track, (5, 5), 1.0)
-        oracle = np.zeros(3)
-        for cell in range(25):
-            oracle += occupancy[cell] * habitat_field[cell // 5, cell % 5]
-        np.testing.assert_allclose(preference, oracle, atol=1e-12)
-        assert preference.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_preference_invariant_under_track_reordering(self) -> None:
-        rng = np.random.default_rng(12)
-        habitat_field = rng.dirichlet(np.ones(3), size=(5, 5))
-        track = rng.uniform(0, 5, size=(30, 2))
-        shuffled = track[rng.permutation(30)]
-        np.testing.assert_allclose(
-            habitat_preference(track, habitat_field, 1.0),
-            habitat_preference(shuffled, habitat_field, 1.0),
-        )
-
-    def test_empty_track_rejected(self) -> None:
-        with pytest.raises(DegenerateDataError):
-            habitat_preference(np.empty((0, 2)), np.ones((2, 2, 1)), 1.0)
-
-    def test_track_outside_grid_rejected(self) -> None:
-        habitat_field = np.ones((2, 2, 1))
-        with pytest.raises(ValueError):
-            habitat_preference(np.asarray([[5.0, 0.5]]), habitat_field, 1.0)
-
-
-class TestCooccurrence:
-    def test_disjoint_tracks_give_zero(self) -> None:
-        a = np.asarray([[0.5, 0.5], [0.6, 0.4]])
-        b = np.asarray([[3.5, 3.5], [3.2, 3.8]])
-        assert cooccurrence(a, b, (4, 4), 1.0) == 0.0
-
-    def test_identical_single_cell_tracks_give_one(self) -> None:
-        a = np.asarray([[1.5, 1.5], [1.2, 1.8]])
-        assert cooccurrence(a, a, (4, 4), 1.0) == pytest.approx(1.0)
-
-    def test_symmetric_in_arguments(self) -> None:
-        rng = np.random.default_rng(13)
-        a = rng.uniform(0, 4, size=(20, 2))
-        b = rng.uniform(0, 4, size=(25, 2))
-        assert cooccurrence(a, b, (4, 4), 1.0) == pytest.approx(cooccurrence(b, a, (4, 4), 1.0))
-
-    def test_matches_brute_force_inner_product(self) -> None:
-        rng = np.random.default_rng(14)
-        a = rng.uniform(0, 4, size=(20, 2))
-        b = rng.uniform(0, 4, size=(25, 2))
-        ha = occupancy_histogram(a, (4, 4), 1.0)
-        hb = occupancy_histogram(b, (4, 4), 1.0)
-        oracle = sum(float(ha[i]) * float(hb[i]) for i in range(16))
-        assert cooccurrence(a, b, (4, 4), 1.0) == pytest.approx(oracle, abs=1e-12)
 
 
 @pytest.fixture(scope="module")

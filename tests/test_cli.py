@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import resource
 import shutil
 import signal
 import subprocess
@@ -22,10 +23,10 @@ from click.testing import CliRunner
 from scipy.io import wavfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from json_leaves import leaf, leaf_paths
+from json_leaves import leaf, leaf_paths, replace_leaf
 
 import reefsim
-from reefsim import cli, mission
+from reefsim import analysis, cli, mission
 from reefsim.cli import main
 from reefsim.config import RunConfig, config_from_dict, config_to_dict, load_config
 from reefsim.errors import ConfigError, DataError
@@ -443,6 +444,53 @@ class TestSurveyAnalyzeTrack:
         assert result.output == f"error: mission log {log_path} line 1: not a reefsim-mission-log-v2 header: format 'reefsim-mission-log-v1'\n"
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda i, words: [], "0-word histograms"),
+            (lambda i, words: [sum(words)], "1-word histograms"),
+            (lambda i, words: words[:-1] if i == 1 else words, "different lengths"),
+        ],
+        ids=["no-words", "one-word", "ragged"],
+    )
+    def test_analyze_histograms_without_one_vocabulary_fail_before_the_worker_starts(self, workspace, tmp_path, monkeypatch, edit, message) -> None:
+        def no_worker(*args):
+            raise AssertionError("the worker must not start")
+
+        monkeypatch.setattr(analysis, "Worker", no_worker)
+        _, config, _, survey_out = workspace
+        edited = tmp_path / "edited"
+        shutil.copytree(survey_out, edited)
+        log_path = edited / "mission_log.jsonl"
+        lines = log_path.read_text().splitlines()
+        imaging = [i for i, line in enumerate(lines) if '"words"' in line]
+        for n, i in enumerate(imaging):
+            lines[i] = _edit_json(lines[i], "words", lambda words: edit(n, words))
+        log_path.write_text("\n".join(lines) + "\n")
+        result = CliRunner().invoke(
+            main,
+            ["analyze", "--log", str(log_path), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "r")],
+        )
+        assert result.exit_code == 3, f"{result.output}{result.exception!r}"
+        assert result.output.count("\n") == 1 and message in result.output, result.output
+
+    def test_analyze_line_after_the_end_marker_is_data_error(self, workspace, tmp_path) -> None:
+        """A record and a second end marker appended after the end marker
+        are refused with one line naming the first extra line."""
+        _, config, _, survey_out = workspace
+        appended = tmp_path / "appended"
+        shutil.copytree(survey_out, appended)
+        log_path = appended / "mission_log.jsonl"
+        lines = log_path.read_text().splitlines()
+        extra = _edit_json(lines[-2], "t", lambda t: t + 100.0)
+        log_path.write_text("\n".join([*lines, extra, lines[-1]]) + "\n")
+        result = CliRunner().invoke(
+            main,
+            ["analyze", "--log", str(log_path), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "r")],
+        )
+        assert result.exit_code == 3, result.output
+        assert result.output == f"error: mission log {log_path} line {len(lines) + 1}: follows the end marker\n"
+
+    @pytest.mark.parametrize(
         "section, key, bad",
         [
             ("noise", "depth_sigma", 0.0),
@@ -842,7 +890,7 @@ TRACK_SWEEP = [(path, value) for kind, values in TRACK_SWEEP_VALUES.items() for 
 
 def sweep_id(path: tuple, value: float | int) -> str:
     shown = f"{value:g}" if type(value) is float else ("10**400" if value == 10**400 else str(value))
-    return f"{'.'.join(path)}={shown}"
+    return f"{'.'.join(map(str, path))}={shown}"
 
 
 @pytest.mark.parametrize("path, value", TRACK_SWEEP, ids=[sweep_id(p, v) for p, v in TRACK_SWEEP])
@@ -872,6 +920,79 @@ def test_track_extreme_float_leaf_exits_cleanly(workspace, tmp_path, path, value
     if (out / "track_log.jsonl").exists():
         text = (out / "track_log.jsonl").read_text()
         assert "NaN" not in text and "Infinity" not in text
+
+
+AS_LIMIT_BYTES = 4 << 30
+
+
+def _cli_child(args: list[str], output: str) -> None:
+    """The child of :func:`run_cli_in_child`: ``reefsim *args`` under the
+    address-space limit, with stdout and stderr written to ``output``.  The
+    process's exit code is the command's, or 1 after a traceback."""
+    resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT_BYTES, AS_LIMIT_BYTES))
+    sys.stdout = sys.stderr = open(output, "w")
+    main(args, prog_name="reefsim")
+
+
+def run_cli_in_child(args: list[str], tmp_path: Path, timeout_s: float = 10.0) -> tuple[int, str]:
+    """Run ``reefsim *args`` in a forked child process limited to
+    ``AS_LIMIT_BYTES`` of address space, and return its exit code and output.
+    A case that asks for more memory fails in the child, not in the test
+    process; one that runs past ``timeout_s`` is killed and fails the test."""
+    output = tmp_path / "child_output.txt"
+    child = multiprocessing.get_context("fork").Process(target=_cli_child, args=(args, str(output)))
+    child.start()
+    child.join(timeout_s)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail(f"reefsim {' '.join(args)} ran past its {timeout_s} s timeout")
+    return child.exitcode, output.read_text()
+
+
+WORLD_GEN_TREE = {"world": DEFAULT_TREE["world"], "seed": DEFAULT_TREE["seed"]}  # what world-gen reads, at its defaults
+WORLD_GEN_SWEEP = [(path, value) for kind, values in TRACK_SWEEP_VALUES.items()
+                   for path in leaf_paths(WORLD_GEN_TREE) if type(leaf(WORLD_GEN_TREE, path)) is kind for value in values]
+
+
+@pytest.mark.parametrize("path, value", WORLD_GEN_SWEEP, ids=[sweep_id(p, v) for p, v in WORLD_GEN_SWEEP])
+def test_world_gen_extreme_leaf_exits_cleanly(tmp_path, path, value) -> None:
+    """Every extreme float or int leaf ``world-gen`` reads ends in an exit
+    code of the contract, with one line of output, in a child process with
+    bounded memory and time."""
+    config = write_config(tmp_path, replace_leaf(WORLD_GEN_TREE, path, value))
+    code, output = run_cli_in_child(["world-gen", "--config", str(config), "--out", str(tmp_path / "o")], tmp_path)
+    assert code in (0, 2, 3), output
+    assert output.count("\n") == 1, output
+
+
+@pytest.mark.parametrize(
+    "command, data, key",
+    [
+        ("world-gen", {"world": {"width_m": 1e308}}, "world.cell_size_m"),
+        ("world-gen", {"world": {"height_m": 1e308}}, "world.cell_size_m"),
+        ("world-gen", {"world": {"cell_size_m": 1e-300}}, "world.cell_size_m"),
+        ("world-gen", {"world": {"patch_length_m": 1e-300}}, "world.patch_length_m"),
+        ("world-gen", {"world": {"vocab_size": 1_000_000_000}}, "world.vocab_size"),
+        ("world-gen", {"seed": -1}, "seed"),
+        ("survey", {"plan": {"leg_spacing_m": 1e-300}}, "plan.leg_spacing_m"),
+        ("survey", {"plan": {"waypoint_spacing_m": 1e-300}}, "plan.waypoint_spacing_m"),
+        ("survey", {"mission": {"dt_s": 1e-300}}, "mission.dt_s"),
+        ("survey", {"mission": {"waypoint_timeout_s": 1e308}}, "mission.waypoint_timeout_s"),
+        ("survey", {"plan": {"drift_duration_s": 1e5}, "mission": {"dt_s": 0.5}}, "plan.drift_duration_s"),
+    ],
+    ids=["width", "height", "cell-size", "patch-length", "vocab-size", "negative-seed",
+         "leg-spacing", "waypoint-spacing", "dt", "waypoint-timeout", "drift-samples"],
+)
+def test_oversized_world_or_survey_names_its_key(workspace, tmp_path, command, data, key) -> None:
+    """A world or survey too large to build or run is refused before any
+    work, with one line that names the key of its budget."""
+    _, _, world_out, _ = workspace
+    config = write_config(tmp_path, data)
+    inputs = ["--world", str(world_out / "world.json")] if command == "survey" else []
+    code, output = run_cli_in_child([command, *inputs, "--config", str(config), "--out", str(tmp_path / "o")], tmp_path)
+    assert code == 2, output
+    assert output.startswith(f"error: {key} ") and output.count("\n") == 1, output
 
 
 @pytest.fixture(scope="module")

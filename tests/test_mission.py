@@ -46,6 +46,21 @@ class TestPlanLawnmower:
         # two legs, five stations each
         assert len(plan.waypoints) == 10
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        corner=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        extent=st.tuples(st.floats(0.01, 50.0), st.floats(0.01, 50.0)),
+        legs=st.floats(1.0, 60.0),
+        stations=st.one_of(st.none(), st.integers(1, 60), st.floats(0.01, 60.0)),
+    )
+    def test_closed_form_waypoint_count_matches_the_waypoints(self, corner, extent, legs, stations) -> None:
+        """The count the waypoint budget checks is the plan's, also where a
+        whole number of station spacings ends at or near the far bound."""
+        x0, y0, x1, y1 = bounds = (*corner, corner[0] + extent[0], corner[1] + extent[1])
+        spacing = (x1 - x0) / stations if type(stations) is int else stations
+        plan = plan_lawnmower(bounds, (y1 - y0) / legs, waypoint_spacing_m=spacing)
+        assert plan._waypoint_count() == len(plan.waypoints)
+
     def test_spacing_larger_than_bounds_rejected(self) -> None:
         with pytest.raises(ConfigError):
             plan_lawnmower((0.0, 0.0, 5.0, 5.0), 50.0)

@@ -18,7 +18,6 @@ from reefsim.topics import (
     appearance_distributions,
     match_accuracy,
     merge_groups_by_appearance,
-    perplexity,
 )
 from reefsim.world import _block_appearance
 
@@ -41,6 +40,24 @@ def survey_pass(model: TopicModel, truth: np.ndarray, appearance: np.ndarray, rn
             cell = iy * nx + ix
             for _ in range(images_per_cell):
                 model.observe(cell, rng.multinomial(words, appearance[truth[cell]]), rng)
+
+
+def perplexity(model: TopicModel, documents: list) -> float:
+    """Held-out perplexity of (histogram, ...) documents under the model's
+    appearance table, with each document's mixture inferred from its words."""
+    phi, _ = model._appearance()
+    total_ll = 0.0
+    total_tokens = 0
+    for histogram in documents:
+        histogram = np.asarray(histogram, dtype=np.float64)
+        theta = model.record_mixture(histogram)
+        word_probs = phi @ theta
+        nz = histogram > 0
+        total_ll += float(histogram[nz] @ np.log(word_probs[nz]))
+        total_tokens += int(histogram.sum())
+    if total_tokens == 0:
+        raise DataError("held-out corpus is empty")
+    return float(np.exp(-total_ll / total_tokens))
 
 
 class TestObserve:

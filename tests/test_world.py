@@ -16,7 +16,6 @@ from reefsim.world import (
     WorldConfig,
     expected_snap_rate,
     generate_world,
-    make_snap_burst,
     make_snap_bursts,
     read_wav,
     sample_image_words,
@@ -218,7 +217,7 @@ def synthesize_audio_per_snap(world, x, y, duration, fs, rng):
     snap_times = np.sort(rng.uniform(0.0, duration, n_snaps))
     samples = np.zeros(n)
     for t_snap in snap_times:
-        burst = make_snap_burst(fs, rng) * world.snap_amplitude
+        burst = make_snap_bursts(fs, 1, rng)[0] * world.snap_amplitude
         i0 = int(t_snap * fs)
         i1 = min(i0 + len(burst), n)
         samples[i0:i1] += burst[: i1 - i0]
@@ -238,7 +237,7 @@ class TestBatchedSnapBursts:
         spectrum[(freqs < 2000.0) | (freqs > 24000.0)] = 0.0
         burst = np.fft.irfft(spectrum, n)
         expected = burst / np.max(np.abs(burst))
-        assert make_snap_burst(fs, substream(8, "burst")).tobytes() == expected.tobytes()
+        assert make_snap_bursts(fs, 1, substream(8, "burst"))[0].tobytes() == expected.tobytes()
 
     def test_silent_draw_gives_silent_row(self) -> None:
         class HalfSilent:
