@@ -160,13 +160,13 @@ def step_dynamics(state: VehicleState, command: Command, dt: float, config: Vehi
 
 @dataclass
 class SensorReadings:
-    dvl_velocity: np.ndarray  # body (u, v, w)
+    dvl_velocity: tuple[float, float, float]  # body (u, v, w)
     dvl_altitude: float
     dvl_altitude_valid: bool
     imu_heading: float
     imu_yaw_rate: float
     depth: float
-    usbl: np.ndarray | None  # (x, y) fix or None
+    usbl: tuple[float, float] | None  # (x, y) fix or None
 
 
 def simulate_sensors(
@@ -181,29 +181,35 @@ def simulate_sensors(
     DVL altitude is flagged invalid when the TRUE altitude exceeds the
     sensor's max range.  A USBL fix is emitted only when ``t`` is a multiple
     of the configured period (within floating tolerance).
+
+    The noise of a call is one ``standard_normal`` draw: the three DVL
+    velocity axes, altitude, heading, yaw rate and depth, then the two USBL
+    axes when a fix is due.  Each channel adds ``0.0 + sigma * z``, which is
+    what ``rng.normal(0.0, sigma)`` computes from the same draw, so the
+    readings are those of one ``rng.normal`` call per channel, bit for bit.
     """
     true_altitude = state.altitude_above(world)
     altitude_valid = true_altitude <= noise.dvl_max_range_m
 
-    velocity = np.array([state.u, state.v, state.w]) + rng.normal(0.0, noise.dvl_velocity_sigma, 3)
-    altitude = true_altitude + rng.normal(0.0, noise.dvl_altitude_sigma)
-    heading = wrap_angle(state.psi + rng.normal(0.0, noise.heading_sigma))
-    yaw_rate = state.yaw_rate + rng.normal(0.0, noise.yaw_rate_sigma)
-    depth = state.z + rng.normal(0.0, noise.depth_sigma)
-
-    usbl = None
+    fix_due = False
     if noise.usbl_period_s > 0:
         cycles = t / noise.usbl_period_s
-        if abs(cycles - round(cycles)) < 1e-6 and round(cycles) > 0:
-            usbl = np.array([state.x, state.y]) + rng.normal(0.0, noise.usbl_sigma, 2)
+        fix_due = abs(cycles - round(cycles)) < 1e-6 and round(cycles) > 0
+    z = rng.standard_normal(9 if fix_due else 7).tolist()
+
+    s_v = noise.dvl_velocity_sigma
+    velocity = (state.u + (0.0 + s_v * z[0]), state.v + (0.0 + s_v * z[1]), state.w + (0.0 + s_v * z[2]))
+    usbl = None
+    if fix_due:
+        usbl = (state.x + (0.0 + noise.usbl_sigma * z[7]), state.y + (0.0 + noise.usbl_sigma * z[8]))
 
     return SensorReadings(
         dvl_velocity=velocity,
-        dvl_altitude=float(altitude),
+        dvl_altitude=true_altitude + (0.0 + noise.dvl_altitude_sigma * z[3]),
         dvl_altitude_valid=bool(altitude_valid),
-        imu_heading=float(heading),
-        imu_yaw_rate=float(yaw_rate),
-        depth=float(depth),
+        imu_heading=wrap_angle(state.psi + (0.0 + noise.heading_sigma * z[4])),
+        imu_yaw_rate=state.yaw_rate + (0.0 + noise.yaw_rate_sigma * z[5]),
+        depth=state.z + (0.0 + noise.depth_sigma * z[6]),
         usbl=usbl,
     )
 
