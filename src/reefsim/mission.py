@@ -274,9 +274,10 @@ def execute(
     Deterministic in (plan, world, configs, seed): the mission consumes one
     sequential sensor/word stream, and each drift window draws from its own
     indexed audio substream.  If a waypoint is not reached within the
-    timeout, the mission aborts and returns the partial log with an explicit
-    abort marker.  The true position is confined to the world rectangle, so
-    plans should keep waypoints at least a capture radius inside it.
+    timeout, counted from the end of the previous waypoint's drift, the
+    mission aborts and returns the partial log with an explicit abort
+    marker.  The true position is confined to the world rectangle, so plans
+    should keep waypoints at least a capture radius inside it.
 
     The vehicle loop runs in a worker process; this process renders each
     drift window as the worker reaches its station and writes it at once to
@@ -344,10 +345,7 @@ def _run_vehicle(
         z=world.depth_at(wp0[0], wp0[1]) - plan.altitude_setpoint_m,
         psi=heading,
     )
-    est = EkfEstimate(
-        mean=np.array([state.x, state.y, state.z, state.psi]),
-        cov=np.diag([0.04, 0.04, 0.01, 0.004]),
-    )
+    est = EkfEstimate.from_arrays([state.x, state.y, state.z, state.psi], np.diag([0.04, 0.04, 0.01, 0.004]))
 
     def clamp_to_world(s: VehicleState) -> VehicleState:
         eps = 1e-6
@@ -361,8 +359,8 @@ def _run_vehicle(
         return LogRecord(
             t=t,
             true_pose=(state.x, state.y, state.z, state.psi),
-            est_mean=tuple(float(m) for m in est.mean),
-            est_cov_diag=tuple(float(c) for c in np.diag(est.cov)),
+            est_mean=est.mean,
+            est_cov_diag=est.variances,
             cell_id=world.cell_id(state.x, state.y),
             words=words,
         )
@@ -407,25 +405,25 @@ def _run_vehicle(
             run_estimator(t + dt)
             step += 1
 
-        # The arrival step moves nothing; the next waypoint's clock starts here.
-        deadline = t + timeout
+        # The arrival step moves nothing.
         step += 1
-        if not drift_steps:
-            continue
-        send((wp_index, state.x, state.y))
-        log.records.append(snapshot(t))
+        if drift_steps:
+            send((wp_index, state.x, state.y))
+            log.records.append(snapshot(t))
 
-        # DRIFT: thrusters off, carried only by ambient current.
-        cos_psi, sin_psi = np.cos(state.psi), np.sin(state.psi)
-        u = float(cos_psi * current[0] + sin_psi * current[1])
-        v = float(-sin_psi * current[0] + cos_psi * current[1])
-        for _ in range(drift_steps):
-            state = clamp_to_world(
-                VehicleState(x=state.x + current[0] * dt, y=state.y + current[1] * dt, z=state.z, psi=state.psi, u=u, v=v)
-            )
-            run_estimator(step * dt + dt)
-            step += 1
-        next_imaging_time = (np.floor(step * dt / plan.imaging_period_s) + 1) * plan.imaging_period_s
+            # DRIFT: thrusters off, carried only by ambient current.
+            cos_psi, sin_psi = np.cos(state.psi), np.sin(state.psi)
+            u = float(cos_psi * current[0] + sin_psi * current[1])
+            v = float(-sin_psi * current[0] + cos_psi * current[1])
+            for _ in range(drift_steps):
+                state = clamp_to_world(
+                    VehicleState(x=state.x + current[0] * dt, y=state.y + current[1] * dt, z=state.z, psi=state.psi, u=u, v=v)
+                )
+                run_estimator(step * dt + dt)
+                step += 1
+            next_imaging_time = (np.floor(step * dt / plan.imaging_period_s) + 1) * plan.imaging_period_s
+        # The next waypoint's clock starts once the drift is over.
+        deadline = step * dt + timeout
 
     return log
 

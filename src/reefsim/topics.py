@@ -153,6 +153,7 @@ class TopicModel:
         self._tok_topic: list[int] = []
 
         self._neighbors = [self._neighborhood(c) for c in range(self.n_cells)]
+        self._word_posterior: np.ndarray | None = None  # record_mixture's table; None once the counts change
 
     # -- structure ----------------------------------------------------------
 
@@ -234,6 +235,7 @@ class TopicModel:
         # them ignores the unused columns of the full-width rows.
         denom = [total + unused_denom for total in totals[: self.n_topics]]
 
+        self._word_posterior = None
         current_cell = -1
         for i, u in enumerate(rng.random(len(tok_word) - start).tolist(), start):
             cell = tok_cell[i]
@@ -320,6 +322,7 @@ class TopicModel:
         zeros = [0.0] * (self.config.max_topics - len(keep))
         for row in (*self._word_topic, *self._cell_topic, self._topic_total):
             row[:] = [row[j] for j in keep] + zeros
+        self._word_posterior = None
         remap = {old: new for new, old in enumerate(keep)}
         self.labels = [self.labels[j] for j in keep]
         self.n_topics = len(keep)
@@ -347,17 +350,20 @@ class TopicModel:
         """Posterior topic mixture of one observation given the current
         appearance model: each word votes with P(z | w) weighted by overall
         topic prevalence, so identical histograms always map to identical
-        mixtures."""
+        mixtures.  The (V, K) table of P(z | w) is built once per model
+        state: sampling, retiring topics and loading clear it."""
         histogram = np.asarray(histogram, dtype=np.float64)
         if histogram.shape != (self.vocab_size,):
             raise DataError("histogram length does not match vocabulary")
         n = histogram.sum()
         if n == 0:
             return np.full(self.n_topics, 1.0 / self.n_topics)
-        phi, totals = self._appearance()
-        post = phi * (totals + self.config.alpha)
-        post /= post.sum(axis=1, keepdims=True)
-        return histogram @ post / n
+        if self._word_posterior is None:
+            phi, totals = self._appearance()
+            post = phi * (totals + self.config.alpha)
+            post /= post.sum(axis=1, keepdims=True)
+            self._word_posterior = post
+        return histogram @ self._word_posterior / n
 
     def _appearance(self) -> tuple[np.ndarray, np.ndarray]:
         """The (V, K) appearance table ``(n[w,k] + beta) / (n[k] + V*beta)``
@@ -400,6 +406,7 @@ class TopicModel:
             model._word_topic = _count_rows(model._tok_word, model._tok_topic, model.vocab_size, kmax)
             model._cell_topic = _count_rows(model._tok_cell, model._tok_topic, model.n_cells, kmax)
             model._topic_total = [float(sum(column)) for column in zip(*model._word_topic)]
+            model._word_posterior = None
             model.validate_counts()
         return model
 

@@ -12,13 +12,29 @@ Conventions (used package-wide):
 The estimator state is [x, y, z, psi]; body velocities are treated as
 inputs from the DVL rather than filter states, so DVL/IMU input noise is
 the filter's process noise.
+
+An :class:`EkfEstimate` holds its mean as four Python floats and its
+covariance as the 10 unique entries of the symmetric 4x4 matrix, as
+Bierman's scalar-update filters do (*Factorization Methods for Discrete
+Sequential Estimation*, 1977).  The motion Jacobian differs from the
+identity in two entries and every measurement observes one or two state
+entries, so :func:`ekf_predict` and :func:`ekf_update` are closed forms on
+floats: no 4x4 array is built in the loop, and the covariance is symmetric
+by construction.  The update keeps the Joseph form (Bar-Shalom, Li &
+Kirubarajan, *Estimation with Applications to Tracking and Navigation*,
+2001): it is the updated covariance for any gain, so roundoff in the gain
+moves it only to second order, where the short form ``P - K C^T`` moves to
+first order and can lose definiteness.  The two functions are the only
+implementation: they take arrays or floats at their boundary and work on
+floats inside.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -214,28 +230,61 @@ def simulate_sensors(
     )
 
 
+# The covariance's 10 unique entries in the order an estimate stores them:
+# the upper triangle of the symmetric 4x4 matrix, row by row.
+_PACKED_ROWS, _PACKED_COLS = np.triu_indices(4)
+_PACKED_INDEX = {(int(i), int(j)): n for n, (i, j) in enumerate(zip(_PACKED_ROWS, _PACKED_COLS))}
+# The packed positions of each state's column of the covariance.
+_COLUMNS = [operator.itemgetter(*(_PACKED_INDEX[min(i, k), max(i, k)] for i in range(4))) for k in range(4)]
+
+
 @dataclass
 class EkfEstimate:
-    """Gaussian belief over [x, y, z, psi]."""
+    """Gaussian belief over [x, y, z, psi].
 
-    mean: np.ndarray = field(default_factory=lambda: np.zeros(4))
-    cov: np.ndarray = field(default_factory=lambda: np.eye(4))
+    ``mean`` holds the four state floats and ``p`` the covariance's 10
+    unique entries, ``(P00, P01, P02, P03, P11, P12, P13, P22, P23, P33)``,
+    so the covariance is symmetric by construction.  :meth:`from_arrays`
+    builds an estimate from a mean and a 4x4 covariance; :attr:`cov` gives
+    the covariance back as a 4x4 array."""
+
+    mean: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+    p: tuple[float, ...] = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0)
+
+    @classmethod
+    def from_arrays(cls, mean, cov) -> "EkfEstimate":
+        """An estimate from a length-4 mean and a 4x4 covariance, of which
+        the upper triangle is read."""
+        mean, cov = np.asarray(mean, dtype=np.float64), np.asarray(cov, dtype=np.float64)
+        if mean.shape != (4,) or cov.shape != (4, 4):
+            raise ValueError("an estimate takes a mean of shape (4,) and a covariance of shape (4, 4)")
+        return cls(tuple(mean.tolist()), tuple(cov[_PACKED_ROWS, _PACKED_COLS].tolist()))
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The covariance as a symmetric 4x4 array."""
+        cov = np.empty((4, 4))
+        cov[_PACKED_ROWS, _PACKED_COLS] = self.p
+        cov[_PACKED_COLS, _PACKED_ROWS] = self.p
+        return cov
+
+    @property
+    def variances(self) -> tuple[float, float, float, float]:
+        """The covariance's diagonal."""
+        p = self.p
+        return p[0], p[4], p[7], p[9]
 
     def validate(self, tol: float = 1e-9) -> None:
-        if not np.allclose(self.cov, self.cov.T, atol=tol):
-            raise ValueError("covariance not symmetric")
+        """Raise ``ValueError`` unless the covariance is positive
+        semidefinite to ``tol``; it is symmetric by construction."""
         eigenvalues = np.linalg.eigvalsh(self.cov)
-        if eigenvalues.min() < -tol:
+        if not eigenvalues.min() >= -tol:
             raise ValueError(f"covariance not PSD (min eigenvalue {eigenvalues.min()})")
-
-
-def _symmetrize(p: np.ndarray) -> np.ndarray:
-    return 0.5 * (p + p.T)
 
 
 def ekf_predict(
     est: EkfEstimate,
-    dvl_velocity: np.ndarray,
+    dvl_velocity,
     imu_yaw_rate: float,
     dt: float,
     noise: NoiseConfig,
@@ -244,46 +293,71 @@ def ekf_predict(
 
     The velocities are inputs, so the process noise for the step is the
     input noise mapped through the motion model:
-    ``Q = dt^2 diag(s_v^2, s_v^2, s_v^2, s_r^2)``.
+    ``Q = dt^2 diag(s_v^2, s_v^2, s_v^2, s_r^2)``.  The motion Jacobian is
+    the identity but for ``a = dx'/dpsi`` and ``b = dy'/dpsi``, so
+    ``F P F^T`` changes only the entries in row or column 0 or 1, in closed
+    form.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     x, y, z, psi = est.mean
-    u, v, w = dvl_velocity
-    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
-
-    mean = np.array(
-        [
-            x + dt * (u * cos_psi - v * sin_psi),
-            y + dt * (u * sin_psi + v * cos_psi),
-            z - dt * w,
-            wrap_angle(psi + dt * imu_yaw_rate),
-        ]
+    u, v, w = map(float, dvl_velocity)
+    cos_psi, sin_psi = math.cos(psi), math.sin(psi)
+    mean = (
+        x + dt * (u * cos_psi - v * sin_psi),
+        y + dt * (u * sin_psi + v * cos_psi),
+        z - dt * w,
+        wrap_angle(psi + dt * float(imu_yaw_rate)),
     )
 
-    jacobian = np.eye(4)
-    jacobian[0, 3] = dt * (-u * sin_psi - v * cos_psi)
-    jacobian[1, 3] = dt * (u * cos_psi - v * sin_psi)
-
-    q = _process_noise(dt, noise.dvl_velocity_sigma, noise.yaw_rate_sigma)
-    cov = _symmetrize(jacobian @ est.cov @ jacobian.T + q)
+    a = dt * (-u * sin_psi - v * cos_psi)
+    b = dt * (u * cos_psi - v * sin_psi)
+    q_v = dt * dt * noise.dvl_velocity_sigma**2
+    q_r = dt * dt * noise.yaw_rate_sigma**2
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = est.p
+    c03 = p03 + a * p33  # row 0 and row 1 of F P, column 3
+    c13 = p13 + b * p33
+    cov = (
+        p00 + a * p03 + a * c03 + q_v, p01 + a * p13 + b * c03, p02 + a * p23, c03,
+        p11 + b * p13 + b * c13 + q_v, p12 + b * p23, c13,
+        p22 + q_v, p23,
+        p33 + q_r,
+    )
     return EkfEstimate(mean, cov)
 
 
-@functools.lru_cache(maxsize=8)
-def _process_noise(dt: float, s_v: float, s_r: float) -> np.ndarray:
-    q = dt * dt * np.diag([s_v**2, s_v**2, s_v**2, s_r**2])
-    q.setflags(write=False)
-    return q
+# The axes each measurement channel observes: "usbl" observes x and y.
+_OBSERVED = {"usbl": (0, 1), "depth": (2,), "heading": (3,)}
 
 
-# The state index each single-axis channel observes; "usbl" observes 0 and 1.
-_SCALAR_CHANNELS = {"depth": 2, "heading": 3}
+def _measurement(kind: str, value) -> list[float]:
+    """The measurement as one float per axis the channel observes."""
+    if kind not in _OBSERVED:
+        raise ValueError(f"unknown measurement kind: {kind!r}")
+    if type(value) is not float:
+        array = np.asarray(value, dtype=np.float64)
+        value = array.tolist() if array.ndim <= 1 else None
+    z = [value] if type(value) is float else value
+    if z is None or len(z) != len(_OBSERVED[kind]):
+        raise ValueError(f"{kind} measurement must have shape ({len(_OBSERVED[kind])},)")
+    return z
 
-_IDENTITY = np.eye(4)
-_IDENTITY.setflags(write=False)
-_IDENTITY_2 = np.eye(2)
-_IDENTITY_2.setflags(write=False)
+
+def _joseph(p: tuple, g, c, h) -> tuple:
+    """``P - g c^T - c g^T + g h^T`` packed, the Joseph-form terms of one
+    observed axis: ``g`` is its gain column, ``c`` its column of the prior
+    covariance and ``h`` the matching column of ``K S``."""
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = p
+    g0, g1, g2, g3 = g
+    c0, c1, c2, c3 = c
+    h0, h1, h2, h3 = h
+    return (
+        p00 - g0 * c0 - c0 * g0 + g0 * h0, p01 - g0 * c1 - c0 * g1 + g0 * h1,
+        p02 - g0 * c2 - c0 * g2 + g0 * h2, p03 - g0 * c3 - c0 * g3 + g0 * h3,
+        p11 - g1 * c1 - c1 * g1 + g1 * h1, p12 - g1 * c2 - c1 * g2 + g1 * h2, p13 - g1 * c3 - c1 * g3 + g1 * h3,
+        p22 - g2 * c2 - c2 * g2 + g2 * h2, p23 - g2 * c3 - c2 * g3 + g2 * h3,
+        p33 - g3 * c3 - c3 * g3 + g3 * h3,
+    )
 
 
 def ekf_update(est: EkfEstimate, kind: str, value, r: float) -> EkfEstimate:
@@ -294,45 +368,41 @@ def ekf_update(est: EkfEstimate, kind: str, value, r: float) -> EkfEstimate:
     ``r`` is the noise variance of each observed axis, a finite positive
     float; for USBL the measurement covariance is ``r * I``.
 
-    Every channel's ``h`` only selects state entries, so the update needs no
-    ``h``: ``S`` is the observed block of ``P`` plus ``r * I``, the gain is
-    the observed columns of ``P`` times ``inv(S)`` (``1 / S`` for one axis),
-    ``I - K h`` is the identity with the observed columns reduced by the
-    gain, and the noise term is ``(K r) K^T``.  Each entry is computed with
-    the same operations in the same order as the matrix form, so both give
-    bit-identical results; the Joseph product stays a matmul because BLAS
-    may fuse its multiply-adds.
+    Every channel's ``h`` only selects state entries, so ``S`` is the
+    observed block of ``P`` plus ``r * I``, and the gain ``K = C inv(S)``,
+    where ``C`` holds the observed columns of ``P``: ``1 / S`` for one axis,
+    the closed-form 2x2 inverse for USBL.  The covariance is the Joseph
+    form ``(I - K h) P (I - K h)^T + K R K^T``, expanded as
+    ``P - K C^T - C K^T + K S K^T``, one observed axis at a time.
     """
     if not (math.isfinite(r) and r > 0):
         raise ValueError("measurement variance must be finite and positive")
-    p = est.cov
-    factor = _IDENTITY.copy()
+    z = _measurement(kind, value)
+    p = est.p
     if kind == "usbl":
-        z = np.asarray(value, dtype=np.float64)
-        if z.shape != (2,):
-            raise ValueError("usbl measurement must have shape (2,)")
-        gain = p[:, :2] @ np.linalg.inv(p[:2, :2] + r * _IDENTITY_2)
-        mean = est.mean + gain @ (z - est.mean[:2])
-        factor[:, :2] -= gain
-        noise = (gain * r) @ gain.T
-    elif kind in _SCALAR_CHANNELS:
-        k = _SCALAR_CHANNELS[kind]
-        z = np.asarray(value, dtype=np.float64)
-        if z.size != 1 or z.ndim > 1:
-            raise ValueError(f"{kind} measurement must have shape (1,)")
-        innovation = z.item() - est.mean[k]
+        c0, c1 = _COLUMNS[0](p), _COLUMNS[1](p)
+        s00, s01, s11 = p[0] + r, p[1], p[4] + r
+        inv_det = 1.0 / (s00 * s11 - s01 * s01)
+        k0 = [(a * s11 - b * s01) * inv_det for a, b in zip(c0, c1)]
+        k1 = [(b * s00 - a * s01) * inv_det for a, b in zip(c0, c1)]
+        nu0, nu1 = z[0] - est.mean[0], z[1] - est.mean[1]
+        mean = [m + a * nu0 + b * nu1 for m, a, b in zip(est.mean, k0, k1)]
+        d0 = [a * s00 + b * s01 for a, b in zip(k0, k1)]  # the columns of K S
+        d1 = [a * s01 + b * s11 for a, b in zip(k0, k1)]
+        cov = _joseph(_joseph(p, k0, c0, d0), k1, c1, d1)
+    else:
+        (k,) = _OBSERVED[kind]
+        c = _COLUMNS[k](p)
+        s = c[k] + r
+        inv_s = 1.0 / s
+        gain = [ci * inv_s for ci in c]
+        innovation = z[0] - est.mean[k]
         if kind == "heading":
             innovation = wrap_angle(innovation)
-        gain = p[:, k] * (1.0 / (p[k, k] + r))
-        mean = est.mean + gain * innovation
-        factor[:, k] -= gain
-        noise = (gain * r)[:, None] * gain[None, :]
-    else:
-        raise ValueError(f"unknown measurement kind: {kind!r}")
+        mean = [m + g * innovation for m, g in zip(est.mean, gain)]
+        cov = _joseph(p, gain, c, [s * g for g in gain])
     mean[3] = wrap_angle(mean[3])
-    # Joseph form keeps the covariance symmetric PSD under roundoff.
-    cov = _symmetrize(factor @ p @ factor.T + noise)
-    return EkfEstimate(mean, cov)
+    return EkfEstimate(tuple(mean), cov)
 
 
 def altitude_hold_command(altitude: float, valid: bool, setpoint: float, config: VehicleConfig) -> tuple[float, bool]:

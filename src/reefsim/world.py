@@ -19,6 +19,13 @@ a single ``rng.standard_normal((n_snaps, m))`` draw, which consumes the
 stream exactly as ``n_snaps`` successive draws of ``m`` would, and adds the
 bursts into the window in snap order; so a batch equals rendering and adding
 the bursts one by one, bit for bit.
+
+A window is rendered in float32, the sample format of its WAV.  Its stream
+is, in order: the snap count, the snap times, the bursts' noise (float64,
+cast to float32 once scaled), then one ``rng.standard_normal(n,
+dtype=np.float32)`` background draw scaled in place, and one more for
+thruster noise.  The bursts are added into the background in place, and the
+window is clipped in place, so no float64 copy of the window is made.
 """
 
 from __future__ import annotations
@@ -42,15 +49,19 @@ SNAP_BAND_HZ = (2000.0, 24000.0)
 MIN_AUDIO_FS = 48_000
 
 # Upper bounds on the arrays a world is built from, so that a config cannot
-# ask for more cells, noise-lattice points or appearance entries than memory
-# holds.  The largest world any test, benchmark or example builds is 60 m x
-# 60 m at 1 m cells: 3,600 cells, 12 x 12 = 144 lattice points per noise
-# field (at the default 6 m patch length) and 3 x 30 = 90 appearance entries.
-# Each budget allows 100 times that.  At the cell budget, a 600 m x 600 m
-# world took 1.8 s and peaked at 179 MB with 3 habitats, and 12.6 s and
-# 2.0 GB with 94 habitats over 95 words, on a 2-vCPU x86_64 VM.
+# ask for more cells, noise-lattice points, habitat-field entries or
+# appearance entries than memory holds.  The largest world any test,
+# benchmark or example builds is 60 m x 60 m at 1 m cells: 3,600 cells,
+# 12 x 12 = 144 lattice points per noise field (at the default 6 m patch
+# length), 3,600 x 3 = 10,800 habitat-field entries and 3 x 30 = 90
+# appearance entries.  Each budget allows 100 times that.  The habitat field
+# (cells x habitats) is what the world and its file hold: a 600 m x 600 m
+# world took 1.8 s, peaked at 179 MB and wrote a 13 MB world file with 3
+# habitats, and 12.6 s, 2.0 GB and 144 MB with 94 habitats over 95 words,
+# on a 2-vCPU x86_64 VM.
 MAX_GRID_CELLS = 360_000
 MAX_LATTICE_POINTS = 14_400
+MAX_HABITAT_FIELD_ENTRIES = 1_080_000
 MAX_APPEARANCE_ENTRIES = 9_000
 
 
@@ -93,6 +104,8 @@ class WorldConfig:
                       ("patch_length_m", lambda: max(self.grid_shape) * self.cell_size_m / self.patch_length_m <= MAX_LATTICE_POINTS
                        and math.prod(_lattice_shape(*self.grid_shape, self.cell_size_m, self.patch_length_m)) <= MAX_LATTICE_POINTS,
                        f"must give at most {MAX_LATTICE_POINTS:,} value-noise lattice points over width_m x height_m"),
+                      ("n_habitats", lambda: math.prod(self.grid_shape) * self.n_habitats <= MAX_HABITAT_FIELD_ENTRIES,
+                       f"times the grid cells must be at most {MAX_HABITAT_FIELD_ENTRIES:,} habitat-field entries"),
                       ("vocab_size", lambda: self.n_habitats * self.vocab_size <= MAX_APPEARANCE_ENTRIES,
                        f"times n_habitats must be at most {MAX_APPEARANCE_ENTRIES:,} appearance entries"))
 
@@ -360,7 +373,9 @@ def make_snap_bursts(fs: int, n_snaps: int, rng: np.random.Generator) -> np.ndar
     peak = np.max(np.abs(bursts), axis=1, keepdims=True)
     # A pathological draw keeps silence rather than dividing by ~0.
     silent = peak < 1e-12
-    return np.where(silent, 0.0, bursts / np.where(silent, 1.0, peak))
+    bursts /= np.where(silent, 1.0, peak)
+    bursts[silent[:, 0]] = 0.0
+    return bursts
 
 
 def synthesize_audio(
@@ -378,6 +393,7 @@ def synthesize_audio(
     each snap is a unit-peak burst scaled to the configured snap amplitude.
     Background is white Gaussian noise.  With thrusters on, broadband noise
     at 0.95 full scale is added and the result clips, flagging saturation.
+    The samples are float32 throughout (see the module docstring).
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -390,24 +406,27 @@ def synthesize_audio(
     rate = expected_snap_rate(world, x, y)
     n_snaps = rng.poisson(rate * duration)
     snap_times = np.sort(rng.uniform(0.0, duration, n_snaps))
+    bursts = (make_snap_bursts(fs, n_snaps, rng) * world.snap_amplitude).astype(np.float32)
 
-    samples = np.zeros(n)
-    bursts = make_snap_bursts(fs, n_snaps, rng) * world.snap_amplitude
+    if world.background_sigma > 0:
+        samples = rng.standard_normal(n, dtype=np.float32)
+        samples *= np.float32(world.background_sigma)
+    else:
+        samples = np.zeros(n, dtype=np.float32)
+    if thrusters_on:
+        thrusters = rng.standard_normal(n, dtype=np.float32)
+        thrusters *= np.float32(0.95)
+        samples += thrusters
     # Overlap-add in snap order; a burst running past the window end is cut.
     index = (snap_times * fs).astype(np.int64)[:, None] + np.arange(bursts.shape[1])
     inside = index < n
     np.add.at(samples, index[inside], bursts[inside])
 
-    if world.background_sigma > 0:
-        samples += rng.normal(0.0, world.background_sigma, n)
-    if thrusters_on:
-        samples += rng.normal(0.0, 0.95, n)
-
-    clipped = bool(np.max(np.abs(samples), initial=0.0) > 1.0)
-    samples = np.clip(samples, -1.0, 1.0)
+    clipped = bool(np.max(samples, initial=0.0) > 1.0 or np.min(samples, initial=0.0) < -1.0)
+    np.clip(samples, -1.0, 1.0, out=samples)
 
     return AudioWindow(
-        samples=samples.astype(np.float32),
+        samples=samples,
         fs=fs,
         truth_snap_times=snap_times,
         saturated=thrusters_on or clipped,
@@ -418,7 +437,7 @@ def write_wav(path: str | Path, window: AudioWindow) -> None:
     """Export a window as 32-bit float WAV."""
     from scipy.io import wavfile
 
-    wavfile.write(str(path), window.fs, window.samples.astype(np.float32))
+    wavfile.write(str(path), window.fs, np.asarray(window.samples, dtype=np.float32))
 
 
 def read_wav(path: str | Path) -> tuple[np.ndarray, int]:

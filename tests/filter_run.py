@@ -21,9 +21,9 @@ def filter_run(stream: str, seed: int, n_steps: int, noise: NoiseConfig, exact_s
     p0 = np.diag([0.25, 0.25, 0.04, 0.01])
     truth = np.array([5.0, 5.0, 7.0, 0.3])
     if exact_start:
-        est = EkfEstimate(truth.copy(), np.eye(4) * 1e-6)
+        est = EkfEstimate.from_arrays(truth, np.eye(4) * 1e-6)
     else:
-        est = EkfEstimate(truth + rng.multivariate_normal(np.zeros(4), p0), p0.copy())
+        est = EkfEstimate.from_arrays(truth + rng.multivariate_normal(np.zeros(4), p0), p0)
     u, v, w_up, r = 0.4, 0.0, 0.0, 0.05
     for k in range(n_steps):
         t = (k + 1) * dt

@@ -238,7 +238,7 @@ class TestCriterion4Ekf:
         for run in range(n_runs):
             nees[run], means, covs = nees_run(run)
             for mean, cov in zip(means, covs):
-                EkfEstimate(mean, cov).validate()  # covariance symmetric PSD at every step
+                EkfEstimate.from_arrays(mean, cov).validate()  # covariance PSD at every step; symmetric by construction
         average = nees.mean(axis=0)
         lo = chi2.ppf(0.025, 4 * n_runs) / n_runs
         hi = chi2.ppf(0.975, 4 * n_runs) / n_runs

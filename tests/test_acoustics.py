@@ -1,12 +1,9 @@
 from __future__ import annotations
 
-import hashlib
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 from panels import detector_panel
+from pins import detection_times, pinned
 
 from reefsim.acoustics import (
     STFT_BLOCK_SAMPLES,
@@ -195,16 +192,7 @@ class TestDetectSnaps:
 
     def test_pinned_detection_times(self, default_world) -> None:
         """Faster framing or peak timing must not move a single detection."""
-        golden = json.loads((Path(__file__).parent / "golden_cli_digests.json").read_text())
-        if np.__version__ != golden["numpy"]:
-            pytest.skip(f"times pinned with numpy {golden['numpy']}, installed numpy is {np.__version__}")
-        window = synthesize_audio(default_world, 6.0, 6.0, 2.0, FS, False, substream(5, "pin"))
-        detection = detect_snaps_in_window(window)
-        assert detection.count == 47
-        assert detection.times[0] == 0.008959192303861246
-        assert hashlib.sha256(detection.times.tobytes()).hexdigest() == (
-            "eaad3f130803269c4de2637dded2b41a4a12de65bf71c94edcd3b18400eb7256"
-        )
+        assert detection_times(default_world) == pinned("detection_times")
 
 
 class TestPeakTiming:

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import hashlib
 import json
 import math
 import multiprocessing
@@ -24,6 +23,7 @@ from scipy.io import wavfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from json_leaves import leaf, leaf_paths, replace_leaf
+from pins import SMALL_CONFIG, cli_artifact_digests, make_workspace, pinned, tree_hashes
 
 import reefsim
 from reefsim import analysis, cli, mission
@@ -35,21 +35,6 @@ from reefsim.topics import _Checkpoint
 from reefsim.tracking import DistractorConfig, TargetConfig, TrackFrame, TrackingConfig, TrackLog
 from reefsim.world import GridWorld
 
-SMALL_CONFIG = {
-    "world": {"width_m": 16.0, "height_m": 16.0, "snap_rates_per_s": [20.0, 0.0, 0.0]},
-    "plan": {
-        "bounds": [1.0, 1.0, 15.0, 15.0],
-        "leg_spacing_m": 7.0,
-        "drift_duration_s": 1.0,
-        "waypoint_spacing_m": 4.5,
-        "audio_fs_hz": 48_000,
-    },
-    "topics": {"gibbs_sweeps": 5},
-    "episode": {"duration_s": 20.0},
-}
-
-
-GOLDEN_DIGESTS = Path(__file__).parent / "golden_cli_digests.json"
 
 
 def write_config(tmp_path: Path, data: dict | None = None) -> Path:
@@ -63,14 +48,6 @@ def _edit_json(line: str, key: str, edit) -> str:
     payload = json.loads(line)
     payload[key] = edit(payload[key])
     return json.dumps(payload)
-
-
-def tree_hashes(root: Path) -> dict[str, str]:
-    return {
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
 
 
 @pytest.fixture()
@@ -202,28 +179,7 @@ class TestWorldGen:
 def workspace(tmp_path_factory):
     """world-gen + survey, shared by the downstream command tests."""
     tmp_path = tmp_path_factory.mktemp("cli")
-    config = write_config(tmp_path)
-    runner = CliRunner()
-    world_out = tmp_path / "world"
-    result = runner.invoke(main, ["world-gen", "--config", str(config), "--seed", "3", "--out", str(world_out)])
-    assert result.exit_code == 0, result.output
-    survey_out = tmp_path / "survey"
-    result = runner.invoke(
-        main,
-        [
-            "survey",
-            "--world",
-            str(world_out / "world.json"),
-            "--config",
-            str(config),
-            "--seed",
-            "3",
-            "--out",
-            str(survey_out),
-        ],
-    )
-    assert result.exit_code == 0, result.output
-    return tmp_path, config, world_out, survey_out
+    return (tmp_path, *make_workspace(tmp_path))
 
 
 class TestSurveyAnalyzeTrack:
@@ -974,6 +930,8 @@ def test_world_gen_extreme_leaf_exits_cleanly(tmp_path, path, value) -> None:
         ("world-gen", {"world": {"cell_size_m": 1e-300}}, "world.cell_size_m"),
         ("world-gen", {"world": {"patch_length_m": 1e-300}}, "world.patch_length_m"),
         ("world-gen", {"world": {"vocab_size": 1_000_000_000}}, "world.vocab_size"),
+        ("world-gen", {"world": {"width_m": 600.0, "height_m": 600.0, "n_habitats": 94, "vocab_size": 95,
+                                 "snap_rates_per_s": [0.0] * 94}}, "world.n_habitats"),
         ("world-gen", {"seed": -1}, "seed"),
         ("survey", {"plan": {"leg_spacing_m": 1e-300}}, "plan.leg_spacing_m"),
         ("survey", {"plan": {"waypoint_spacing_m": 1e-300}}, "plan.waypoint_spacing_m"),
@@ -981,7 +939,7 @@ def test_world_gen_extreme_leaf_exits_cleanly(tmp_path, path, value) -> None:
         ("survey", {"mission": {"waypoint_timeout_s": 1e308}}, "mission.waypoint_timeout_s"),
         ("survey", {"plan": {"drift_duration_s": 1e5}, "mission": {"dt_s": 0.5}}, "plan.drift_duration_s"),
     ],
-    ids=["width", "height", "cell-size", "patch-length", "vocab-size", "negative-seed",
+    ids=["width", "height", "cell-size", "patch-length", "vocab-size", "habitat-field", "negative-seed",
          "leg-spacing", "waypoint-spacing", "dt", "waypoint-timeout", "drift-samples"],
 )
 def test_oversized_world_or_survey_names_its_key(workspace, tmp_path, command, data, key) -> None:
@@ -993,6 +951,17 @@ def test_oversized_world_or_survey_names_its_key(workspace, tmp_path, command, d
     code, output = run_cli_in_child([command, *inputs, "--config", str(config), "--out", str(tmp_path / "o")], tmp_path)
     assert code == 2, output
     assert output.startswith(f"error: {key} ") and output.count("\n") == 1, output
+
+
+def test_drift_longer_than_the_waypoint_timeout_completes(workspace, runner, tmp_path) -> None:
+    """Each waypoint's timeout clock starts once the previous drift is over,
+    so a 12 s drift does not use up the next waypoint's 10 s."""
+    _, _, world_out, _ = workspace
+    plan = {"bounds": [1.0, 1.0, 3.0, 3.0], "leg_spacing_m": 2.0, "drift_duration_s": 12.0, "audio_fs_hz": 48_000}
+    config = write_config(tmp_path, {**SMALL_CONFIG, "plan": plan, "mission": {"waypoint_timeout_s": 10.0}})
+    result = runner.invoke(main, ["survey", "--world", str(world_out / "world.json"), "--config", str(config), "--seed", "3", "--out", str(tmp_path / "s")])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("survey complete: 4 waypoints"), result.output
 
 
 @pytest.fixture(scope="module")
@@ -1028,50 +997,30 @@ def test_file_cut_short_exits_cleanly(uncut_files, data) -> None:
         assert result.output.count("\n") == 1, result.output
 
 
-def run_all_commands(runner, workspace, out: Path) -> dict[str, str]:
-    """sha256 of every artifact of the four commands, keyed by path under
-    ``out`` (world-gen and survey outputs come from the shared workspace)."""
-    _, config, world_out, survey_out = workspace
-    for command, flag, source, seed in (
-        ("analyze", "--log", survey_out / "mission_log.jsonl", "0"),
-        ("track", "--world", world_out / "world.json", "5"),
-    ):
-        result = runner.invoke(
-            main, [command, flag, str(source), "--config", str(config), "--seed", seed, "--out", str(out / command)]
-        )
-        assert result.exit_code == 0, result.output
-    digests = {}
-    for name, root in (("world-gen", world_out), ("survey", survey_out), ("analyze", out / "analyze"), ("track", out / "track")):
-        digests.update({f"{name}/{path}": digest for path, digest in tree_hashes(root).items()})
-    return digests
-
-
 class TestGoldenDigests:
     """Every CLI artifact of SMALL_CONFIG, pinned byte for byte.
 
     A change that moves a random stream or the arithmetic on purpose must
-    regenerate ``golden_cli_digests.json`` and say so in CHANGES.md.  The
-    pins hold for the numpy release stored beside them: its generators and
-    float formatting are what the bytes depend on.
+    regenerate ``golden_cli_digests.json`` (``tests/regenerate_pins.py``)
+    and say so in CHANGES.md.  The pins hold for the numpy release stored
+    beside them: its generators and float formatting are what the bytes
+    depend on.
     """
 
-    def test_artifacts_match_pinned_digests(self, runner, workspace, tmp_path) -> None:
-        golden = json.loads(GOLDEN_DIGESTS.read_text())
-        if np.__version__ != golden["numpy"]:
-            pytest.skip(f"digests pinned with numpy {golden['numpy']}, installed numpy is {np.__version__}")
-        assert run_all_commands(runner, workspace, tmp_path) == golden["artifacts"]
+    def test_artifacts_match_pinned_digests(self, workspace, tmp_path) -> None:
+        assert cli_artifact_digests(*workspace[1:], tmp_path) == pinned("artifacts")
 
 
 def field_names(cls) -> set[str]:
     return {f.name for f in dataclasses.fields(cls)}
 
 
-def test_written_keys_are_the_dataclass_fields(runner, workspace, tmp_path) -> None:
+def test_written_keys_are_the_dataclass_fields(workspace, tmp_path) -> None:
     """Each JSON file holds its dataclass's fields and no other key but
     ``format`` and ``type``.  A log's header and end line share only
     ``type`` and together hold every log field but the item list."""
     _, _, world_out, survey_out = workspace
-    run_all_commands(runner, workspace, tmp_path)
+    cli_artifact_digests(*workspace[1:], tmp_path)
     assert json.loads((world_out / "world.json").read_text()).keys() == field_names(GridWorld) | {"format"}
     assert json.loads((tmp_path / "analyze" / "topic_model.json").read_text()).keys() == field_names(_Checkpoint) | {"format"}
     for path, log_class, items, item_class in (

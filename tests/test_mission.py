@@ -1,17 +1,16 @@
 from __future__ import annotations
 
-import hashlib
 import json
 import multiprocessing
 import os
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from json_leaves import OTHER_JSON_VALUES, leaf, leaf_paths, other_type, replace_leaf
+from pins import LOOP_BRANCHES, loop_branch_digest, pinned
 
 from reefsim import mission
 from reefsim.errors import ConfigError, DataError
@@ -25,7 +24,7 @@ from reefsim.mission import (
     plan_lawnmower,
     save_log,
 )
-from reefsim.vehicle import NoiseConfig, VehicleConfig
+from reefsim.vehicle import EkfEstimate, NoiseConfig, VehicleConfig, ekf_predict, ekf_update
 from reefsim.world import AudioWindow, write_wav
 
 
@@ -115,33 +114,39 @@ class TestExecute:
         with pytest.raises(ConfigError):
             execute(plan, default_world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=0, audio_dir=make_audio_dir())
 
-    # Digests of the WAVs ``execute`` writes and the ``save_log`` JSONL of
-    # three plans whose branches of the vehicle loop no CLI digest covers:
-    # ambient current during drifts, a drift whose step count rounds to zero
-    # (it still runs one step) and a waypoint timeout that aborts the mission.
-    LOOP_BRANCH_DIGESTS = {
-        "ambient-current": ({"drift_duration_s": 1.0}, {"current_mps": (0.03, -0.02)},
-                            "c95db40b70c94e9644f423f97317472482bb16b77ba8616f7d326ab4f8cc934c"),
-        "drift-rounds-to-zero-steps": ({"drift_duration_s": 0.01}, {},
-                                       "bdadd48a6796c83a834b7e336d56677f6e9f2919de32c647275cc2f14523fb1d"),
-        "waypoint-timeout": ({"drift_duration_s": 1.0}, {"waypoint_timeout_s": 6.0},
-                             "37c6732741f104a76518b62dc629180a7cd25132510db80c17d1223cfadf61a1"),
-    }
-
-    @pytest.mark.parametrize("case", sorted(LOOP_BRANCH_DIGESTS))
+    @pytest.mark.parametrize("case", sorted(LOOP_BRANCHES))
     def test_loop_branches_match_pinned_digests(self, default_world, case, tmp_path) -> None:
-        pinned = json.loads((Path(__file__).parent / "golden_cli_digests.json").read_text())["numpy"]
-        if np.__version__ != pinned:
-            pytest.skip(f"digests pinned with numpy {pinned}, installed numpy is {np.__version__}")
-        plan_kwargs, mission_kwargs, expected = self.LOOP_BRANCH_DIGESTS[case]
-        plan = plan_lawnmower((1.0, 1.0, 7.0, 5.0), 4.0, audio_fs_hz=48_000, **plan_kwargs)
-        log = execute(plan, default_world, VehicleConfig(), NoiseConfig(), MissionConfig(**mission_kwargs), seed=3, audio_dir=tmp_path / "audio")
-        save_log(log, tmp_path / "mission_log.jsonl")
-        digest = hashlib.sha256()
-        for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
-            digest.update(path.relative_to(tmp_path).as_posix().encode())
-            digest.update(path.read_bytes())
-        assert digest.hexdigest() == expected
+        assert loop_branch_digest(default_world, case, tmp_path) == pinned("loop_branches")[case]
+
+    def test_loop_estimate_is_the_public_ekf_chain(self, default_world, monkeypatch, tmp_path) -> None:
+        """The loop's estimate is the chain of public ``ekf_predict`` and
+        ``ekf_update`` calls, each fed the last one's result: replayed from
+        the first record's estimate (the prior is diagonal), the chain passes
+        through every logged estimate, in order."""
+        calls = []
+
+        def recorded(function):
+            def call(est, *args):
+                calls.append((function, args))
+                return function(est, *args)
+            return call
+
+        monkeypatch.setattr(mission, "ekf_predict", recorded(ekf_predict))
+        monkeypatch.setattr(mission, "ekf_update", recorded(ekf_update))
+        plan = plan_lawnmower((1.0, 1.0, 7.0, 5.0), 4.0, drift_duration_s=1.0, audio_fs_hz=48_000)
+        log = mission._run_vehicle(lambda message: None, plan, default_world, VehicleConfig(), NoiseConfig(), MissionConfig(), 3, tmp_path)
+        first = log.records[0]
+        est = EkfEstimate.from_arrays(first.est_mean, np.diag(first.est_cov_diag))
+        chain = [(est.mean, est.variances)]
+        for function, args in calls:
+            est = function(est, *args)
+            chain.append((est.mean, est.variances))
+        logged = iter((r.est_mean, r.est_cov_diag) for r in log.records)
+        expected = next(logged)
+        for estimate in chain:
+            if estimate == expected:
+                expected = next(logged, None)
+        assert expected is None and len(calls) > 3 * len(log.records)
 
     def test_altitude_stays_near_setpoint(self, default_world, small_log) -> None:
         altitudes = [

@@ -323,6 +323,29 @@ class TestRecordMixture:
         np.testing.assert_array_equal(a, b)
         assert a.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_follows_each_change_of_the_counts(self, tmp_path) -> None:
+        """The table built on the first call is rebuilt after observing,
+        refining (which may retire topics) and loading: each mixture equals
+        that of a model freshly loaded from the same state, bit for bit."""
+        model = TopicModel(10, 4, 4)
+        rng = substream(11, "mix-state")
+        hist = np.asarray([3, 0, 1, 0, 0, 2, 0, 0, 0, 4])
+        previous = None
+        for change in ("observe", "refine", "observe", "load"):
+            if change == "observe":
+                for cell in range(16):
+                    model.observe(cell, rng.multinomial(12, np.full(10, 0.1)), rng)
+            elif change == "refine":
+                model.gibbs_refine(3, rng)
+            model.save(tmp_path / "model.json")
+            if change == "load":
+                model = TopicModel.load(tmp_path / "model.json")
+            mixture = model.record_mixture(hist)
+            assert mixture.tobytes() == TopicModel.load(tmp_path / "model.json").record_mixture(hist).tobytes()
+            if previous is not None and change != "load":
+                assert mixture.tobytes() != previous.tobytes()  # the change did move the mixture
+            previous = mixture
+
 
 class TestTopicRecovery:
     def test_striped_world_recovered_after_survey_and_sweeps(self) -> None:

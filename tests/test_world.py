@@ -211,18 +211,18 @@ class TestAudioWindowValidate:
 
 
 def synthesize_audio_per_snap(world, x, y, duration, fs, rng):
-    """Reference renderer: one burst drawn and added at a time, in snap order."""
+    """Reference renderer: one burst drawn at a time, then the float32
+    background, then each burst added in float32, in snap order."""
     n = round(duration * fs)
     n_snaps = rng.poisson(expected_snap_rate(world, x, y) * duration)
     snap_times = np.sort(rng.uniform(0.0, duration, n_snaps))
-    samples = np.zeros(n)
-    for t_snap in snap_times:
-        burst = make_snap_bursts(fs, 1, rng)[0] * world.snap_amplitude
+    bursts = [(make_snap_bursts(fs, 1, rng)[0] * world.snap_amplitude).astype(np.float32) for _ in snap_times]
+    samples = rng.standard_normal(n, dtype=np.float32) * np.float32(world.background_sigma)
+    for t_snap, burst in zip(snap_times, bursts):
         i0 = int(t_snap * fs)
         i1 = min(i0 + len(burst), n)
         samples[i0:i1] += burst[: i1 - i0]
-    samples += rng.normal(0.0, world.background_sigma, n)
-    return np.clip(samples, -1.0, 1.0).astype(np.float32), snap_times
+    return np.clip(samples, -1.0, 1.0), snap_times
 
 
 class TestBatchedSnapBursts:
