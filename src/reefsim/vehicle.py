@@ -233,9 +233,9 @@ def simulate_sensors(
 # The covariance's 10 unique entries in the order an estimate stores them:
 # the upper triangle of the symmetric 4x4 matrix, row by row.
 _PACKED_ROWS, _PACKED_COLS = np.triu_indices(4)
-_PACKED_INDEX = {(int(i), int(j)): n for n, (i, j) in enumerate(zip(_PACKED_ROWS, _PACKED_COLS))}
 # The packed positions of each state's column of the covariance.
-_COLUMNS = [operator.itemgetter(*(_PACKED_INDEX[min(i, k), max(i, k)] for i in range(4))) for k in range(4)]
+_COLUMNS = [operator.itemgetter(0, 1, 2, 3), operator.itemgetter(1, 4, 5, 6),
+            operator.itemgetter(2, 5, 7, 8), operator.itemgetter(3, 6, 8, 9)]
 
 
 @dataclass

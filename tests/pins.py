@@ -23,6 +23,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 from click.testing import CliRunner
 
@@ -62,8 +63,6 @@ LOOP_BRANCHES = {
 def pinned(key: str):
     """The pins stored under ``key``; skips the calling test when the
     installed numpy is not the release they were computed with."""
-    import pytest
-
     pins = json.loads(PINS_PATH.read_text())
     if np.__version__ != pins["numpy"]:
         pytest.skip(f"pinned with numpy {pins['numpy']}, installed numpy is {np.__version__}")
