@@ -21,9 +21,8 @@ result is byte-identical to transforming all frames at once: the window
 product, modulus and square are elementwise and the real FFT works row by
 row, so a frame's bits do not depend on the block that holds it, and a
 float32 recording widens to float64 exactly inside the multiply.  The kept
-peaks are timed together by array operations that repeat the scalar rule's
-arithmetic elementwise; only the centroid fallback, whose dot product has
-no elementwise twin, still runs peak by peak.
+peaks are timed together, each branch of the timing rule an elementwise
+array expression.
 
 :func:`snap_rate_series` returns one :class:`SnapRate` row per drift window,
 in log order; a saturated window's row names the reason it was skipped.
@@ -42,6 +41,14 @@ from .world import SNAP_BAND_HZ, AudioWindow
 BACKGROUND_QUANTILE = 0.1
 STFT_BLOCK_SAMPLES = 32_768  # each transform block holds this many samples' worth of frames, at least one
 
+# Upper bound on one drift window's spectrogram, frames x bins, which is held
+# whole while that window is detected.  The largest any test, benchmark or
+# example makes is a 10 s, 96 kHz window at the default 1024-sample window
+# and 512-sample hop: 1,874 frames of 513 bins, 961,362 entries.  This allows
+# 100 times that, 0.8 GB of float64; a 1-sample hop on that window would ask
+# for 3.9 GB.
+MAX_SPECTROGRAM_ENTRIES = 96_000_000
+
 
 @dataclass(frozen=True)
 class AcousticsConfig:
@@ -56,7 +63,9 @@ class AcousticsConfig:
         # The rules of :func:`stft` and :func:`band_energy`.
         check_section(self, ("window", lambda: self.window >= 64 and not self.window & (self.window - 1), "must be a power of two >= 64"),
                       ("hop", lambda: 0 < self.hop <= self.window, "must be in (0, window]"),
-                      ("band_hz", lambda: self.band_hz[0] < self.band_hz[1], "must run from low to high"))
+                      ("band_hz", lambda: self.band_hz[0] < self.band_hz[1], "must run from low to high"),
+                      ("refractory_s", lambda: self.refractory_s >= 0, "must be non-negative"),
+                      ("min_peak_ratio", lambda: self.min_peak_ratio >= 0, "must be non-negative"))
 
 
 @dataclass
@@ -156,67 +165,37 @@ class SnapDetection:
     rate: float  # snaps / second of window duration
 
 
-def _refine_peak_time(energy: np.ndarray, peak: int, baseline: float, spec: Spectrogram, times: np.ndarray) -> float:
-    """Sub-frame timing of one impulsive peak.
+def _refine_peak_times(energy: np.ndarray, peaks: np.ndarray, baseline: float, spec: Spectrogram) -> np.ndarray:
+    """Sub-frame timing of the impulsive peak at each interior frame in
+    ``peaks``, elementwise.
 
     With 50 % overlap a short burst excites exactly two adjacent frames with
     Hann-squared weights, so the energy ratio of the peak and its larger
-    neighbor inverts in closed form to the burst position.  Falls back to an
-    energy centroid for other hop sizes or degenerate neighborhoods, and to
-    the frame center for a peak that does not rise above ``baseline``.
-    ``peak`` is an interior frame.  ``times`` is ``spec.frame_times``.
-    :func:`_refine_peak_times` is the same rule for all peaks at once.
+    neighbor (the previous frame on a tie) inverts in closed form to the
+    burst position.  Other hop sizes, and a peak whose neighbors both stay at
+    or below ``baseline``, take the energy centroid of the three frames, each
+    weight clipped at 0.  A peak that does not rise above ``baseline`` keeps
+    its frame center.
     """
-    e_prev = energy[peak - 1] - baseline
-    e_next = energy[peak + 1] - baseline
-    e_peak = energy[peak] - baseline
-    if e_peak <= 0:
-        return float(times[peak])
-
-    neighbor = peak - 1 if e_prev >= e_next else peak + 1
-    if spec.hop * 2 == spec.window and max(e_prev, e_next) > 0:
-        left = min(peak, neighbor)
-        e_left = energy[left] - baseline
-        e_right = energy[left + 1] - baseline
-        if e_left > 0 and e_right > 0:
-            sqrt_rho = np.sqrt(e_right / e_left)
-            cos_phi = np.clip((1.0 - sqrt_rho) / (1.0 + sqrt_rho), -1.0, 1.0)
-            phi = np.arccos(cos_phi)
-            offset = spec.hop + spec.window * phi / (2.0 * np.pi)
-            return float((left * spec.hop + offset) / spec.fs)
-
-    weights = np.maximum([e_prev, e_peak, e_next], 0.0)  # e_peak > 0, so the weights sum above 0
-    return float(np.dot(weights, times[peak - 1 : peak + 2]) / weights.sum())
-
-
-def _refine_peak_times(energy: np.ndarray, peaks: np.ndarray, baseline: float, spec: Spectrogram) -> np.ndarray:
-    """:func:`_refine_peak_time` of every interior frame in ``peaks``, with
-    the same floating-point operations applied elementwise, so each time is
-    bitwise the scalar one.  The centroid fallback's ``np.dot`` has no
-    elementwise twin, so its rare rows still go through the scalar rule."""
     frame_times = spec.frame_times
     times = frame_times[peaks]
-    e_prev = energy[peaks - 1] - baseline
-    e_peak = energy[peaks] - baseline
-    e_next = energy[peaks + 1] - baseline
-    # Each comparison is written as the scalar rule writes it, so a NaN takes the same branch.
-    rising = ~(e_peak <= 0)
-    closed = np.zeros_like(rising)
-    if spec.hop * 2 == spec.window:
-        # The pair's left frame is the previous one when that is the larger neighbor, else the peak.
-        prev_side = e_prev >= e_next
-        e_left = np.where(prev_side, e_prev, e_peak)
-        e_right = np.where(prev_side, e_peak, e_next)
-        larger = np.where(e_next > e_prev, e_next, e_prev)  # Python's max(e_prev, e_next)
-        closed = rising & (larger > 0) & (e_left > 0) & (e_right > 0)
-        left = (peaks - prev_side)[closed]
-        sqrt_rho = np.sqrt(e_right[closed] / e_left[closed])
-        cos_phi = np.clip((1.0 - sqrt_rho) / (1.0 + sqrt_rho), -1.0, 1.0)
-        phi = np.arccos(cos_phi)
-        offset = spec.hop + spec.window * phi / (2.0 * np.pi)
-        times[closed] = (left * spec.hop + offset) / spec.fs
-    for i in np.flatnonzero(rising & ~closed):
-        times[i] = _refine_peak_time(energy, peaks[i], baseline, spec, frame_times)
+    e_prev, e_peak, e_next = (energy[peaks + step] - baseline for step in (-1, 0, 1))
+    # The pair's left frame is the previous one when that is the larger neighbor, else the peak.
+    prev_side = e_prev >= e_next
+    e_left = np.where(prev_side, e_prev, e_peak)
+    e_right = np.where(prev_side, e_peak, e_next)
+    closed = (e_left > 0) & (e_right > 0) & (2 * spec.hop == spec.window)
+    centroid = (e_peak > 0) & ~closed
+
+    w_prev, w_peak, w_next = (np.maximum(e[centroid], 0.0) for e in (e_prev, e_peak, e_next))
+    at = peaks[centroid]  # w_peak > 0, so the weights sum above 0
+    times[centroid] = (w_prev * frame_times[at - 1] + w_peak * frame_times[at] + w_next * frame_times[at + 1]) / (w_prev + w_peak + w_next)
+
+    sqrt_rho = np.sqrt(e_right[closed] / e_left[closed])
+    cos_phi = np.clip((1.0 - sqrt_rho) / (1.0 + sqrt_rho), -1.0, 1.0)
+    phi = np.arccos(cos_phi)
+    offset = spec.hop + spec.window * phi / (2.0 * np.pi)
+    times[closed] = ((peaks - prev_side)[closed] * spec.hop + offset) / spec.fs
     return times
 
 
@@ -236,12 +215,14 @@ def detect_snaps(energy: np.ndarray, spec: Spectrogram, duration: float, config:
     if duration <= 0:
         raise ValueError("duration must be positive")
 
-    mu = energy.mean()
-    sigma = energy.std()
+    # Python floats, so that a threshold beyond the float range is an
+    # infinity, not an overflow warning.
+    mu = float(energy.mean())
+    sigma = float(energy.std())
     if sigma < 1e-12:
         return SnapDetection(np.empty(0), 0, 0.0)
 
-    baseline = np.quantile(energy, BACKGROUND_QUANTILE)
+    baseline = float(np.quantile(energy, BACKGROUND_QUANTILE))
     threshold = max(mu + cfg.threshold_sigma * sigma, cfg.min_peak_ratio * baseline)
 
     interior = energy[1:-1]
@@ -302,14 +283,19 @@ def snap_rate_series(log, config: AcousticsConfig | None = None) -> list[SnapRat
         raise DataError("mission log contains no drift windows")
     # The checks of stft, band_energy and detect_snaps, made once for the log's windows.
     fs, (lo, hi) = log.audio_fs_hz, cfg.band_hz
+    # The frames are counted first: they bound the window by the log's
+    # samples before any array of the window's length is made.
     n_samples = log.drift_samples
+    n_frames = max((n_samples - cfg.window) // cfg.hop + 1, 0)
+    if n_frames < 8:
+        raise ConfigError(f"acoustics.window: leaves {n_frames} frames in a drift window of {n_samples} samples, fewer than 8")
+    if n_frames * (cfg.window // 2 + 1) > MAX_SPECTROGRAM_ENTRIES:
+        raise ConfigError(f"acoustics.hop must leave at most {MAX_SPECTROGRAM_ENTRIES:,} spectrogram entries per drift window; "
+                          f"it gives {n_frames:,} frames of {cfg.window // 2 + 1} bins")
     if hi > fs / 2:
         raise ConfigError(f"acoustics.band_hz: {hi} Hz exceeds the log's Nyquist frequency {fs / 2} Hz")
     if not band_bins(fs, cfg.window, lo, hi).any():
         raise ConfigError(f"acoustics.band_hz: no frequency bin of a {cfg.window}-sample window at {fs} Hz lies in it")
-    n_frames = max((n_samples - cfg.window) // cfg.hop + 1, 0)
-    if n_frames < 8:
-        raise ConfigError(f"acoustics.window: leaves {n_frames} frames in a drift window of {n_samples} samples, fewer than 8")
 
     rows = []
     for record in drift_records:

@@ -34,6 +34,13 @@ from .rng import substream
 from .topics import TopicModel, TopicsConfig, merge_groups_by_appearance
 from .worker import Worker
 
+# Upper bound on the word tokens of a topic fit, checked before its worker
+# starts.  The largest fit any test, benchmark or example runs is the
+# criterion-1 site's 14,900 tokens (596 images of 25 words); this allows
+# about 100 times that.  That fit took 0.44 s at the default 10 sweeps on a
+# 2-vCPU x86_64 VM, so one at the budget runs for about 45 s.
+MAX_FIT_TOKENS = 1_500_000
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -177,9 +184,9 @@ def analyze_log(
     analysis_config = analysis_config or AnalysisConfig()
 
     # Checked here, not in the worker, so that a log without drift windows
-    # or images, images without one vocabulary of at least two words, or a
-    # beta the sampler cannot carry, fails at once; drift windows are
-    # checked first.
+    # or images, images without one vocabulary of at least two words, more
+    # tokens than the fit's budget, or a beta the sampler cannot carry, fails
+    # at once; drift windows are checked first.
     if not log.drift_records():
         raise DataError("mission log contains no drift windows")
     imaging = log.imaging_records()
@@ -193,7 +200,10 @@ def analyze_log(
 
     observations = [(record.cell_id, record.words) for record in imaging]
     shape = (vocab_size, log.grid_nx, log.grid_ny)
-    topics_config.check_beta(shape[0], sum(sum(words) for _, words in observations))
+    n_tokens = sum(sum(words) for _, words in observations)
+    if n_tokens > MAX_FIT_TOKENS:
+        raise DataError(f"mission log holds {n_tokens:,} word tokens; a topic fit takes at most {MAX_FIT_TOKENS:,}")
+    topics_config.check_beta(shape[0], n_tokens)
     with Worker(_fit_topics, observations, shape, topics_config, seed) as worker:
         snap_rates = snap_rate_series(log, acoustics_config)
         model = worker.result()

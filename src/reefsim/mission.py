@@ -69,7 +69,7 @@ from .vehicle import (
     waypoint_command,
 )
 from .worker import Worker
-from .world import MIN_AUDIO_FS, AudioWindow, GridWorld, read_wav, sample_image_words, synthesize_audio, write_wav
+from .world import MAX_GRID_CELLS, MIN_AUDIO_FS, AudioWindow, GridWorld, read_wav, sample_image_words, synthesize_audio, write_wav
 
 LOG_FORMAT = "reefsim-mission-log-v2"
 
@@ -92,6 +92,12 @@ MAX_WAYPOINT_STEPS = 380_000
 # VM a survey of four windows at the bound peaked at 260 MB, and one 2,000 s
 # drift at 96 kHz at 3.1 GB.
 MAX_WINDOW_SAMPLES = 9_600_000
+
+# Upper bound on the visual words drawn per image.  Each becomes a token of
+# ``analyze``'s topic fit.  Every test, benchmark and example draws the
+# default 25; this allows 100 times that, which over the criterion-1 site's
+# 596 images is about the fit's budget, :data:`reefsim.analysis.MAX_FIT_TOKENS`.
+MAX_WORDS_PER_IMAGE = 2_500
 
 
 def _drift_window_rules(s) -> tuple:
@@ -175,7 +181,7 @@ class MissionConfig:
 
     def __post_init__(self) -> None:
         check_section(self, ("dt_s", lambda: 0 < self.dt_s <= 0.5, "must be in (0, 0.5]"),
-                      ("words_per_image", lambda: self.words_per_image >= 1, "must be at least 1"))
+                      ("words_per_image", lambda: 1 <= self.words_per_image <= MAX_WORDS_PER_IMAGE, f"must be in [1, {MAX_WORDS_PER_IMAGE:,}]"))
 
 
 # The public name for building a plan; the fields' order keeps its positional
@@ -218,6 +224,7 @@ class MissionLog:
     def __post_init__(self) -> None:
         check_section(self, ("grid_nx", lambda: self.grid_nx >= 1, "must be at least 1"),
                       ("grid_ny", lambda: self.grid_ny >= 1, "must be at least 1"),
+                      ("grid_ny", lambda: self.grid_nx * self.grid_ny <= MAX_GRID_CELLS, f"times grid_nx must be at most {MAX_GRID_CELLS:,} cells"),
                       ("cell_size_m", lambda: self.cell_size_m > 0, "must be positive"),
                       *_drift_window_rules(self))
 

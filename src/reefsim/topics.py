@@ -68,6 +68,17 @@ CHECKPOINT_FORMAT = "reefsim-topic-model-v1"
 MERGE_TV_THRESHOLD = 0.5
 MERGE_MIN_TOKENS = 50
 
+# Upper bounds on a fit's work, checked before it starts: the topic cap,
+# which sets the width of every count row (one per word and one per cell) and
+# the weights each draw evaluates, and the refinement sweeps.  The largest
+# fit any test, benchmark or example runs is the criterion-1 site's: 14,900
+# tokens, the default cap of 20 and at most 50 sweeps (the sweep-count table
+# in CHANGES.md).  Each budget allows 100 times that.  They bound each
+# factor, not the product: a sweep of that fit took about 45 ms on a 2-vCPU
+# x86_64 VM, so 5,000 sweeps of it run for about four minutes.
+MAX_TOPICS = 2_000
+MAX_GIBBS_SWEEPS = 5_000
+
 
 @dataclass(frozen=True)
 class TopicsConfig:
@@ -78,11 +89,11 @@ class TopicsConfig:
     gibbs_sweeps: int = 10  # measured on the criterion-1 site: see the sweep-count table in CHANGES.md
 
     def __post_init__(self) -> None:
-        check_section(self, ("max_topics", lambda: self.max_topics >= 1, "must be at least 1"),
+        check_section(self, ("max_topics", lambda: 1 <= self.max_topics <= MAX_TOPICS, f"must be in [1, {MAX_TOPICS:,}]"),
                       ("alpha", lambda: self.alpha > 0, "must be positive"),
                       ("beta", lambda: self.beta > 0, "must be positive"),
                       ("gamma", lambda: self.gamma > 0, "must be positive"),
-                      ("gibbs_sweeps", lambda: self.gibbs_sweeps >= 0, "must be non-negative"))
+                      ("gibbs_sweeps", lambda: 0 <= self.gibbs_sweeps <= MAX_GIBBS_SWEEPS, f"must be in [0, {MAX_GIBBS_SWEEPS:,}]"))
 
     def check_beta(self, vocab_size: int, n_tokens: int) -> None:
         """Raise :class:`ConfigError` unless ``V*beta`` keeps every sampler

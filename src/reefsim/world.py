@@ -64,6 +64,11 @@ MAX_LATTICE_POINTS = 14_400
 MAX_HABITAT_FIELD_ENTRIES = 1_080_000
 MAX_APPEARANCE_ENTRIES = 9_000
 
+# Upper bound on the seafloor relief, either way: far more than any reef
+# site's, and small enough that the bathymetry, the relief times a
+# unit-variance noise field, stays finite.
+MAX_DEPTH_RELIEF_M = 1e4
+
 
 @dataclass(frozen=True)
 class WorldConfig:
@@ -97,6 +102,7 @@ class WorldConfig:
                       ("patch_length_m", lambda: self.patch_length_m > 0, "must be positive"),
                       ("background_sigma", lambda: self.background_sigma >= 0, "must be non-negative"),
                       ("base_depth_m", lambda: self.base_depth_m > 0, "must be positive"),
+                      ("depth_relief_m", lambda: abs(self.depth_relief_m) <= MAX_DEPTH_RELIEF_M, f"must be within {MAX_DEPTH_RELIEF_M:g} m"),
                       ("habitat_fractions", lambda: fractions is None or (len(fractions) == self.n_habitats and min(fractions) > 0 and abs(sum(fractions) - 1) <= 1e-9), "must list one positive share per habitat, summing to 1"),
                       # Each budget is checked in floats before the counts it bounds are rounded to ints.
                       ("cell_size_m", lambda: max(self.width_m, self.height_m) / self.cell_size_m <= MAX_GRID_CELLS

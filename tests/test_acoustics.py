@@ -8,7 +8,6 @@ from pins import detection_times, pinned
 from reefsim.acoustics import (
     STFT_BLOCK_SAMPLES,
     Spectrogram,
-    _refine_peak_time,
     _refine_peak_times,
     band_energy,
     detect_snaps,
@@ -195,19 +194,38 @@ class TestDetectSnaps:
         assert detection_times(default_world) == pinned("detection_times")
 
 
+def peak_time_reference(energy: np.ndarray, peak: int, baseline: float, spec: Spectrogram) -> float:
+    """The sub-frame timing rule of :func:`_refine_peak_times`, written for
+    one peak with scalars: the frame center unless the peak rises above the
+    baseline; the closed form at 50 % overlap when the peak and its larger
+    neighbor (the previous frame on a tie) both rise; otherwise the energy
+    centroid of the three frames, weights clipped at 0."""
+    t = spec.frame_times
+    e_prev, e_peak, e_next = (energy[peak + step] - baseline for step in (-1, 0, 1))
+    if e_peak <= 0:
+        return float(t[peak])
+    left = peak - 1 if e_prev >= e_next else peak
+    e_left, e_right = energy[left] - baseline, energy[left + 1] - baseline
+    if 2 * spec.hop == spec.window and e_left > 0 and e_right > 0:
+        sqrt_rho = np.sqrt(e_right / e_left)
+        phi = np.arccos(np.clip((1.0 - sqrt_rho) / (1.0 + sqrt_rho), -1.0, 1.0))
+        return float((left * spec.hop + (spec.hop + spec.window * phi / (2.0 * np.pi))) / spec.fs)
+    w_prev, w_peak, w_next = (max(e, 0.0) for e in (e_prev, e_peak, e_next))
+    return float((w_prev * t[peak - 1] + w_peak * t[peak] + w_next * t[peak + 1]) / (w_prev + w_peak + w_next))
+
+
 class TestPeakTiming:
     @pytest.mark.parametrize("hop, window", [(512, 1024), (256, 512), (400, 1024), (1024, 1024)])
-    def test_array_timing_matches_scalar_rule(self, hop, window) -> None:
+    def test_array_timing_matches_per_peak_rule(self, hop, window) -> None:
         """The array form of the sub-frame timing gives each kept peak the
-        scalar rule's time, bit for bit, on every branch of that rule."""
+        per-peak rule's time, bit for bit, on every branch of that rule."""
         rng = np.random.default_rng(hop + window)
         n, baseline = 2_000, 0.5
         energy = np.round(rng.exponential(1.0, n), 1)  # rounding makes ties and values at the baseline common
-        energy[rng.choice(n, 40, replace=False)] = np.nan  # and a NaN takes the scalar rule's branch too
         spec = Spectrogram(np.zeros((n, 1)), FS, window, hop)
         peaks = np.arange(1, n - 1)
-        expected = np.array([_refine_peak_time(energy, p, baseline, spec, spec.frame_times) for p in peaks])
-        assert np.array_equal(_refine_peak_times(energy, peaks, baseline, spec), expected, equal_nan=True)
+        expected = np.array([peak_time_reference(energy, p, baseline, spec) for p in peaks])
+        assert np.array_equal(_refine_peak_times(energy, peaks, baseline, spec), expected)
 
         e_prev, e_peak, e_next = energy[:-2] - baseline, energy[1:-1] - baseline, energy[2:] - baseline
         rising = e_peak > 0
@@ -215,6 +233,15 @@ class TestPeakTiming:
         assert (rising & (np.maximum(e_prev, e_next) <= 0)).any()  # both neighbors <= 0: the centroid
         assert (rising & (np.minimum(e_prev, e_next) <= 0) & (np.maximum(e_prev, e_next) > 0)).any()  # one neighbor <= 0
         assert (rising & (e_prev == e_next) & (e_prev > 0)).any()  # a tie picks the previous frame
+
+    def test_nan_energy_admits_no_peak(self) -> None:
+        """A NaN in the band energy makes the threshold NaN, so no frame
+        becomes a candidate and none reaches the timing."""
+        energy = np.round(np.random.default_rng(0).exponential(1.0, 200), 1)
+        energy[17] = np.nan
+        spec = Spectrogram(np.zeros((200, 1)), FS, 1024, 512)
+        detection = detect_snaps(energy, spec, duration=1.0)
+        assert detection.count == 0 and detection.times.shape == (0,)
 
     def test_no_peaks(self) -> None:
         spec = Spectrogram(np.zeros((10, 1)), FS, 1024, 512)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import os
 import resource
 import shutil
 import signal
@@ -884,7 +885,10 @@ AS_LIMIT_BYTES = 4 << 30
 def _cli_child(args: list[str], output: str) -> None:
     """The child of :func:`run_cli_in_child`: ``reefsim *args`` under the
     address-space limit, with stdout and stderr written to ``output``.  The
-    process's exit code is the command's, or 1 after a traceback."""
+    process's exit code is the command's, or 1 after a traceback; a warning
+    raises, so it too ends in a traceback."""
+    os.setpgid(0, 0)
+    warnings.simplefilter("error")
     resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT_BYTES, AS_LIMIT_BYTES))
     sys.stdout = sys.stderr = open(output, "w")
     main(args, prog_name="reefsim")
@@ -894,13 +898,14 @@ def run_cli_in_child(args: list[str], tmp_path: Path, timeout_s: float = 10.0) -
     """Run ``reefsim *args`` in a forked child process limited to
     ``AS_LIMIT_BYTES`` of address space, and return its exit code and output.
     A case that asks for more memory fails in the child, not in the test
-    process; one that runs past ``timeout_s`` is killed and fails the test."""
+    process; one that runs past ``timeout_s`` is killed, with any worker it
+    started (the child leads its own process group), and fails the test."""
     output = tmp_path / "child_output.txt"
     child = multiprocessing.get_context("fork").Process(target=_cli_child, args=(args, str(output)))
     child.start()
     child.join(timeout_s)
     if child.is_alive():
-        child.kill()
+        os.killpg(child.pid, signal.SIGKILL)
         child.join()
         pytest.fail(f"reefsim {' '.join(args)} ran past its {timeout_s} s timeout")
     return child.exitcode, output.read_text()
@@ -938,19 +943,68 @@ def test_world_gen_extreme_leaf_exits_cleanly(tmp_path, path, value) -> None:
         ("survey", {"mission": {"dt_s": 1e-300}}, "mission.dt_s"),
         ("survey", {"mission": {"waypoint_timeout_s": 1e308}}, "mission.waypoint_timeout_s"),
         ("survey", {"plan": {"drift_duration_s": 1e5}, "mission": {"dt_s": 0.5}}, "plan.drift_duration_s"),
+        ("survey", {"mission": {"words_per_image": 10**6}}, "mission.words_per_image"),
+        ("analyze", {"acoustics": {"window": 8192, "hop": 1}}, "acoustics.hop"),
     ],
     ids=["width", "height", "cell-size", "patch-length", "vocab-size", "habitat-field", "negative-seed",
-         "leg-spacing", "waypoint-spacing", "dt", "waypoint-timeout", "drift-samples"],
+         "leg-spacing", "waypoint-spacing", "dt", "waypoint-timeout", "drift-samples", "words-per-image", "spectrogram"],
 )
 def test_oversized_world_or_survey_names_its_key(workspace, tmp_path, command, data, key) -> None:
-    """A world or survey too large to build or run is refused before any
-    work, with one line that names the key of its budget."""
-    _, _, world_out, _ = workspace
+    """A world, survey or analysis too large to build or run is refused
+    before any work, with one line that names the key of its budget."""
+    _, _, world_out, survey_out = workspace
     config = write_config(tmp_path, data)
-    inputs = ["--world", str(world_out / "world.json")] if command == "survey" else []
+    inputs = {"world-gen": [], "survey": ["--world", str(world_out / "world.json")],
+              "analyze": ["--log", str(survey_out / "mission_log.jsonl")]}[command]
     code, output = run_cli_in_child([command, *inputs, "--config", str(config), "--out", str(tmp_path / "o")], tmp_path)
     assert code == 2, output
     assert output.startswith(f"error: {key} ") and output.count("\n") == 1, output
+
+
+ANALYZE_TREE = {section: DEFAULT_TREE[section] for section in ("acoustics", "topics", "analysis")}  # what analyze reads, at its defaults
+ANALYZE_SWEEP = [(path, value) for kind, values in {float: (1e308, -1e308, 1e-300), int: (10**400, 10**6, 0, -1)}.items()
+                 for path in leaf_paths(ANALYZE_TREE) if type(leaf(ANALYZE_TREE, path)) is kind for value in values]
+ANALYZE_SWEEP.append((("acoustics", "window"), 2**30))
+
+
+@pytest.mark.parametrize("path, value", ANALYZE_SWEEP, ids=[sweep_id(p, v) for p, v in ANALYZE_SWEEP])
+def test_analyze_extreme_leaf_exits_cleanly(workspace, tmp_path, path, value) -> None:
+    """Every extreme float or int leaf ``analyze`` reads ends in an exit code
+    of the contract, with one line of output and no warning, in a child
+    process with bounded memory and time."""
+    _, _, _, survey_out = workspace
+    config = write_config(tmp_path, replace_leaf(ANALYZE_TREE, path, value))
+    code, output = run_cli_in_child(["analyze", "--log", str(survey_out / "mission_log.jsonl"), "--config", str(config),
+                                     "--seed", "0", "--out", str(tmp_path / "o")], tmp_path)
+    assert code in (0, 2, 3), output
+    assert output.count("\n") == 1, output
+
+
+@pytest.mark.parametrize(
+    "n, edit, message",
+    [
+        (1, lambda line: json.dumps({**json.loads(line), "grid_nx": 100_000, "grid_ny": 100_000}), "line 1: grid_ny times grid_nx"),
+        (4, lambda line: _edit_json(line, "words", lambda words: [20_000_000, *words[1:]]), "word tokens"),
+    ],
+    ids=["grid-cells", "fit-tokens"],
+)
+def test_oversized_log_is_data_error(workspace, tmp_path, monkeypatch, n, edit, message) -> None:
+    """A log whose grid or topic fit is too large for ``analyze`` is refused
+    before its worker starts, with one line."""
+    def no_worker(*args):
+        raise AssertionError("the worker must not start")
+
+    monkeypatch.setattr(analysis, "Worker", no_worker)  # the forked child inherits it
+    _, config, _, survey_out = workspace
+    edited = tmp_path / "edited"
+    shutil.copytree(survey_out, edited)
+    log_path = edited / "mission_log.jsonl"
+    lines = log_path.read_text().splitlines()
+    lines[n - 1] = edit(lines[n - 1])
+    log_path.write_text("\n".join(lines) + "\n")
+    code, output = run_cli_in_child(["analyze", "--log", str(log_path), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "o")], tmp_path)
+    assert code == 3, output
+    assert output.startswith("error: mission log ") and message in output and output.count("\n") == 1, output
 
 
 def test_drift_longer_than_the_waypoint_timeout_completes(workspace, runner, tmp_path) -> None:
