@@ -43,11 +43,12 @@ STFT_BLOCK_SAMPLES = 32_768  # each transform block holds this many samples' wor
 
 # Upper bound on one drift window's spectrogram, frames x bins, which is held
 # whole while that window is detected.  The largest any test, benchmark or
-# example makes is a 10 s, 96 kHz window at the default 1024-sample window
-# and 512-sample hop: 1,874 frames of 513 bins, 961,362 entries.  This allows
-# 100 times that, 0.8 GB of float64; a 1-sample hop on that window would ask
-# for 3.9 GB.
-MAX_SPECTROGRAM_ENTRIES = 96_000_000
+# example makes is the criterion-1 site's (perfbench/site.yaml,
+# example_config.yaml): a 10 s, 96 kHz window at a 512-sample window and
+# 256-sample hop, 3,749 frames of 257 bins, 963,493 entries.  This allows
+# about 100 times that, 0.8 GB of float64; a 1-sample hop on a 1024-sample
+# window would ask for 3.9 GB.
+MAX_SPECTROGRAM_ENTRIES = 96_400_000
 
 
 @dataclass(frozen=True)

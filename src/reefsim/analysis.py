@@ -41,6 +41,15 @@ from .worker import Worker
 # 2-vCPU x86_64 VM, so one at the budget runs for about 45 s.
 MAX_FIT_TOKENS = 1_500_000
 
+# Upper bound on the count slots a topic fit holds: one row per word and one
+# per grid cell, each ``topics.max_topics`` wide.  The criterion-1 site's fit
+# holds (30 words + 576 cells) x 20 topics = 12,120.  This allows any world
+# ``world-gen`` accepts at the default cap of 20: (9,000 words + 360,000
+# cells) x 20, the largest ``MAX_APPEARANCE_ENTRIES`` vocabulary with the
+# largest ``MAX_GRID_CELLS`` grid.  A model of that size took 0.9 s to set up
+# and peaked at 218 MB on a 2-vCPU x86_64 VM.
+MAX_COUNT_SLOTS = 7_380_000
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -185,8 +194,8 @@ def analyze_log(
 
     # Checked here, not in the worker, so that a log without drift windows
     # or images, images without one vocabulary of at least two words, more
-    # tokens than the fit's budget, or a beta the sampler cannot carry, fails
-    # at once; drift windows are checked first.
+    # tokens or count slots than the fit's budgets, or a beta the sampler
+    # cannot carry, fails at once; drift windows are checked first.
     if not log.drift_records():
         raise DataError("mission log contains no drift windows")
     imaging = log.imaging_records()
@@ -203,6 +212,10 @@ def analyze_log(
     n_tokens = sum(sum(words) for _, words in observations)
     if n_tokens > MAX_FIT_TOKENS:
         raise DataError(f"mission log holds {n_tokens:,} word tokens; a topic fit takes at most {MAX_FIT_TOKENS:,}")
+    n_slots = (vocab_size + log.grid_nx * log.grid_ny) * topics_config.max_topics
+    if n_slots > MAX_COUNT_SLOTS:
+        raise DataError(f"mission log needs {n_slots:,} topic count slots, (words + grid cells) x topics.max_topics; "
+                        f"a topic fit takes at most {MAX_COUNT_SLOTS:,}")
     topics_config.check_beta(shape[0], n_tokens)
     with Worker(_fit_topics, observations, shape, topics_config, seed) as worker:
         snap_rates = snap_rate_series(log, acoustics_config)

@@ -911,18 +911,29 @@ def run_cli_in_child(args: list[str], tmp_path: Path, timeout_s: float = 10.0) -
     return child.exitcode, output.read_text()
 
 
-WORLD_GEN_TREE = {"world": DEFAULT_TREE["world"], "seed": DEFAULT_TREE["seed"]}  # what world-gen reads, at its defaults
-WORLD_GEN_SWEEP = [(path, value) for kind, values in TRACK_SWEEP_VALUES.items()
-                   for path in leaf_paths(WORLD_GEN_TREE) if type(leaf(WORLD_GEN_TREE, path)) is kind for value in values]
+def command_inputs(command: str, workspace) -> list[str]:
+    """The flags that give ``command`` its world or log from the shared
+    workspace (``world-gen`` reads its seed from the config)."""
+    _, _, world_out, survey_out = workspace
+    return {"world-gen": [], "survey": ["--world", str(world_out / "world.json")],
+            "analyze": ["--log", str(survey_out / "mission_log.jsonl"), "--seed", "0"]}[command]
 
 
-@pytest.mark.parametrize("path, value", WORLD_GEN_SWEEP, ids=[sweep_id(p, v) for p, v in WORLD_GEN_SWEEP])
-def test_world_gen_extreme_leaf_exits_cleanly(tmp_path, path, value) -> None:
-    """Every extreme float or int leaf ``world-gen`` reads ends in an exit
-    code of the contract, with one line of output, in a child process with
-    bounded memory and time."""
-    config = write_config(tmp_path, replace_leaf(WORLD_GEN_TREE, path, value))
-    code, output = run_cli_in_child(["world-gen", "--config", str(config), "--out", str(tmp_path / "o")], tmp_path)
+# What world-gen and analyze read, at their defaults.
+SWEEP_TREES = {"world-gen": {"world": DEFAULT_TREE["world"], "seed": DEFAULT_TREE["seed"]},
+               "analyze": {section: DEFAULT_TREE[section] for section in ("acoustics", "topics", "analysis")}}
+CHILD_SWEEP = [(command, path, value) for command, tree in SWEEP_TREES.items() for kind, values in TRACK_SWEEP_VALUES.items()
+               for path in leaf_paths(tree) if type(leaf(tree, path)) is kind for value in values]
+CHILD_SWEEP.append(("analyze", ("acoustics", "window"), 2**30))
+
+
+@pytest.mark.parametrize("command, path, value", CHILD_SWEEP, ids=[f"{c}:{sweep_id(p, v)}" for c, p, v in CHILD_SWEEP])
+def test_extreme_leaf_exits_cleanly(workspace, tmp_path, command, path, value) -> None:
+    """Every extreme float or int leaf ``world-gen`` or ``analyze`` reads
+    ends in an exit code of the contract, with one line of output and no
+    warning, in a child process with bounded memory and time."""
+    config = write_config(tmp_path, replace_leaf(SWEEP_TREES[command], path, value))
+    code, output = run_cli_in_child([command, *command_inputs(command, workspace), "--config", str(config), "--out", str(tmp_path / "o")], tmp_path)
     assert code in (0, 2, 3), output
     assert output.count("\n") == 1, output
 
@@ -952,55 +963,37 @@ def test_world_gen_extreme_leaf_exits_cleanly(tmp_path, path, value) -> None:
 def test_oversized_world_or_survey_names_its_key(workspace, tmp_path, command, data, key) -> None:
     """A world, survey or analysis too large to build or run is refused
     before any work, with one line that names the key of its budget."""
-    _, _, world_out, survey_out = workspace
     config = write_config(tmp_path, data)
-    inputs = {"world-gen": [], "survey": ["--world", str(world_out / "world.json")],
-              "analyze": ["--log", str(survey_out / "mission_log.jsonl")]}[command]
-    code, output = run_cli_in_child([command, *inputs, "--config", str(config), "--out", str(tmp_path / "o")], tmp_path)
+    code, output = run_cli_in_child([command, *command_inputs(command, workspace), "--config", str(config), "--out", str(tmp_path / "o")], tmp_path)
     assert code == 2, output
     assert output.startswith(f"error: {key} ") and output.count("\n") == 1, output
 
 
-ANALYZE_TREE = {section: DEFAULT_TREE[section] for section in ("acoustics", "topics", "analysis")}  # what analyze reads, at its defaults
-ANALYZE_SWEEP = [(path, value) for kind, values in {float: (1e308, -1e308, 1e-300), int: (10**400, 10**6, 0, -1)}.items()
-                 for path in leaf_paths(ANALYZE_TREE) if type(leaf(ANALYZE_TREE, path)) is kind for value in values]
-ANALYZE_SWEEP.append((("acoustics", "window"), 2**30))
-
-
-@pytest.mark.parametrize("path, value", ANALYZE_SWEEP, ids=[sweep_id(p, v) for p, v in ANALYZE_SWEEP])
-def test_analyze_extreme_leaf_exits_cleanly(workspace, tmp_path, path, value) -> None:
-    """Every extreme float or int leaf ``analyze`` reads ends in an exit code
-    of the contract, with one line of output and no warning, in a child
-    process with bounded memory and time."""
-    _, _, _, survey_out = workspace
-    config = write_config(tmp_path, replace_leaf(ANALYZE_TREE, path, value))
-    code, output = run_cli_in_child(["analyze", "--log", str(survey_out / "mission_log.jsonl"), "--config", str(config),
-                                     "--seed", "0", "--out", str(tmp_path / "o")], tmp_path)
-    assert code in (0, 2, 3), output
-    assert output.count("\n") == 1, output
-
-
 @pytest.mark.parametrize(
-    "n, edit, message",
+    "key, edit, topics, message",
     [
-        (1, lambda line: json.dumps({**json.loads(line), "grid_nx": 100_000, "grid_ny": 100_000}), "line 1: grid_ny times grid_nx"),
-        (4, lambda line: _edit_json(line, "words", lambda words: [20_000_000, *words[1:]]), "word tokens"),
+        ("grid_ny", lambda ny: 10**10, {}, "line 1: grid_ny times grid_nx"),
+        ("words", lambda words: [20_000_000, *words[1:]], {}, "word tokens"),
+        ("words", lambda words: words + [0] * 4_000, {"max_topics": 2_000}, "topics.max_topics"),
+        ("grid_ny", lambda ny: 22_500, {"max_topics": 2_000}, "topics.max_topics"),
     ],
-    ids=["grid-cells", "fit-tokens"],
+    ids=["grid-cells", "fit-tokens", "vocab-by-topics", "cells-by-topics"],
 )
-def test_oversized_log_is_data_error(workspace, tmp_path, monkeypatch, n, edit, message) -> None:
+def test_oversized_log_is_data_error(workspace, tmp_path, monkeypatch, key, edit, topics, message) -> None:
     """A log whose grid or topic fit is too large for ``analyze`` is refused
-    before its worker starts, with one line."""
+    before its worker starts, with one line.  ``edit`` is applied to ``key``
+    of every log line that has it; the last two cases hold a legal grid
+    (360,000 cells) or vocabulary that is too large at ``topics``."""
     def no_worker(*args):
         raise AssertionError("the worker must not start")
 
     monkeypatch.setattr(analysis, "Worker", no_worker)  # the forked child inherits it
-    _, config, _, survey_out = workspace
+    _, _, _, survey_out = workspace
+    config = write_config(tmp_path, {**SMALL_CONFIG, "topics": {**SMALL_CONFIG["topics"], **topics}})
     edited = tmp_path / "edited"
     shutil.copytree(survey_out, edited)
     log_path = edited / "mission_log.jsonl"
-    lines = log_path.read_text().splitlines()
-    lines[n - 1] = edit(lines[n - 1])
+    lines = [_edit_json(line, key, edit) if f'"{key}"' in line else line for line in log_path.read_text().splitlines()]
     log_path.write_text("\n".join(lines) + "\n")
     code, output = run_cli_in_child(["analyze", "--log", str(log_path), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "o")], tmp_path)
     assert code == 3, output
