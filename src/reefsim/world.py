@@ -20,18 +20,27 @@ stream exactly as ``n_snaps`` successive draws of ``m`` would, and adds the
 bursts into the window in snap order; so a batch equals rendering and adding
 the bursts one by one, bit for bit.
 
-A window is rendered in float32, the sample format of its WAV.  Its stream
-is, in order: the snap count, the snap times, the bursts' noise (float64,
-cast to float32 once scaled), then one ``rng.standard_normal(n,
-dtype=np.float32)`` background draw scaled in place, and one more for
-thruster noise.  The bursts are added into the background in place, and the
-window is clipped in place, so no float64 copy of the window is made.
+A window of ``n`` samples is rendered in float32, the sample format of its
+WAV.  Its stream draws, in order:
+
+1. the snap count, one ``rng.poisson``;
+2. the snap times, one ``rng.uniform`` of that count;
+3. the bursts' noise, one float64 ``rng.standard_normal((n_snaps, m))``,
+   cast to float32 once scaled;
+4. the background, ``2 * ceil(n / 2)`` float32 uniforms in one
+   ``rng.random`` call, turned into ``n`` normals by the Box-Muller
+   transform (Box & Muller 1958) and scaled in place;
+5. with thrusters on, one more such draw for the thruster noise.
+
+The bursts are added into the background in place, in snap order, and the
+window is clipped in place, so no float64 array of window length is made.
+The Box-Muller draw is exact but for its tails: it never exceeds about
+5.77 standard deviations.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -384,6 +393,28 @@ def make_snap_bursts(fs: int, n_snaps: int, rng: np.random.Generator) -> np.ndar
     return bursts
 
 
+def _standard_normal_f32(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` float32 standard normals by the Box-Muller transform of one
+    ``rng.random(2 * ceil(n / 2), dtype=np.float32)`` draw, computed in
+    place.  The first half of the uniforms ``u`` becomes the radius
+    ``sqrt(-2 ln(1 - u))``, the second the angle ``2 pi u``; the output is
+    ``r sin`` then ``r cos`` of each pair, trimmed to ``n``.  ``1 - u`` lies
+    in ``(0, 1]``, so no draw exceeds ``sqrt(-2 ln 2**-24)``, about 5.77."""
+    half = (n + 1) // 2
+    draw = rng.random(2 * half, dtype=np.float32)
+    radius, angle = draw[:half], draw[half:]
+    np.subtract(np.float32(1.0), radius, out=radius)
+    np.log(radius, out=radius)
+    radius *= np.float32(-2.0)
+    np.sqrt(radius, out=radius)
+    angle *= np.float32(math.tau)
+    sine = np.sin(angle)
+    np.cos(angle, out=angle)
+    angle *= radius
+    radius *= sine
+    return draw[:n]
+
+
 def synthesize_audio(
     world: GridWorld,
     x: float,
@@ -415,12 +446,12 @@ def synthesize_audio(
     bursts = (make_snap_bursts(fs, n_snaps, rng) * world.snap_amplitude).astype(np.float32)
 
     if world.background_sigma > 0:
-        samples = rng.standard_normal(n, dtype=np.float32)
+        samples = _standard_normal_f32(rng, n)
         samples *= np.float32(world.background_sigma)
     else:
         samples = np.zeros(n, dtype=np.float32)
     if thrusters_on:
-        thrusters = rng.standard_normal(n, dtype=np.float32)
+        thrusters = _standard_normal_f32(rng, n)
         thrusters *= np.float32(0.95)
         samples += thrusters
     # Overlap-add in snap order; a burst running past the window end is cut.
@@ -439,22 +470,43 @@ def synthesize_audio(
     )
 
 
-def write_wav(path: str | Path, window: AudioWindow) -> None:
-    """Export a window as 32-bit float WAV."""
-    from scipy.io import wavfile
+# The 58-byte header of a mono 32-bit float WAV, as scipy.io.wavfile writes
+# it: RIFF/WAVE, an 18-byte ``fmt `` chunk (format tag 3, IEEE float, with a
+# zero cbSize), a ``fact`` chunk holding the sample count, then ``data``.
+_WAV_HEADER = np.dtype([("riff", "S4"), ("riff_size", "<u4"), ("wave", "S4"),
+                        ("fmt", "S4"), ("fmt_size", "<u4"), ("format_tag", "<u2"), ("channels", "<u2"),
+                        ("fs", "<u4"), ("byte_rate", "<u4"), ("block_align", "<u2"), ("bits", "<u2"), ("cb_size", "<u2"),
+                        ("fact", "S4"), ("fact_size", "<u4"), ("n_samples", "<u4"),
+                        ("data", "S4"), ("data_size", "<u4")])
 
-    wavfile.write(str(path), window.fs, np.asarray(window.samples, dtype=np.float32))
+
+def _wav_header(fs: int, n: int) -> bytes:
+    """The :data:`_WAV_HEADER` of ``n`` float32 samples at ``fs`` Hz."""
+    return np.array((b"RIFF", _WAV_HEADER.itemsize - 8 + 4 * n, b"WAVE", b"fmt ", 18, 3, 1, fs, 4 * fs, 4, 32, 0,
+                     b"fact", 4, n, b"data", 4 * n), dtype=_WAV_HEADER).tobytes()
+
+
+def write_wav(path: str | Path, window: AudioWindow) -> None:
+    """Export a window as a mono 32-bit float WAV, byte for byte as
+    ``scipy.io.wavfile.write`` writes it."""
+    samples = np.asarray(window.samples, dtype="<f4")
+    with open(path, "wb") as file:
+        file.write(_wav_header(window.fs, len(samples)))
+        file.write(samples.tobytes())
 
 
 def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
-    """Read a 32-bit float WAV back as (samples, fs).  Whatever the reader
-    raises or warns about a damaged file raises :class:`DataError`."""
-    from scipy.io import wavfile
-
+    """Read a WAV that :func:`write_wav` wrote back as (samples, fs).  A file
+    of any other layout or length raises a one-line :class:`DataError`."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", wavfile.WavFileWarning)
-            fs, samples = wavfile.read(str(path))
-    except Exception as exc:  # a damaged header also fails as UnboundLocalError, struct.error or ZeroDivisionError
+        with open(path, "rb") as file:
+            n, odd = divmod(file.seek(0, 2) - _WAV_HEADER.itemsize, 4)
+            file.seek(0)
+            header = file.read(_WAV_HEADER.itemsize)
+            fs = int(np.frombuffer(header, dtype=_WAV_HEADER)["fs"][0]) if n >= 0 else 0
+            if n < 0 or odd or header != _wav_header(fs, n):
+                raise ValueError("not a mono 32-bit float WAV of its file's length")
+            samples = np.fromfile(file, dtype="<f4", count=n)
+    except (OSError, ValueError, OverflowError) as exc:
         raise DataError(f"cannot read WAV {path}: {exc}") from exc
-    return np.asarray(samples, dtype=np.float32), int(fs)
+    return samples.astype(np.float32, copy=False), fs

@@ -1089,10 +1089,20 @@ def test_written_keys_are_the_dataclass_fields(workspace, tmp_path) -> None:
 
 
 def test_import_loads_no_scipy() -> None:
-    """scipy is imported where it is used (WAV I/O, the likelihood, label
-    matching), not by importing the package and its CLI."""
+    """scipy is imported where it is used (the likelihood, label matching),
+    not by importing the package and its CLI."""
     src = str(Path(reefsim.__file__).resolve().parents[1])
     code = f"import sys; sys.path.insert(0, {src!r}); import reefsim, reefsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout == "[]\n"
+
+
+def test_wav_io_loads_no_scipy_io(tmp_path) -> None:
+    """``survey`` writes and ``analyze`` reads WAVs without ``scipy.io``."""
+    src = str(Path(reefsim.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import numpy as np; from reefsim.world import AudioWindow, read_wav, write_wav; "
+            f"write_wav({str(tmp_path / 'w.wav')!r}, AudioWindow(np.zeros(480, np.float32), 48_000)); read_wav({str(tmp_path / 'w.wav')!r}); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.io')))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
     assert result.stdout == "[]\n"
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from reefsim.world import (
     AudioWindow,
     GridWorld,
     WorldConfig,
+    _standard_normal_f32,
     expected_snap_rate,
     generate_world,
     make_snap_bursts,
@@ -210,6 +212,33 @@ class TestAudioWindowValidate:
         AudioWindow(samples, 48_000).validate()
 
 
+class TestStandardNormalF32:
+    LARGEST = math.sqrt(-2 * math.log(2.0**-24))
+
+    @pytest.fixture(scope="class")
+    def draws(self) -> np.ndarray:
+        return _standard_normal_f32(substream(0, "audio", 0), 960_001)
+
+    def test_matches_standard_normal(self, draws) -> None:
+        from scipy.stats import kstest
+
+        assert draws.dtype == np.float32
+        assert kstest(draws, "norm").pvalue > 0.01
+        assert abs(draws.mean()) < 0.005
+        assert abs(draws.std() - 1) < 0.005
+
+    def test_tails_end_at_the_smallest_uniform_gap(self, draws) -> None:
+        assert np.max(np.abs(draws)) <= self.LARGEST
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 10])
+    def test_draws_two_uniforms_per_pair(self, n) -> None:
+        rng, reference = substream(2, "bm"), substream(2, "bm")
+        draws = _standard_normal_f32(rng, n)
+        reference.random(2 * math.ceil(n / 2), dtype=np.float32)
+        assert draws.shape == (n,) and draws.dtype == np.float32
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
 def synthesize_audio_per_snap(world, x, y, duration, fs, rng):
     """Reference renderer: one burst drawn at a time, then the float32
     background, then each burst added in float32, in snap order."""
@@ -217,7 +246,7 @@ def synthesize_audio_per_snap(world, x, y, duration, fs, rng):
     n_snaps = rng.poisson(expected_snap_rate(world, x, y) * duration)
     snap_times = np.sort(rng.uniform(0.0, duration, n_snaps))
     bursts = [(make_snap_bursts(fs, 1, rng)[0] * world.snap_amplitude).astype(np.float32) for _ in snap_times]
-    samples = rng.standard_normal(n, dtype=np.float32) * np.float32(world.background_sigma)
+    samples = _standard_normal_f32(rng, n) * np.float32(world.background_sigma)
     for t_snap, burst in zip(snap_times, bursts):
         i0 = int(t_snap * fs)
         i1 = min(i0 + len(burst), n)
@@ -294,6 +323,27 @@ class TestWorldIO:
         samples, fs = read_wav(path)
         assert fs == 96_000
         assert np.array_equal(samples, window.samples)
+
+    @pytest.mark.parametrize("n", [0, 1, 4_801])
+    def test_wav_bytes_match_scipy(self, tmp_path, n) -> None:
+        from scipy.io import wavfile
+
+        samples = np.random.default_rng(n).uniform(-1.0, 1.0, n).astype(np.float32)
+        write_wav(tmp_path / "ours.wav", AudioWindow(samples, 48_000))
+        wavfile.write(tmp_path / "scipy.wav", 48_000, samples)
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda wav: wav[:-1], lambda wav: wav + bytes(4), lambda wav: wav[:20] + b"\x01" + wav[21:], lambda wav: b""],
+        ids=["cut-mid-sample", "trailing-sample", "pcm-format-tag", "empty"],
+    )
+    def test_wav_of_another_layout_is_data_error(self, quiet_world, tmp_path, edit) -> None:
+        path = tmp_path / "w.wav"
+        write_wav(path, synthesize_audio(quiet_world, 5.0, 5.0, 0.01, 96_000, False, substream(3, "wav")))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(DataError, match="^cannot read WAV .*: not a mono 32-bit float WAV of its file's length$"):
+            read_wav(path)
 
 
 @settings(max_examples=30, deadline=None)
