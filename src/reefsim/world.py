@@ -489,10 +489,10 @@ def _wav_header(fs: int, n: int) -> bytes:
 def write_wav(path: str | Path, window: AudioWindow) -> None:
     """Export a window as a mono 32-bit float WAV, byte for byte as
     ``scipy.io.wavfile.write`` writes it."""
-    samples = np.asarray(window.samples, dtype="<f4")
+    samples = np.ascontiguousarray(window.samples, dtype="<f4")
     with open(path, "wb") as file:
         file.write(_wav_header(window.fs, len(samples)))
-        file.write(samples.tobytes())
+        file.write(samples)
 
 
 def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
