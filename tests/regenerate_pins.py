@@ -20,7 +20,17 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from pins import LOOP_BRANCHES, PINS_PATH, cli_artifact_digests, detection_times, loop_branch_digest, make_workspace  # noqa: E402
+from pins import (  # noqa: E402
+    LOOP_BRANCHES,
+    PINS_PATH,
+    SAMPLER_RUNS,
+    TRACK_LOG_CASES,
+    cli_artifact_digests,
+    detection_times,
+    loop_branch_digest,
+    make_workspace,
+    track_log_digest,
+)
 
 from reefsim.world import WorldConfig, generate_world  # noqa: E402
 
@@ -29,15 +39,23 @@ def compute_pins(root: Path) -> dict:
     """Every pin, computed in the empty directory ``root``."""
     world = generate_world(WorldConfig(), seed=7)  # the tests' default world
     (root / "cli").mkdir()
-    branches = {}
+    branches, track_logs, sampler = {}, {}, {}
     for case in sorted(LOOP_BRANCHES):
         (root / case).mkdir()
         branches[case] = loop_branch_digest(world, case, root / case)
+    for case in sorted(TRACK_LOG_CASES):
+        (root / "track" / case).mkdir(parents=True)
+        track_logs[case] = track_log_digest(case, root / "track" / case)
+    for run, digest in sorted(SAMPLER_RUNS.items()):
+        (root / "sampler" / run).mkdir(parents=True)
+        sampler[run] = digest(root / "sampler" / run)
     return {
         "artifacts": cli_artifact_digests(*make_workspace(root / "cli"), root / "cli" / "out"),
         "detection_times": detection_times(world),
         "loop_branches": branches,
         "numpy": np.__version__,
+        "sampler": sampler,
+        "track_logs": track_logs,
     }
 
 

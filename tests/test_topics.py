@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from json_leaves import OTHER_JSON_VALUES, leaf, leaf_paths, other_type, replace_leaf
+from pins import golden_run, golden_stream, pinned, striped_world, survey_pass
 
 from reefsim.errors import ConfigError, DataError
 from reefsim.rng import substream
@@ -20,26 +20,6 @@ from reefsim.topics import (
     merge_groups_by_appearance,
 )
 from reefsim.world import _block_appearance
-
-
-def striped_world(nx: int = 10, ny: int = 10) -> np.ndarray:
-    """Three horizontal habitat bands over an nx-by-ny grid."""
-    truth = np.zeros(nx * ny, dtype=int)
-    rows = np.arange(nx * ny) // nx
-    truth[rows >= ny // 3] = 1
-    truth[rows >= 2 * ny // 3] = 2
-    return truth
-
-
-def survey_pass(model: TopicModel, truth: np.ndarray, appearance: np.ndarray, rng, images_per_cell: int = 3, words: int = 20) -> None:
-    """One boustrophedon pass over every cell."""
-    nx, ny = model.grid_nx, model.grid_ny
-    for iy in range(ny):
-        xs = range(nx) if iy % 2 == 0 else range(nx - 1, -1, -1)
-        for ix in xs:
-            cell = iy * nx + ix
-            for _ in range(images_per_cell):
-                model.observe(cell, rng.multinomial(words, appearance[truth[cell]]), rng)
 
 
 def perplexity(model: TopicModel, documents: list) -> float:
@@ -209,62 +189,27 @@ def test_extreme_beta_is_config_error_or_a_valid_fit(beta) -> None:
     model.validate_counts()
 
 
-def golden_run(max_topics: int) -> tuple[TopicModel, str]:
-    """Seeded observe + refine on a small banded grid; returns the model and
-    the sha256 of (token topics, labels, n_topics, next uniform)."""
-    appearance = _block_appearance(3, 24, 0.05)
-    truth = striped_world(6, 6)
-    rng = substream(21, "golden")
-    model = TopicModel(24, 6, 6, TopicsConfig(max_topics=max_topics))
-    survey_pass(model, truth, appearance, rng, images_per_cell=2)
-    model.gibbs_refine(5, rng)
-    state = [model._tok_topic, model.labels, model.n_topics, rng.random().hex()]
-    return model, hashlib.sha256(json.dumps(state).encode()).hexdigest()
-
-
 class TestGoldenStream:
     """Pinned sampler output: any change to the draw order, the arithmetic
     of the conditional or the number of uniforms consumed shows up here."""
 
     def test_at_the_topic_cap(self) -> None:
-        # max_topics=3 keeps the sampler at the cap, with no new-topic weight.
+        expected = pinned("sampler")["at-the-topic-cap"]
         model, digest = golden_run(3)
-        assert model.n_topics == 3
-        assert digest == "d31bb87cca10a4d5db07e99c142f9a1af68b0e7331aac4c216feb65244505e8c"
+        assert model.n_topics == 3  # at the cap, with no new-topic weight
+        assert digest == expected
 
     def test_with_topic_creation_and_retirement(self) -> None:
+        expected = pinned("sampler")["with-topic-creation-and-retirement"]
         model, digest = golden_run(20)
         assert model._next_label > model.n_topics  # some topic retired
-        assert digest == "5ae16714ca375fa23332cb3b0bcb5c4223032812bbef65d1a89b94f7c8422d2e"
+        assert digest == expected
 
     def test_streaming_observes_with_refines_and_a_reload(self, tmp_path) -> None:
-        # The topic-stream benchmark's traffic in small: 5-word observes in
-        # lawnmower order over a banded 10x10 grid, a one-sweep refine every
-        # 300 ops and a save/load half-way, the counts checked after each op.
-        appearance = _block_appearance(3, 30, 0.05)
-        truth = striped_world(10, 10)
-        order = [iy * 10 + ix for iy in range(10) for ix in (range(10) if iy % 2 == 0 else range(9, -1, -1))]
-        rng = substream(8, "golden-stream")
-        model = TopicModel(30, 10, 10)
-        kinds = set()
-        for i in range(1, 1501):
-            if i == 750:
-                model.save(tmp_path / "model.json")
-                model = TopicModel.load(tmp_path / "model.json")
-                kinds.add("load")
-            elif i % 300 == 0:
-                retired = model._next_label - model.n_topics
-                model.gibbs_refine(1, rng)
-                kinds.add("retire" if model._next_label - model.n_topics > retired else "refine")
-            else:
-                cell = order[i % 100]
-                model.observe(cell, rng.multinomial(5, appearance[truth[cell]]), rng)
-                kinds.add("observe")
-            model.validate_counts()
+        expected = pinned("sampler")["streaming-observes-with-refines-and-a-reload"]
+        _, kinds, digest = golden_stream(tmp_path)
         assert kinds == {"observe", "refine", "retire", "load"}
-        state = [model._tok_topic, model.labels, model.n_topics, model._next_label, rng.random().hex()]
-        digest = hashlib.sha256(json.dumps(state).encode()).hexdigest()
-        assert digest == "9afa027af1f853650220f631d469d79769c9ba7f2e191eedbd4186570a79cea6"
+        assert digest == expected
 
 
 class TestHabitatDistribution:

@@ -1,13 +1,11 @@
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from panels import follow_summary, track_world
+from pins import TRACK_LOG_CASES, pinned, track_log_digest
 
 from reefsim import tracking
 from reefsim.rng import substream
@@ -21,7 +19,6 @@ from reefsim.tracking import (
     TrackingConfig,
     project_target,
     run_tracking_episode,
-    save_track_log,
     servo_command,
     simulate_tracker,
 )
@@ -278,32 +275,10 @@ class TestPinnedEpisodes:
     """Byte-for-byte pins of the follow loop's branches the golden CLI
     digests (one 20 s midwater sphere) do not reach."""
 
-    # sha256 of the ``save_track_log`` bytes of one 300 s episode in the
-    # open world: (tracking config, keyword arguments, seed, digest).
-    DIGESTS = {
-        "benthic-distractor-walk": (
-            TrackingConfig(target=TargetConfig(kind="benthic-glider", speed_mps=0.15, heading_walk_sigma=0.05,
-                                               distractor=DistractorConfig(switch_prob_per_s=0.02, mean_lock_s=3.0))),
-            {}, 7, "84a4581e4912f297f03356ce964fad469fd30e4838eed06b5411384818659be5"),
-        "ellipsoid-abeam": (TrackingConfig(target=TargetConfig(body_aspect=0.3)), {"start_bearing_deg": 90.0}, 8,
-                            "5522f4c355969f1a838676f9a800680a83da2ce2d0c26303b1755e383a32d844"),
-        # reaches all four walls
-        "wall-bounce": (TrackingConfig(target=TargetConfig(speed_mps=0.6, heading_deg=60.0)), {}, 9,
-                        "74e0ad590893b8ad5821e579b5f319d8011b093535bdca88a0870bf9a5e28d93"),
-        # a target twice as fast as the vehicle: 1,025 lost frames in two losses
-        "lost-frames": (TrackingConfig(target=TargetConfig(speed_mps=2.0, heading_walk_sigma=0.3)), {}, 10,
-                        "739abea844c007e6ea16e728ae23b3477465fc426d9d74b0a2e8c01f67150dd2"),
-    }
-
-    @pytest.mark.parametrize("case", sorted(DIGESTS))
-    def test_track_log_matches_pinned_digest(self, open_world, case, tmp_path) -> None:
-        pinned = json.loads((Path(__file__).parent / "golden_cli_digests.json").read_text())["numpy"]
-        if np.__version__ != pinned:
-            pytest.skip(f"digests pinned with numpy {pinned}, installed numpy is {np.__version__}")
-        config, kwargs, seed, expected = self.DIGESTS[case]
-        log = run_tracking_episode(open_world, VehicleConfig(), config, 300.0, seed=seed, **kwargs)
-        save_track_log(log, tmp_path / "track_log.jsonl")
-        assert hashlib.sha256((tmp_path / "track_log.jsonl").read_bytes()).hexdigest() == expected
+    @pytest.mark.parametrize("case", sorted(TRACK_LOG_CASES))
+    def test_track_log_matches_pinned_digest(self, case, tmp_path) -> None:
+        expected = pinned("track_logs")[case]
+        assert track_log_digest(case, tmp_path) == expected
 
     def test_math_matches_numpy_scalars_on_episode_values(self, open_world, monkeypatch) -> None:
         """The loop takes cos, sin and sqrt from ``math``; on every value one
@@ -319,7 +294,7 @@ class TestPinnedEpisodes:
 
         monkeypatch.setattr(tracking, "math", Recorder())
         monkeypatch.setattr(vehicle, "math", Recorder())
-        config, kwargs, seed, _ = self.DIGESTS["benthic-distractor-walk"]
+        config, kwargs, seed = TRACK_LOG_CASES["benthic-distractor-walk"]
         run_tracking_episode(open_world, VehicleConfig(), config, 60.0, seed=seed, **kwargs)
         for name, values in fed.items():
             assert len(values) > 1000, name
