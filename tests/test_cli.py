@@ -24,6 +24,7 @@ from scipy.io import wavfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from json_leaves import leaf, leaf_paths, replace_leaf
+from panels import FOLLOW_TARGETS
 from pins import SMALL_CONFIG, cli_artifact_digests, make_workspace, pinned, tree_hashes
 
 import reefsim
@@ -33,7 +34,7 @@ from reefsim.config import RunConfig, config_from_dict, config_to_dict, load_con
 from reefsim.errors import ConfigError, DataError
 from reefsim.mission import LogRecord, MissionLog
 from reefsim.topics import _Checkpoint
-from reefsim.tracking import DistractorConfig, TargetConfig, TrackFrame, TrackingConfig, TrackLog
+from reefsim.tracking import TrackFrame, TrackLog
 from reefsim.world import GridWorld
 
 
@@ -815,26 +816,25 @@ class TestLoudWorld:
 
 
 TRACK_SWEEP_VALUES = {float: (1e308, -1e308, 1e-300, 0.0, 1e6, -1e6), int: (10**400, 10**6, 0, -1)}
-BENTHIC_WITH_DISTRACTOR = {"kind": "benthic-glider", "speed_mps": 0.15, "heading_walk_sigma": 0.05, "distractor": {}}
 
 
 def track_leaves(kind: type) -> list[tuple]:
     """The key path of every leaf of type ``kind`` that ``track`` reads: its
     sections ``tracking`` (camera, target and distractor included),
     ``vehicle`` and ``episode``."""
-    data = config_to_dict(RunConfig(tracking=TrackingConfig(target=TargetConfig(distractor=DistractorConfig()))))
+    data = config_to_dict(RunConfig(tracking=FOLLOW_TARGETS["benthic-distractor"]))
     return [(section, *path) for section in ("tracking", "vehicle", "episode")
             for path in leaf_paths(data[section]) if type(leaf(data[section], path)) is kind]
 
 
 def track_sweep_config(path: tuple, value: float | int) -> dict:
     """A 5 s episode with the leaf at ``path`` set to ``value``.  A target
-    leaf runs on the benthic glider with a distractor, except ``depth_m``,
-    which only the midwater cruiser reads; every other leaf on the default
-    cruiser."""
+    leaf runs on criterion 5b's benthic glider with a distractor, except
+    ``depth_m``, which only the midwater cruiser reads; every other leaf on
+    the default cruiser."""
     data = {"episode": {"duration_s": 5.0}}
     if path[:2] == ("tracking", "target") and path[2] != "depth_m":
-        data["tracking"] = {"target": copy.deepcopy(BENTHIC_WITH_DISTRACTOR)}
+        data["tracking"] = {"target": config_to_dict(FOLLOW_TARGETS["benthic-distractor"].target)}
     node = data
     for key in path[:-1]:
         node = node.setdefault(key, {})

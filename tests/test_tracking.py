@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from panels import follow_summary, track_world
+from panels import FOLLOW_TARGETS, follow_summary, track_world
 from pins import TRACK_LOG_CASES, pinned, track_log_digest
 
 from reefsim import tracking
@@ -168,15 +168,7 @@ class TestTrackingEpisode:
         assert not summary["ended_lost"]
 
     def test_distractor_episode_recovers_without_permanent_loss(self, open_world) -> None:
-        config = TrackingConfig(
-            target=TargetConfig(
-                kind="benthic-glider",
-                speed_mps=0.15,
-                heading_walk_sigma=0.05,
-                distractor=DistractorConfig(switch_prob_per_s=0.02, mean_lock_s=3.0),
-            )
-        )
-        log = run_tracking_episode(open_world, VehicleConfig(), config, 180.0, seed=2)
+        log = run_tracking_episode(open_world, VehicleConfig(), FOLLOW_TARGETS["benthic-distractor"], 180.0, seed=2)
         assert any(frame.distractor_locked for frame in log.frames)  # lure engaged at least once
         assert not log.ended_lost
 
@@ -213,14 +205,7 @@ class TestTrackingEpisode:
         # Benthic episode 24003 on world 24 closes to ~0.6 m of the 1.2 m
         # glider.  Those frames get no box and the episode runs to the end.
         world = generate_world(WorldConfig(width_m=60.0, height_m=60.0, snap_rates_per_s=(0.0, 0.0, 0.0)), seed=24)
-        config = TrackingConfig(
-            target=TargetConfig(
-                kind="benthic-glider",
-                speed_mps=0.15,
-                heading_walk_sigma=0.05,
-                distractor=DistractorConfig(switch_prob_per_s=0.02, mean_lock_s=3.0),
-            )
-        )
+        config = FOLLOW_TARGETS["benthic-distractor"]
         inside = []
 
         def spy(*args):
