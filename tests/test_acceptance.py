@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,10 +37,11 @@ from panels import (
 )
 from scipy.stats import chi2
 
-from reefsim.acoustics import AcousticsConfig, detect_snaps_in_window, hann_window, stft
+from reefsim.acoustics import detect_snaps_in_window, hann_window, stft
 from reefsim.analysis import analyze_log, fit_shrimp_habitat
+from reefsim.config import load_config
 from reefsim.errors import SaturatedWindowError
-from reefsim.mission import MissionConfig, execute, plan_lawnmower
+from reefsim.mission import execute
 from reefsim.rng import substream
 from reefsim.topics import TopicModel, TopicsConfig, match_accuracy
 from reefsim.tracking import Camera, TargetConfig, TrackingConfig, run_tracking_episode
@@ -60,28 +62,17 @@ def panel(n_default: int, n_full: int, required_fraction: float) -> tuple[range,
 
 # --- criterion 1: survey-site analog, habitat-sound regression -------------
 
-SITE_WORLD = WorldConfig(
-    width_m=24.0,
-    height_m=24.0,
-    patch_length_m=12.0,
-    habitat_fractions=(0.2, 0.4, 0.4),
-    snap_rates_per_s=(30.0, 0.0, 0.0),  # only the "coral" habitat emits
-)
-SITE_ACOUSTICS = AcousticsConfig(window=512, hop=256)
+# The site is the one a user surveys with example_config.yaml: the world is
+# generated from the file's seed, the survey and analysis use the panel seed.
+SITE_CONFIG = load_config(Path(__file__).parents[1] / "example_config.yaml")
 
 
 def run_site_survey(seed: int, audio_dir):
-    world = generate_world(SITE_WORLD, 7)  # one fixed reef scene
-    plan = plan_lawnmower(
-        (0.75, 0.75, 23.25, 23.25),
-        5.625,
-        drift_duration_s=10.0,
-        waypoint_spacing_m=2.5,
-        audio_fs_hz=96_000,
-    )
-    assert len(plan.waypoints) == 50
-    log = execute(plan, world, VehicleConfig(), NoiseConfig(), MissionConfig(), seed=seed, audio_dir=audio_dir)
-    return analyze_log(log, acoustics_config=SITE_ACOUSTICS, seed=seed)
+    config = SITE_CONFIG
+    world = generate_world(config.world, config.seed)  # one fixed reef scene
+    assert len(config.plan.waypoints) == 50
+    log = execute(config.plan, world, config.vehicle, config.noise, config.mission, seed=seed, audio_dir=audio_dir)
+    return analyze_log(log, config.acoustics, config.topics, seed)
 
 
 class TestCriterion1SurveyRegression:

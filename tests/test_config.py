@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 import yaml
@@ -63,6 +64,12 @@ def test_plan_waypoints_are_derived_not_configured() -> None:
     assert plan.waypoints[:6] == ((0.0, 0.0), (2.5, 0.0), (5.0, 0.0), (7.5, 0.0), (10.0, 0.0), (10.0, 10.0))
     assert plan.waypoints is plan.waypoints
     assert "waypoints" not in config_to_dict(RunConfig())["plan"]
+
+
+def test_benchmark_site_is_the_example_site() -> None:
+    """The site-survey benchmark runs the criterion-1 site of example_config.yaml."""
+    root = Path(__file__).parents[1]
+    assert load_config(root / "perfbench" / "site.yaml") == load_config(root / "example_config.yaml")
 
 
 def test_exponent_without_decimal_point_loads_as_float(tmp_path) -> None:
