@@ -1,17 +1,21 @@
 """Spectrograms and the snapping-shrimp snap detector.
 
 The detector front-end is a Hann-windowed magnitude-squared STFT.  Per-frame
-energy in the snap band (2-24 kHz) feeds a transient-spike rule: candidate
-frames are local maxima whose energy exceeds ``mean + threshold_sigma * std``
-of the window's own band-energy series, with maxima inside the refractory
-gap merged into the larger peak.
+energy in the snap band ``SNAP_BAND_HZ`` (2-24 kHz, the band snaps are
+rendered in) feeds a transient-spike rule: candidate frames are local maxima
+whose energy exceeds ``mean + THRESHOLD_SIGMA * std`` of the window's own
+band-energy series, with maxima closer than ``REFRACTORY_S`` merged into the
+larger peak.
 
-The relative threshold is deliberately low (0.1 sigma by default), which on
-featureless noise would fire on roughly half of all local maxima.  A second,
-scale-free prominence condition therefore applies: a peak must also exceed
-``min_peak_ratio`` times a low quantile of the series (a robust background
-level even when most frames contain snaps).  Both conditions are invariant
-under global gain scaling of the audio.
+The relative threshold is deliberately low (``THRESHOLD_SIGMA`` = 0.1),
+which on featureless noise would fire on roughly half of all local maxima.
+A second, scale-free prominence condition therefore applies: a peak must
+also exceed ``MIN_PEAK_RATIO`` times the ``BACKGROUND_QUANTILE`` quantile of
+the series (a robust background level even when most frames contain snaps).
+Both conditions are invariant under global gain scaling of the audio.  These
+constants are the method, calibrated with the acceptance criteria; the
+config sets only the transform's ``window`` and ``hop``
+(:class:`AcousticsConfig`).
 
 :func:`stft` transforms the frames in blocks of ``STFT_BLOCK_SAMPLES``
 worth of samples (64 frames of 512).  Each block is windowed, transformed
@@ -38,7 +42,11 @@ import numpy as np
 from .errors import ConfigError, DataError, SaturatedWindowError, check_section, write_csv
 from .world import SNAP_BAND_HZ, AudioWindow
 
+# The detection rule (see the module docstring).
+THRESHOLD_SIGMA = 0.1
+MIN_PEAK_RATIO = 2.0
 BACKGROUND_QUANTILE = 0.1
+REFRACTORY_S = 0.005
 STFT_BLOCK_SAMPLES = 32_768  # each transform block holds this many samples' worth of frames, at least one
 
 # Upper bound on one drift window's spectrogram, frames x bins, which is held
@@ -55,18 +63,11 @@ MAX_SPECTROGRAM_ENTRIES = 96_400_000
 class AcousticsConfig:
     window: int = 1024
     hop: int = 512
-    band_hz: tuple[float, float] = SNAP_BAND_HZ  # the band snaps are rendered in
-    threshold_sigma: float = 0.1
-    refractory_s: float = 0.005
-    min_peak_ratio: float = 2.0
 
     def __post_init__(self) -> None:
-        # The rules of :func:`stft` and :func:`band_energy`.
+        # The rules of :func:`stft`.
         check_section(self, ("window", lambda: self.window >= 64 and not self.window & (self.window - 1), "must be a power of two >= 64"),
-                      ("hop", lambda: 0 < self.hop <= self.window, "must be in (0, window]"),
-                      ("band_hz", lambda: self.band_hz[0] < self.band_hz[1], "must run from low to high"),
-                      ("refractory_s", lambda: self.refractory_s >= 0, "must be non-negative"),
-                      ("min_peak_ratio", lambda: self.min_peak_ratio >= 0, "must be non-negative"))
+                      ("hop", lambda: 0 < self.hop <= self.window, "must be in (0, window]"))
 
 
 @dataclass
@@ -200,16 +201,15 @@ def _refine_peak_times(energy: np.ndarray, peaks: np.ndarray, baseline: float, s
     return times
 
 
-def detect_snaps(energy: np.ndarray, spec: Spectrogram, duration: float, config: AcousticsConfig | None = None) -> SnapDetection:
+def detect_snaps(energy: np.ndarray, spec: Spectrogram, duration: float) -> SnapDetection:
     """Count transient spikes in a band-energy series, with the thresholds
-    and refractory gap of ``config`` (default :class:`AcousticsConfig`).
+    and refractory gap of the module constants.
 
     A constant series (std below 1e-12) yields zero snaps.  Candidates are
     interior local maxima above both the relative threshold and the
     prominence floor; candidates closer than the refractory gap merge into
     the larger peak.
     """
-    cfg = config or AcousticsConfig()
     energy = np.asarray(energy, dtype=np.float64)
     if len(energy) < 8:
         raise ValueError("need at least 8 frames of band energy")
@@ -224,7 +224,7 @@ def detect_snaps(energy: np.ndarray, spec: Spectrogram, duration: float, config:
         return SnapDetection(np.empty(0), 0, 0.0)
 
     baseline = float(np.quantile(energy, BACKGROUND_QUANTILE))
-    threshold = max(mu + cfg.threshold_sigma * sigma, cfg.min_peak_ratio * baseline)
+    threshold = max(mu + THRESHOLD_SIGMA * sigma, MIN_PEAK_RATIO * baseline)
 
     interior = energy[1:-1]
     is_peak = (interior > energy[:-2]) & (interior >= energy[2:]) & (interior > threshold)
@@ -234,7 +234,7 @@ def detect_snaps(energy: np.ndarray, spec: Spectrogram, duration: float, config:
     frame_period = spec.hop / spec.fs
     kept: list[int] = []
     for c in candidates:
-        if kept and (c - kept[-1]) * frame_period < cfg.refractory_s:
+        if kept and (c - kept[-1]) * frame_period < REFRACTORY_S:
             if energy[c] > energy[kept[-1]]:
                 kept[-1] = c
         else:
@@ -254,8 +254,7 @@ def detect_snaps_in_window(window: AudioWindow, config: AcousticsConfig | None =
     if window.saturated:
         raise SaturatedWindowError("window is saturated (thruster noise); detection refused")
     spec = stft(window.samples, window.fs, cfg.window, cfg.hop)
-    energy = band_energy(spec, *cfg.band_hz)
-    return detect_snaps(energy, spec, window.duration, cfg)
+    return detect_snaps(band_energy(spec), spec, window.duration)
 
 
 @dataclass
@@ -282,8 +281,10 @@ def snap_rate_series(log, config: AcousticsConfig | None = None) -> list[SnapRat
     drift_records = log.drift_records()
     if not drift_records:
         raise DataError("mission log contains no drift windows")
-    # The checks of stft, band_energy and detect_snaps, made once for the log's windows.
-    fs, (lo, hi) = log.audio_fs_hz, cfg.band_hz
+    # The checks of stft, band_energy and detect_snaps, made once for the
+    # log's windows.  The snap band lies below the log's Nyquist frequency:
+    # its header holds at least MIN_AUDIO_FS.
+    fs, (lo, hi) = log.audio_fs_hz, SNAP_BAND_HZ
     # The frames are counted first: they bound the window by the log's
     # samples before any array of the window's length is made.
     n_samples = log.drift_samples
@@ -293,10 +294,8 @@ def snap_rate_series(log, config: AcousticsConfig | None = None) -> list[SnapRat
     if n_frames * (cfg.window // 2 + 1) > MAX_SPECTROGRAM_ENTRIES:
         raise ConfigError(f"acoustics.hop must leave at most {MAX_SPECTROGRAM_ENTRIES:,} spectrogram entries per drift window; "
                           f"it gives {n_frames:,} frames of {cfg.window // 2 + 1} bins")
-    if hi > fs / 2:
-        raise ConfigError(f"acoustics.band_hz: {hi} Hz exceeds the log's Nyquist frequency {fs / 2} Hz")
     if not band_bins(fs, cfg.window, lo, hi).any():
-        raise ConfigError(f"acoustics.band_hz: no frequency bin of a {cfg.window}-sample window at {fs} Hz lies in it")
+        raise ConfigError(f"acoustics.window: no frequency bin of a {cfg.window}-sample window at {fs} Hz lies in the snap band, {lo:g}-{hi:g} Hz")
 
     rows = []
     for record in drift_records:

@@ -3,8 +3,10 @@
 The central fit maps per-window habitat (topic) mixtures to min-max
 normalized snap rates by ordinary least squares with an intercept.  Because
 topic mixtures sum to one, the design is collinear with the intercept; a
-tiny ridge (1e-8) on the normal equations makes the solve deterministic
-without visibly biasing the fit.  Also provides Pearson correlation.
+tiny ridge (``RIDGE``, 1e-8) on the normal equations makes the solve
+deterministic without visibly biasing the fit.  Topics below ``PRUNE_BELOW``
+mean weight leave the design first.  Both are constants of the method, not
+config keys.  Also provides Pearson correlation.
 
 :func:`analyze_log` runs on two cores.  The topic fit (model construction,
 streaming the imaging records, Gibbs refinement) runs in one worker process
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .acoustics import AcousticsConfig, SnapRate, export_snap_rates_csv, snap_rate_series
-from .errors import DataError, DegenerateDataError, check_section, write_csv
+from .errors import DataError, DegenerateDataError, write_csv
 from .rng import substream
 from .topics import TopicModel, TopicsConfig, merge_groups_by_appearance
 from .worker import Worker
@@ -50,14 +52,10 @@ MAX_FIT_TOKENS = 1_500_000
 # and peaked at 218 MB on a 2-vCPU x86_64 VM.
 MAX_COUNT_SLOTS = 7_380_000
 
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    ridge: float = 1e-8
-    prune_below: float = 0.05
-
-    def __post_init__(self) -> None:
-        check_section(self, ("ridge", lambda: self.ridge >= 0, "must be non-negative"))
+# The regression's ridge on the normal equations, and the mean mixture weight
+# below which a merged topic leaves its design (see :func:`analyze_log`).
+RIDGE = 1e-8
+PRUNE_BELOW = 0.05
 
 
 @dataclass
@@ -78,7 +76,6 @@ def fit_shrimp_habitat(
     topic_vectors: np.ndarray,
     snap_rates: np.ndarray,
     topic_labels: list[int] | None = None,
-    ridge: float = AnalysisConfig.ridge,
 ) -> RegressionFit:
     """Least-squares fit of normalized snap rate onto topic mixtures.
 
@@ -102,7 +99,7 @@ def fit_shrimp_habitat(
     y_norm = (y - rate_min) / (rate_max - rate_min)
 
     design = np.hstack([x, np.ones((n, 1))])
-    gram = design.T @ design + ridge * np.eye(k + 1)
+    gram = design.T @ design + RIDGE * np.eye(k + 1)
     try:
         solution = np.linalg.solve(gram, design.T @ y_norm)
     except np.linalg.LinAlgError as exc:
@@ -174,7 +171,6 @@ def analyze_log(
     acoustics_config: AcousticsConfig | None = None,
     topics_config: TopicsConfig | None = None,
     seed: int = 0,
-    analysis_config: AnalysisConfig | None = None,
 ) -> AnalysisReport:
     """Run the full audio-visual analysis on one mission log.
 
@@ -184,18 +180,17 @@ def analyze_log(
     correlation between observed and predicted normalized rates.
 
     Topics whose mean mixture weight over the paired windows falls below
-    ``analysis_config.prune_below`` never reach meaningful prevalence
+    ``PRUNE_BELOW`` never reach meaningful prevalence
     (sampler debris, not habitats); they are dropped from the regression
     design so their near-zero columns cannot soak up residual noise.
     """
     acoustics_config = acoustics_config or AcousticsConfig()
     topics_config = topics_config or TopicsConfig()
-    analysis_config = analysis_config or AnalysisConfig()
 
     # Checked here, not in the worker, so that a log without drift windows
-    # or images, images without one vocabulary of at least two words, more
-    # tokens or count slots than the fit's budgets, or a beta the sampler
-    # cannot carry, fails at once; drift windows are checked first.
+    # or images, images without one vocabulary of at least two words, or
+    # more tokens or count slots than the fit's budgets, fails at once;
+    # drift windows are checked first.
     if not log.drift_records():
         raise DataError("mission log contains no drift windows")
     imaging = log.imaging_records()
@@ -216,7 +211,6 @@ def analyze_log(
     if n_slots > MAX_COUNT_SLOTS:
         raise DataError(f"mission log needs {n_slots:,} topic count slots, (words + grid cells) x topics.max_topics; "
                         f"a topic fit takes at most {MAX_COUNT_SLOTS:,}")
-    topics_config.check_beta(shape[0], n_tokens)
     with Worker(_fit_topics, observations, shape, topics_config, seed) as worker:
         snap_rates = snap_rate_series(log, acoustics_config)
         model = worker.result()
@@ -257,7 +251,7 @@ def analyze_log(
     topic_matrix = leg_vectors[used]
     rates = np.asarray([leg_windows[i].rate for i in used])
 
-    retained = np.flatnonzero(topic_matrix.mean(axis=0) >= analysis_config.prune_below)
+    retained = np.flatnonzero(topic_matrix.mean(axis=0) >= PRUNE_BELOW)
     # One retained column would duplicate the intercept once renormalized.
     if retained.size < 2:
         raise DataError(f"fewer than two topics pass the prevalence threshold ({retained.size} of {len(merged_labels)})")
@@ -269,7 +263,7 @@ def analyze_log(
     if len(used) < len(retained_labels) + 2:
         raise DataError("too few usable drift windows for the regression")
 
-    fit = fit_shrimp_habitat(topic_matrix, rates, topic_labels=retained_labels, ridge=analysis_config.ridge)
+    fit = fit_shrimp_habitat(topic_matrix, rates, topic_labels=retained_labels)
     predicted = predict_snap_rate(fit, topic_matrix)
     observed_norm = fit.normalize(rates)
     r = pearson(observed_norm, predicted)

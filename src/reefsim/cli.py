@@ -135,7 +135,7 @@ def cmd_analyze(log_path, config_path, seed, out_dir) -> None:
     """Snap detection, habitat discovery, regression, and the report bundle."""
     config, out, effective_seed = _prepare(config_path, out_dir, seed)
     log = mission_mod.load_log(log_path)
-    report = analyze_log(log, config.acoustics, config.topics, effective_seed, config.analysis)
+    report = analyze_log(log, config.acoustics, config.topics, effective_seed)
     write_report(report, out)
     click.echo(
         f"analyze: {report.n_windows_used} windows, {len(report.fit.topic_labels)} habitat topics, "

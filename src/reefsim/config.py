@@ -1,8 +1,15 @@
 """Run configuration: one structured file covering every component.
 
-Configs load from YAML (JSON is valid YAML).  Each section is a dataclass
-beside the code it configures, and that code takes its defaults from the
-section, so each default is written once.  Only ``episode``, which sizes
+Configs load from YAML (JSON is valid YAML).  A config holds the scenario
+(world, vehicle, noise, plan, mission, tracking, episode, seed) and
+the work sizes that runs choose between (``acoustics.window``/``hop`` and
+``topics.max_topics``/``gibbs_sweeps``).  The analysis method's constants
+live in code beside the method: the snap band and detection rule in
+:mod:`reefsim.acoustics`, the sampler's concentrations in
+:mod:`reefsim.topics`, and the regression's ridge and prevalence threshold in
+:mod:`reefsim.analysis`.  Each section is a dataclass beside the code it
+configures, and that code takes its defaults from the section, so each
+default is written once.  Only ``episode``, which sizes
 the ``track`` command's episode, lives here, in :class:`RunConfig`.
 Unknown keys are rejected; missing keys fall back to the dataclasses'
 defaults.  Loading only converts, through the builder the file readers
@@ -23,7 +30,6 @@ from pathlib import Path
 import yaml
 
 from .acoustics import AcousticsConfig
-from .analysis import AnalysisConfig
 from .errors import ConfigError, build, check_section
 from .mission import MAX_WAYPOINT_STEPS, MissionConfig, MissionPlan
 from .tracking import MAX_EPISODE_STEPS, TrackingConfig
@@ -51,7 +57,6 @@ class RunConfig:
     mission: MissionConfig = field(default_factory=MissionConfig)
     acoustics: AcousticsConfig = field(default_factory=AcousticsConfig)
     topics: TopicsConfig = field(default_factory=TopicsConfig)
-    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     tracking: TrackingConfig = field(default_factory=TrackingConfig)
     episode: EpisodeConfig = field(default_factory=EpisodeConfig)
     seed: int = 0

@@ -7,7 +7,11 @@ Chinese-restaurant growth rule: each word token is assigned a topic from
 
 where ``mN(c)`` sums per-cell topic counts over the cell and its grid
 4-neighborhood, and a fresh topic (while fewer than ``max_topics`` are
-active) is drawn with weight ``gamma / V``.  New observations stream in
+active) is drawn with weight ``gamma / V``.  The concentrations are the
+module constants ``ALPHA`` (0.1, spatial), ``BETA`` (0.5, word-topic) and
+``GAMMA`` (0.05, new topic), the method's, calibrated with the acceptance
+criteria; the config sets only the work sizes, ``max_topics`` and
+``gibbs_sweeps`` (:class:`TopicsConfig`).  New observations stream in
 through :meth:`TopicModel.observe`; :meth:`TopicModel.gibbs_refine`
 resamples existing assignments from the same conditional, retiring topics
 that empty out (topic 0 always survives).
@@ -30,20 +34,10 @@ one refine sweep) are drawn up front with a single ``rng.random(n)``; the
 stream is the same as one ``rng.random()`` per token.  The denominators and
 neighborhood counts are updated by +-1 in place, never recomputed mid-call,
 so every double matches the one-token-at-a-time formulation.  A call derives
-its denominators ``n[k] + V*beta`` from the exact totals when it starts.
-With ``V*beta`` exact in binary (every shipped config), that gives the same
-doubles as carrying the denominators from call to call.
-
-When ``V*beta`` is not exact, the +-1 updates round.  A call computes each
-denominator once as ``n[k] + V*beta`` from the exact integer totals and then
-updates it at most ``2N`` times for ``N`` tokens (one -1 and one +1 per token
-of a sweep), so it carries at most ``2N + 1`` roundings, each within half an
-ulp of a value of at most ``N + V*beta``.  :meth:`TopicsConfig.check_beta`
-requires ``V*beta`` finite and at least ``(2N + 1)(N + 1) 2**-50``; that keeps
-the error below ``V*beta / 4``, so every denominator stays above
-``n[k] + V*beta / 2`` and no weight divides by zero.  A smaller ``V*beta``
-vanishes next to a count, and a -1 update can then bring an emptied topic's
-denominator to 0.
+its denominators ``n[k] + V*beta`` from the exact totals when it starts.  At
+``BETA`` = 0.5, ``V*beta`` is a multiple of 1/2 for every integer ``V``, so
+each denominator and each of its +-1 updates is exact, and this gives the
+same doubles as carrying the denominators from call to call.
 
 The mission log's layout is not known here: :mod:`reefsim.analysis` streams
 the imaging records in and pairs mixtures with drift windows.
@@ -51,7 +45,6 @@ the imaging records in and pairs mixtures with drift windows.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
@@ -59,9 +52,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, build, check_section, data_errors, json_object, write_json_lines
+from .errors import DataError, build, check_section, data_errors, json_object, write_json_lines
 
-CHECKPOINT_FORMAT = "reefsim-topic-model-v1"
+CHECKPOINT_FORMAT = "reefsim-topic-model-v2"
+
+# The concentrations of the conditional (see the module docstring).
+ALPHA = 0.1  # spatial (cell-topic)
+BETA = 0.5  # word-topic
+GAMMA = 0.05  # new topic
 
 # merge_groups_by_appearance: the largest total-variation distance at which
 # a topic joins a group, and the fewest tokens a topic founding one holds.
@@ -83,27 +81,11 @@ MAX_GIBBS_SWEEPS = 5_000
 @dataclass(frozen=True)
 class TopicsConfig:
     max_topics: int = 20
-    alpha: float = 0.1  # spatial (cell-topic) concentration
-    beta: float = 0.5  # word-topic concentration
-    gamma: float = 0.05  # new-topic weight
     gibbs_sweeps: int = 10  # measured on the criterion-1 site: see the sweep-count table in CHANGES.md
 
     def __post_init__(self) -> None:
         check_section(self, ("max_topics", lambda: 1 <= self.max_topics <= MAX_TOPICS, f"must be in [1, {MAX_TOPICS:,}]"),
-                      ("alpha", lambda: self.alpha > 0, "must be positive"),
-                      ("beta", lambda: self.beta > 0, "must be positive"),
-                      ("gamma", lambda: self.gamma > 0, "must be positive"),
                       ("gibbs_sweeps", lambda: 0 <= self.gibbs_sweeps <= MAX_GIBBS_SWEEPS, f"must be in [0, {MAX_GIBBS_SWEEPS:,}]"))
-
-    def check_beta(self, vocab_size: int, n_tokens: int) -> None:
-        """Raise :class:`ConfigError` unless ``V*beta`` keeps every sampler
-        denominator positive in a fit of ``n_tokens`` tokens over
-        ``vocab_size`` words (the module docstring derives the rule)."""
-        v_beta = vocab_size * float(self.beta)
-        floor = (2 * n_tokens + 1) * (n_tokens + 1) * 2.0**-50
-        if not floor <= v_beta < math.inf:
-            raise ConfigError(f"topics.beta: {self.beta!r} gives V*beta = {v_beta!r} for {vocab_size} words; "
-                              f"a fit of {n_tokens} tokens needs it finite and at least {floor:.3g}")
 
 
 @dataclass(frozen=True)
@@ -207,7 +189,7 @@ class TopicModel:
         It reads only the count tables and draws nothing."""
         from scipy.special import gammaln
 
-        beta, v = self.config.beta, self.vocab_size
+        beta, v = BETA, self.vocab_size
         per_topic = gammaln(self.word_topic_counts() + beta).sum(axis=0) - gammaln(self.topic_totals() + v * beta)
         return float(self.n_topics * (gammaln(v * beta) - v * gammaln(beta)) + per_topic.sum())
 
@@ -236,9 +218,9 @@ class TopicModel:
         from the counts; otherwise the token is new and its stored topic is
         a placeholder.  A draw of index ``n_topics`` opens a new topic.
         """
-        cfg = self.config
-        beta, alpha = cfg.beta, cfg.alpha
-        new_weight = cfg.gamma / self.vocab_size
+        max_topics = self.config.max_topics
+        beta, alpha = BETA, ALPHA
+        new_weight = GAMMA / self.vocab_size
         unused_denom = self.vocab_size * beta
         tok_cell, tok_word, tok_topic = self._tok_cell, self._tok_word, self._tok_topic
         word_topic, cell_topic, totals, neighbors = self._word_topic, self._cell_topic, self._topic_total, self._neighbors
@@ -269,7 +251,7 @@ class TopicModel:
             for n, d, m in zip(row, denom, mn_alpha):
                 total += (n + beta) / d * m
                 cum.append(total)
-            if len(cum) < cfg.max_topics:
+            if len(cum) < max_topics:
                 total += new_weight
                 cum.append(total)
             k = bisect_right(cum, u * total)
@@ -348,7 +330,7 @@ class TopicModel:
             raise ValueError(f"cell_id {cell_id} outside grid")
         k = self.n_topics
         counts = np.array(self._cell_topic[cell_id][:k])
-        return (counts + self.config.alpha) / (counts.sum() + k * self.config.alpha)
+        return (counts + ALPHA) / (counts.sum() + k * ALPHA)
 
     def dominant_topic_cells(self) -> np.ndarray:
         """(n_cells,) most-likely topic index per cell; -1 where unobserved."""
@@ -371,7 +353,7 @@ class TopicModel:
             return np.full(self.n_topics, 1.0 / self.n_topics)
         if self._word_posterior is None:
             phi, totals = self._appearance()
-            post = phi * (totals + self.config.alpha)
+            post = phi * (totals + ALPHA)
             post /= post.sum(axis=1, keepdims=True)
             self._word_posterior = post
         return histogram @ self._word_posterior / n
@@ -380,7 +362,7 @@ class TopicModel:
         """The (V, K) appearance table ``(n[w,k] + beta) / (n[k] + V*beta)``
         of the active topics, and the topic totals ``n[k]``."""
         totals = self.topic_totals()
-        return (self.word_topic_counts() + self.config.beta) / (totals + self.vocab_size * self.config.beta), totals
+        return (self.word_topic_counts() + BETA) / (totals + self.vocab_size * BETA), totals
 
     # -- persistence --------------------------------------------------------
 

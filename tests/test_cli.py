@@ -81,7 +81,7 @@ class TestConfigLoading:
 
     def test_invalid_topic_hyperparameters_rejected(self) -> None:
         with pytest.raises(ConfigError):
-            config_from_dict({"topics": {"alpha": -1.0}})
+            config_from_dict({"topics": {"max_topics": 0}})
 
     def test_zero_usbl_sigma_allowed_without_usbl_fixes(self) -> None:
         assert config_from_dict({"noise": {"usbl_sigma": 0.0, "usbl_period_s": 0.0}}).noise.usbl_sigma == 0.0
@@ -528,7 +528,6 @@ class TestSurveyAnalyzeTrack:
             ("track", "vehicle", "tau_s", 0),
             ("analyze", "acoustics", "window", 100),
             ("analyze", "acoustics", "hop", 0),
-            ("analyze", "acoustics", "band_hz", [24000, 2000]),
             ("track", "tracking", "dynamics_dt_s", 0),
             ("track", "tracking", "dynamics_dt_s", 0.6),
             ("track", "tracking", "camera", {"width_px": 1}),
@@ -536,17 +535,12 @@ class TestSurveyAnalyzeTrack:
             ("track", "tracking", "target", {"kind": "fish"}),
             ("track", "tracking", "target", {"distractor": {"mean_lock_s": -1}}),
             ("world-gen", "world", "background_sigma", -1.0),
-            ("analyze", "acoustics", "band_hz", [2000, 30000]),
-            ("analyze", "acoustics", "band_hz", [2000, 2010]),
             ("analyze", "acoustics", "window", 65536),
-            ("analyze", "analysis", "ridge", -1.0),
             ("track", "tracking", "k_yaw", 1.7e308),
             ("track", "tracking", "k_heave", 1.7e308),
             ("survey", "noise", "depth_sigma", 1.0e-200),
             ("survey", "noise", "usbl_sigma", 1.0e-170),
             ("survey", "noise", "heading_sigma", 1.0e200),
-            ("analyze", "topics", "beta", 1e308),
-            ("analyze", "topics", "beta", 1e-300),
             ("survey", "vehicle", "v_max_mps", -1e308),
             ("survey", "vehicle", "heave_max_mps", -1e308),
             ("track", "vehicle", "heave_max_mps", -1e308),
@@ -586,6 +580,18 @@ class TestSurveyAnalyzeTrack:
         assert result.output.startswith(f"error: {section}.{key}")
         assert result.output.count("\n") == 1
 
+    def test_window_without_a_bin_in_the_snap_band_names_its_key(self, workspace, tmp_path) -> None:
+        """A 64-sample window at 2 MHz has bins 31,250 Hz apart, none in the
+        2-24 kHz snap band; the log is refused before any WAV is read."""
+        _, _, _, survey_out = workspace
+        header, *lines = (survey_out / "mission_log.jsonl").read_text().splitlines()
+        log_path = tmp_path / "mission_log.jsonl"
+        log_path.write_text("\n".join([_edit_json(header, "audio_fs_hz", lambda _: 2_000_000), *lines]) + "\n")
+        config = write_config(tmp_path, {**SMALL_CONFIG, "acoustics": {"window": 64, "hop": 32}})
+        result = CliRunner().invoke(main, ["analyze", "--log", str(log_path), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: acoustics.window: no frequency bin") and result.output.count("\n") == 1, result.output
+
     @pytest.mark.parametrize("section, value, key", [("camera", {"hfov_deg": 1e-300}, "camera.hfov_deg"),
                                                      ("target", {"body_length_m": 1e308}, "target.body_length_m")])
     def test_start_standoff_bound_names_its_factors(self, workspace, tmp_path, section, value, key) -> None:
@@ -613,12 +619,29 @@ class TestSurveyAnalyzeTrack:
         assert result.output.startswith("error: vehicle.v_max_mps")
         assert result.output.count("\n") == 1
 
-    def test_removed_usbl_enabled_key_is_config_error(self, workspace, tmp_path) -> None:
-        """USBL is off only at ``noise.usbl_period_s: 0``; the old switch is an unknown key."""
-        config = write_config(tmp_path, {**SMALL_CONFIG, "noise": {"usbl_enabled": False}})
+    @pytest.mark.parametrize(
+        "section, key, value, error",
+        [
+            ("noise", "usbl_enabled", False, "noise: unknown keys ['usbl_enabled']"),
+            ("acoustics", "band_hz", [2000.0, 24000.0], "acoustics: unknown keys ['band_hz']"),
+            ("acoustics", "threshold_sigma", 0.1, "acoustics: unknown keys ['threshold_sigma']"),
+            ("acoustics", "refractory_s", 0.005, "acoustics: unknown keys ['refractory_s']"),
+            ("acoustics", "min_peak_ratio", 2.0, "acoustics: unknown keys ['min_peak_ratio']"),
+            ("analysis", "ridge", 1e-8, "unknown keys ['analysis']"),
+            ("analysis", "prune_below", 0.05, "unknown keys ['analysis']"),
+            ("topics", "alpha", 0.1, "topics: unknown keys ['alpha']"),
+            ("topics", "beta", 0.5, "topics: unknown keys ['beta']"),
+            ("topics", "gamma", 0.05, "topics: unknown keys ['gamma']"),
+        ],
+    )
+    def test_removed_usbl_enabled_key_is_config_error(self, workspace, tmp_path, section, key, value, error) -> None:
+        """A removed key is an unknown key, even at its old default.  USBL is
+        off only at ``noise.usbl_period_s: 0``, and the analysis method's
+        constants live in code; the ``analysis`` section went with its keys."""
+        config = write_config(tmp_path, {**SMALL_CONFIG, section: {**SMALL_CONFIG.get(section, {}), key: value}})
         result = CliRunner().invoke(main, ["world-gen", "--config", str(config), "--seed", "0", "--out", str(tmp_path / "o")])
         assert result.exit_code == 2, result.output
-        assert result.output == "error: noise: unknown keys ['usbl_enabled']\n"
+        assert result.output == f"error: {error}\n"
 
     def test_resolved_config_round_trips(self, workspace) -> None:
         _, config, _, survey_out = workspace
@@ -695,10 +718,10 @@ class TestSurveyAnalyzeTrack:
         assert result.output.count("\n") == 1
 
     def test_analyze_with_one_topic_left_is_data_error(self, workspace, tmp_path) -> None:
-        """A gamma of 1e-300 leaves one topic above the prevalence threshold;
+        """A cap of one topic leaves one topic above the prevalence threshold;
         renormalized, its column would duplicate the intercept."""
         _, _, _, survey_out = workspace
-        config = write_config(tmp_path, {**SMALL_CONFIG, "topics": {**SMALL_CONFIG["topics"], "gamma": 1.0e-300}})
+        config = write_config(tmp_path, {**SMALL_CONFIG, "topics": {**SMALL_CONFIG["topics"], "max_topics": 1}})
         result = CliRunner().invoke(
             main,
             ["analyze", "--log", str(survey_out / "mission_log.jsonl"), "--config", str(config), "--seed", "0", "--out", str(tmp_path / "r")],
@@ -921,7 +944,7 @@ def command_inputs(command: str, workspace) -> list[str]:
 
 # What world-gen and analyze read, at their defaults.
 SWEEP_TREES = {"world-gen": {"world": DEFAULT_TREE["world"], "seed": DEFAULT_TREE["seed"]},
-               "analyze": {section: DEFAULT_TREE[section] for section in ("acoustics", "topics", "analysis")}}
+               "analyze": {section: DEFAULT_TREE[section] for section in ("acoustics", "topics")}}
 CHILD_SWEEP = [(command, path, value) for command, tree in SWEEP_TREES.items() for kind, values in TRACK_SWEEP_VALUES.items()
                for path in leaf_paths(tree) if type(leaf(tree, path)) is kind for value in values]
 CHILD_SWEEP.append(("analyze", ("acoustics", "window"), 2**30))

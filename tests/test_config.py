@@ -10,7 +10,6 @@ import pytest
 import yaml
 
 from reefsim.acoustics import AcousticsConfig
-from reefsim.analysis import AnalysisConfig
 from reefsim.config import ConfigLoader, EpisodeConfig, RunConfig, config_to_dict, load_config
 from reefsim.errors import ConfigError
 from reefsim.mission import MissionConfig, MissionPlan, plan_lawnmower
@@ -27,7 +26,6 @@ SECTIONS = (
     MissionConfig,
     AcousticsConfig,
     TopicsConfig,
-    AnalysisConfig,
     TrackingConfig,
     Camera,
     TargetConfig,
@@ -74,8 +72,8 @@ def test_benchmark_site_is_the_example_site() -> None:
 
 def test_exponent_without_decimal_point_loads_as_float(tmp_path) -> None:
     path = tmp_path / "config.yaml"
-    path.write_text("analysis: {ridge: 1e-8}\n")
-    assert load_config(path).analysis.ridge == 1e-8
+    path.write_text("noise: {dvl_velocity_sigma: 1e-8}\n")
+    assert load_config(path).noise.dvl_velocity_sigma == 1e-8
 
 
 def test_other_scalars_keep_their_yaml_types() -> None:

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from json_leaves import OTHER_JSON_VALUES, leaf, leaf_paths, other_type, replace_leaf
 from pins import golden_run, golden_stream, pinned, striped_world, survey_pass
 
-from reefsim.errors import ConfigError, DataError
+from reefsim.errors import DataError
 from reefsim.rng import substream
 from reefsim.topics import (
+    ALPHA,
     TopicModel,
-    TopicsConfig,
     appearance_distributions,
     match_accuracy,
     merge_groups_by_appearance,
@@ -153,40 +153,21 @@ class TestGibbsRefine:
 
 class TestLogLikelihood:
     def test_matches_a_hand_worked_toy_model(self, tmp_path) -> None:
-        # Two topics over three words with beta = 1: topic 0 holds words
-        # (2, 1, 0), topic 1 holds (0, 0, 1).  Every lnG is a log factorial:
-        # 2 ln 2! + [ln 2! + ln 1! - ln 5!] + [ln 1! - ln 3!] = -ln 90.
+        # Two topics over three words with beta = 1/2: topic 0 holds words
+        # (2, 1, 0), topic 1 holds (0, 0, 1), so V beta = 3/2.  With
+        # G(1/2) = sqrt(pi), G(3/2) = sqrt(pi)/2, G(5/2) = 3 sqrt(pi)/4 and
+        # G(9/2) = 105 sqrt(pi)/16, the sum
+        #   2 [lnG(3/2) - 3 lnG(1/2)]
+        #   + [lnG(5/2) + lnG(3/2) + lnG(1/2) - lnG(9/2)]
+        #   + [2 lnG(1/2) + lnG(3/2) - lnG(5/2)]
+        # = 4 lnG(3/2) - 3 lnG(1/2) - lnG(9/2) = (2 - 3/2 - 1/2) ln pi - ln 105 = -ln 105.
         path = tmp_path / "model.json"
-        TopicModel(3, 1, 1, TopicsConfig(beta=1.0)).save(path)
+        TopicModel(3, 1, 1).save(path)
         payload = json.loads(path.read_text())
         payload.update(n_topics=2, labels=[0, 1], next_label=2,
                        tokens={"cell": [0, 0, 0, 0], "word": [0, 0, 1, 2], "topic": [0, 0, 0, 1]})
         path.write_text(json.dumps(payload))
-        assert TopicModel.load(path).log_likelihood() == pytest.approx(-np.log(90.0), rel=1e-12)
-
-
-@pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 1e-3])
-def test_check_beta_accepts_usable_betas_at_the_site_scale(beta) -> None:
-    TopicsConfig(beta=beta).check_beta(30, 15_000)  # criterion-1 site: 30 words, 15,000 tokens
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(beta=st.one_of(st.floats(1e-300, 1e308), st.floats(-300.0, 308.0).map(lambda e: 10.0**e)))
-def test_extreme_beta_is_config_error_or_a_valid_fit(beta) -> None:
-    # Unchecked, a beta below about 1e-14 here divides by zero in the first
-    # sweep, and one whose V*beta overflows raises IndexError.
-    config = TopicsConfig(beta=beta)
-    rng = substream(6, "extreme-beta")
-    histograms = [rng.multinomial(4, np.full(8, 0.125)) for _ in range(4)]
-    try:
-        config.check_beta(8, int(sum(h.sum() for h in histograms)))
-    except ConfigError:
-        return
-    model = TopicModel(8, 2, 2, config)
-    for cell, histogram in enumerate(histograms):
-        model.observe(cell, histogram, rng)
-    model.gibbs_refine(3, rng)
-    model.validate_counts()
+        assert TopicModel.load(path).log_likelihood() == pytest.approx(-np.log(105.0), rel=1e-12)
 
 
 class TestGoldenStream:
@@ -220,16 +201,6 @@ class TestHabitatDistribution:
         k = model.n_topics
         np.testing.assert_allclose(model.habitat_distribution(8), np.full(k, 1.0 / k))
 
-    def test_alpha_to_zero_limit_is_point_mass(self) -> None:
-        model = TopicModel(10, 3, 1, TopicsConfig(alpha=1e-9))
-        rng = substream(7, "pm")
-        hist = np.zeros(10, dtype=int)
-        hist[1] = 30
-        model.observe(0, hist, rng)
-        dist = model.habitat_distribution(0)
-        dominant = int(np.argmax(model.cell_topic_counts()[0]))
-        assert dist[dominant] == pytest.approx(1.0, abs=1e-6)
-
     def test_matches_brute_force_recount_from_assignments(self) -> None:
         # Oracle: recompute the cell-topic counts from the raw assignment
         # list and apply the smoothing formula directly.
@@ -243,7 +214,7 @@ class TestHabitatDistribution:
         for c, k in zip(model._tok_cell, model._tok_topic):
             if c == cell:
                 counts[k] += 1
-        alpha = model.config.alpha
+        alpha = ALPHA
         expected = (counts + alpha) / (counts.sum() + model.n_topics * alpha)
         np.testing.assert_allclose(model.habitat_distribution(cell), expected)
 
@@ -388,14 +359,12 @@ class TestCheckpoint:
         loaded.gibbs_refine(2, substream(14, "cont"))
         loaded.validate_counts()
 
-    @pytest.mark.parametrize("beta", [TopicsConfig().beta, 0.1], ids=["default-beta", "beta-0.1"])
-    def test_reloaded_model_continues_like_the_one_in_memory(self, tmp_path, beta) -> None:
+    def test_reloaded_model_continues_like_the_one_in_memory(self, tmp_path) -> None:
         # Totals and denominators derive from the counts, so a checkpoint
-        # taken part-way through a stream resumes exactly, also for a beta
-        # whose V * beta is not exact in binary (12 * 0.1 here).
+        # taken part-way through a stream resumes exactly.
         appearance = _block_appearance(3, 12, 0.05)
         truth = striped_world(6, 6)
-        model = TopicModel(12, 6, 6, TopicsConfig(beta=beta))
+        model = TopicModel(12, 6, 6)
         rng = substream(16, "resume")
         survey_pass(model, truth, appearance, rng, images_per_cell=2)
         model.gibbs_refine(3, rng)
@@ -416,7 +385,7 @@ class TestCheckpoint:
             lambda payload: {**payload, "config": {**payload["config"], "sweeps": 3}},
             lambda payload: {**payload, "tokens": {**payload["tokens"], "word": [99] * len(payload["tokens"]["word"])}},
             lambda payload: {**payload, "n_topics": "many"},
-            lambda payload: {**payload, "config": {**payload["config"], "alpha": -1.0}},
+            lambda payload: {**payload, "config": {**payload["config"], "gibbs_sweeps": -1}},
             lambda payload: {**payload, "tokens": {**payload["tokens"], "word": [-1, *payload["tokens"]["word"][1:]]}},
             lambda payload: {**payload, "tokens": {**payload["tokens"], "cell": [-3, *payload["tokens"]["cell"][1:]]}},
             lambda payload: {**payload, "labels": payload["labels"][:-1]},
@@ -426,6 +395,7 @@ class TestCheckpoint:
             lambda payload: {**payload, "tokens": {**payload["tokens"], "topic": [False, *payload["tokens"]["topic"][1:]]}},
             lambda payload: {**payload, "next_label": max(payload["labels"])},
             lambda payload: {**payload, "labels": [payload["labels"][0]] * len(payload["labels"])},
+            lambda payload: {**payload, "format": "reefsim-topic-model-v1", "config": {**payload["config"], "alpha": 0.1, "beta": 0.5, "gamma": 0.05}},
         ],
         ids=[
             "not-a-mapping",
@@ -443,6 +413,7 @@ class TestCheckpoint:
             "bool-topic",
             "next-label-in-use",
             "duplicate-labels",
+            "v1-checkpoint",
         ],
     )
     def test_malformed_checkpoint_is_data_error(self, tmp_path, edit) -> None:
