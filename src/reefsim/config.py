@@ -1,13 +1,8 @@
 """Run configuration: one structured file covering every component.
 
 Configs load from YAML (JSON is valid YAML).  A config holds the scenario
-(world, vehicle, noise, plan, mission, tracking, episode, seed) and
-the work sizes that runs choose between (``acoustics.window``/``hop`` and
-``topics.max_topics``/``gibbs_sweeps``).  The analysis method's constants
-live in code beside the method: the snap band and detection rule in
-:mod:`reefsim.acoustics`, the sampler's concentrations in
-:mod:`reefsim.topics`, and the regression's ridge and prevalence threshold in
-:mod:`reefsim.analysis`.  Each section is a dataclass beside the code it
+and the work sizes; the analysis method's constants are module constants
+beside the method.  Each section is a dataclass beside the code it
 configures, and that code takes its defaults from the section, so each
 default is written once.  Only ``episode``, which sizes
 the ``track`` command's episode, lives here, in :class:`RunConfig`.

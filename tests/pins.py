@@ -30,7 +30,6 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
-
 from panels import FOLLOW_TARGETS, track_world
 
 from reefsim.acoustics import detect_snaps_in_window

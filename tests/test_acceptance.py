@@ -64,11 +64,11 @@ def panel(n_default: int, n_full: int, required_fraction: float) -> tuple[range,
 
 # The site is the one a user surveys with example_config.yaml: the world is
 # generated from the file's seed, the survey and analysis use the panel seed.
-SITE_CONFIG = load_config(Path(__file__).parents[1] / "example_config.yaml")
+EXAMPLE_CONFIG = Path(__file__).parents[1] / "example_config.yaml"
 
 
 def run_site_survey(seed: int, audio_dir):
-    config = SITE_CONFIG
+    config = load_config(EXAMPLE_CONFIG)
     world = generate_world(config.world, config.seed)  # one fixed reef scene
     assert len(config.plan.waypoints) == 50
     log = execute(config.plan, world, config.vehicle, config.noise, config.mission, seed=seed, audio_dir=audio_dir)

@@ -620,28 +620,29 @@ class TestSurveyAnalyzeTrack:
         assert result.output.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "section, key, value, error",
+        "section, key, value",
         [
-            ("noise", "usbl_enabled", False, "noise: unknown keys ['usbl_enabled']"),
-            ("acoustics", "band_hz", [2000.0, 24000.0], "acoustics: unknown keys ['band_hz']"),
-            ("acoustics", "threshold_sigma", 0.1, "acoustics: unknown keys ['threshold_sigma']"),
-            ("acoustics", "refractory_s", 0.005, "acoustics: unknown keys ['refractory_s']"),
-            ("acoustics", "min_peak_ratio", 2.0, "acoustics: unknown keys ['min_peak_ratio']"),
-            ("analysis", "ridge", 1e-8, "unknown keys ['analysis']"),
-            ("analysis", "prune_below", 0.05, "unknown keys ['analysis']"),
-            ("topics", "alpha", 0.1, "topics: unknown keys ['alpha']"),
-            ("topics", "beta", 0.5, "topics: unknown keys ['beta']"),
-            ("topics", "gamma", 0.05, "topics: unknown keys ['gamma']"),
+            ("noise", "usbl_enabled", False),
+            ("acoustics", "band_hz", [2000.0, 24000.0]),
+            ("acoustics", "threshold_sigma", 0.1),
+            ("acoustics", "refractory_s", 0.005),
+            ("acoustics", "min_peak_ratio", 2.0),
+            ("analysis", "ridge", 1e-8),
+            ("analysis", "prune_below", 0.05),
+            ("topics", "alpha", 0.1),
+            ("topics", "beta", 0.5),
+            ("topics", "gamma", 0.05),
         ],
     )
-    def test_removed_usbl_enabled_key_is_config_error(self, workspace, tmp_path, section, key, value, error) -> None:
+    def test_removed_usbl_enabled_key_is_config_error(self, workspace, tmp_path, section, key, value) -> None:
         """A removed key is an unknown key, even at its old default.  USBL is
         off only at ``noise.usbl_period_s: 0``, and the analysis method's
         constants live in code; the ``analysis`` section went with its keys."""
         config = write_config(tmp_path, {**SMALL_CONFIG, section: {**SMALL_CONFIG.get(section, {}), key: value}})
         result = CliRunner().invoke(main, ["world-gen", "--config", str(config), "--seed", "0", "--out", str(tmp_path / "o")])
         assert result.exit_code == 2, result.output
-        assert result.output == f"error: {error}\n"
+        unknown = "unknown keys ['analysis']" if section == "analysis" else f"{section}: unknown keys ['{key}']"
+        assert result.output == f"error: {unknown}\n"
 
     def test_resolved_config_round_trips(self, workspace) -> None:
         _, config, _, survey_out = workspace
