@@ -943,8 +943,11 @@ def command_inputs(command: str, workspace) -> list[str]:
             "analyze": ["--log", str(survey_out / "mission_log.jsonl"), "--seed", "0"]}[command]
 
 
-# What world-gen and analyze read, at their defaults.
+# What world-gen, survey and analyze read, at their defaults; survey flies
+# the small plan of the shared workspace's world.
 SWEEP_TREES = {"world-gen": {"world": DEFAULT_TREE["world"], "seed": DEFAULT_TREE["seed"]},
+               "survey": {**{section: DEFAULT_TREE[section] for section in ("vehicle", "noise", "mission")},
+                          "plan": {**DEFAULT_TREE["plan"], **SMALL_CONFIG["plan"]}},
                "analyze": {section: DEFAULT_TREE[section] for section in ("acoustics", "topics")}}
 CHILD_SWEEP = [(command, path, value) for command, tree in SWEEP_TREES.items() for kind, values in TRACK_SWEEP_VALUES.items()
                for path in leaf_paths(tree) if type(leaf(tree, path)) is kind for value in values]
@@ -953,9 +956,9 @@ CHILD_SWEEP.append(("analyze", ("acoustics", "window"), 2**30))
 
 @pytest.mark.parametrize("command, path, value", CHILD_SWEEP, ids=[f"{c}:{sweep_id(p, v)}" for c, p, v in CHILD_SWEEP])
 def test_extreme_leaf_exits_cleanly(workspace, tmp_path, command, path, value) -> None:
-    """Every extreme float or int leaf ``world-gen`` or ``analyze`` reads
-    ends in an exit code of the contract, with one line of output and no
-    warning, in a child process with bounded memory and time."""
+    """Every extreme float or int leaf ``world-gen``, ``survey`` or
+    ``analyze`` reads ends in an exit code of the contract, with one line of
+    output and no warning, in a child process with bounded memory and time."""
     config = write_config(tmp_path, replace_leaf(SWEEP_TREES[command], path, value))
     code, output = run_cli_in_child([command, *command_inputs(command, workspace), "--config", str(config), "--out", str(tmp_path / "o")], tmp_path)
     assert code in (0, 2, 3), output
