@@ -287,7 +287,7 @@ def _fit_topics(send, observations, shape, topics_config: TopicsConfig, seed: in
     """The topic fit of :func:`analyze_log`, run in its worker: stream the
     imaging observations ``(cell_id, words)`` in log order, then refine.
     ``shape`` is ``(vocab_size, grid_nx, grid_ny)``."""
-    model = TopicModel(*shape, topics_config)
+    model = TopicModel(*shape, topics_config.max_topics)
     rng = substream(seed, "topics")
     for cell_id, words in observations:
         model.observe(cell_id, words, rng)

@@ -1,11 +1,11 @@
 """Run configuration: one structured file covering every component.
 
 Configs load from YAML (JSON is valid YAML).  A config holds the scenario
-and the work sizes; the analysis method's constants are module constants
-beside the method.  Each section is a dataclass beside the code it
-configures, and that code takes its defaults from the section, so each
-default is written once.  Only ``episode``, which sizes
-the ``track`` command's episode, lives here, in :class:`RunConfig`.
+and the work sizes; the method's constants, the analysis chain's and the
+behaviours' control laws, are module constants beside the code.  Each
+section is a dataclass beside the code it configures, and that code takes
+its defaults from the section, so each default is written once.  Only
+``episode``, the ``track`` episode's length, lives here, in :class:`RunConfig`.
 Unknown keys are rejected; missing keys fall back to the dataclasses'
 defaults.  Loading only converts, through the builder the file readers
 share (:func:`reefsim.errors.build`: a mapping becomes its dataclass, a

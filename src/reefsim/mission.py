@@ -181,7 +181,8 @@ class MissionConfig:
 
     def __post_init__(self) -> None:
         check_section(self, ("dt_s", lambda: 0 < self.dt_s <= 0.5, "must be in (0, 0.5]"),
-                      ("words_per_image", lambda: 1 <= self.words_per_image <= MAX_WORDS_PER_IMAGE, f"must be in [1, {MAX_WORDS_PER_IMAGE:,}]"))
+                      ("words_per_image", lambda: 1 <= self.words_per_image <= MAX_WORDS_PER_IMAGE, f"must be in [1, {MAX_WORDS_PER_IMAGE:,}]"),
+                      ("waypoint_timeout_s", lambda: self.waypoint_timeout_s > 0, "must be positive"))
 
 
 # The public name for building a plan; the fields' order keeps its positional
@@ -404,9 +405,7 @@ def _run_vehicle(
                 log.records.append(snapshot(t, words=tuple(words.tolist())))
                 next_imaging_time += plan.imaging_period_s
             sensors_alt = simulate_sensors(state, world, noise_config, t, rng)
-            heave, _fallback = altitude_hold_command(
-                sensors_alt.dvl_altitude, sensors_alt.dvl_altitude_valid, plan.altitude_setpoint_m, vehicle_config
-            )
+            heave = altitude_hold_command(sensors_alt.dvl_altitude, sensors_alt.dvl_altitude_valid, plan.altitude_setpoint_m, vehicle_config)
             command = Command(surge=guidance.surge, sway=guidance.sway, heave=heave, yaw_rate=guidance.yaw_rate)
             state = clamp_to_world(step_dynamics(state, command, dt, vehicle_config))
             run_estimator(t + dt)

@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import DataError, build, check_section, data_errors, json_object, write_json_lines
 
-CHECKPOINT_FORMAT = "reefsim-topic-model-v2"
+CHECKPOINT_FORMAT = "reefsim-topic-model-v3"
 
 # The concentrations of the conditional (see the module docstring).
 ALPHA = 0.1  # spatial (cell-topic)
@@ -104,7 +104,7 @@ class _Checkpoint:
     vocab_size: int
     grid_nx: int
     grid_ny: int
-    config: TopicsConfig
+    max_topics: int
     n_topics: int
     labels: list[int]
     next_label: int
@@ -114,7 +114,8 @@ class _Checkpoint:
         labels, tokens = self.labels, self.tokens
         check_section(self, ("grid_nx", lambda: self.grid_nx >= 1, "must be at least 1"),
                       ("grid_ny", lambda: self.grid_ny >= 1, "must be at least 1"),
-                      ("n_topics", lambda: 1 <= self.n_topics <= self.config.max_topics, "must be in [1, config.max_topics]"),
+                      ("max_topics", lambda: 1 <= self.max_topics <= MAX_TOPICS, f"must be in [1, {MAX_TOPICS:,}]"),
+                      ("n_topics", lambda: 1 <= self.n_topics <= self.max_topics, "must be in [1, max_topics]"),
                       ("labels", lambda: len(labels) == self.n_topics, "must hold one label per topic"),
                       ("labels", lambda: len(set(labels)) == len(labels), "must be distinct"),
                       ("next_label", lambda: self.next_label not in labels, "must not be a label in use"),
@@ -124,19 +125,18 @@ class _Checkpoint:
 class TopicModel:
     """Streaming topic model over a ``grid_nx x grid_ny`` cell grid."""
 
-    def __init__(self, vocab_size: int, grid_nx: int, grid_ny: int, config: TopicsConfig | None = None):
-        if vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
-        self.config = config or TopicsConfig()
+    def __init__(self, vocab_size: int, grid_nx: int, grid_ny: int, max_topics: int = TopicsConfig.max_topics):
+        if vocab_size < 2 or max_topics < 1:
+            raise ValueError("vocab_size must be >= 2 and max_topics >= 1")
+        self.max_topics = max_topics
         self.vocab_size = vocab_size
         self.grid_nx = grid_nx
         self.grid_ny = grid_ny
         self.n_cells = grid_nx * grid_ny
 
-        kmax = self.config.max_topics
-        self._word_topic = [[0.0] * kmax for _ in range(vocab_size)]
-        self._cell_topic = [[0.0] * kmax for _ in range(self.n_cells)]
-        self._topic_total = [0.0] * kmax
+        self._word_topic = [[0.0] * max_topics for _ in range(vocab_size)]
+        self._cell_topic = [[0.0] * max_topics for _ in range(self.n_cells)]
+        self._topic_total = [0.0] * max_topics
         self.n_topics = 1  # topic 0 exists from the start and is never retired
         self.labels: list[int] = [0]
         self._next_label = 1
@@ -195,7 +195,7 @@ class TopicModel:
 
     def validate_counts(self) -> None:
         k = self.n_topics
-        if not 1 <= k <= self.config.max_topics:
+        if not 1 <= k <= self.max_topics:
             raise ValueError("active topic count out of range")
         word_topic, cell_topic = np.array(self._word_topic), np.array(self._cell_topic)
         if np.any(word_topic < 0) or np.any(cell_topic < 0):
@@ -218,7 +218,7 @@ class TopicModel:
         from the counts; otherwise the token is new and its stored topic is
         a placeholder.  A draw of index ``n_topics`` opens a new topic.
         """
-        max_topics = self.config.max_topics
+        max_topics = self.max_topics
         beta, alpha = BETA, ALPHA
         new_weight = GAMMA / self.vocab_size
         unused_denom = self.vocab_size * beta
@@ -312,7 +312,7 @@ class TopicModel:
         keep = [0] + [j for j in range(1, k) if self._topic_total[j] > 0]
         if len(keep) == k:
             return
-        zeros = [0.0] * (self.config.max_topics - len(keep))
+        zeros = [0.0] * (self.max_topics - len(keep))
         for row in (*self._word_topic, *self._cell_topic, self._topic_total):
             row[:] = [row[j] for j in keep] + zeros
         self._word_posterior = None
@@ -367,7 +367,7 @@ class TopicModel:
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        checkpoint = _Checkpoint(self.vocab_size, self.grid_nx, self.grid_ny, self.config, self.n_topics, self.labels,
+        checkpoint = _Checkpoint(self.vocab_size, self.grid_nx, self.grid_ny, self.max_topics, self.n_topics, self.labels,
                                  self._next_label, _Tokens(self._tok_cell, self._tok_word, self._tok_topic))
         write_json_lines(path, [{"format": CHECKPOINT_FORMAT, **vars(checkpoint)}])
 
@@ -381,7 +381,7 @@ class TopicModel:
             if checkpoint_format != CHECKPOINT_FORMAT:
                 raise ValueError(f"unsupported checkpoint format {checkpoint_format!r}")
             checkpoint = build(_Checkpoint, payload)
-            model = cls(checkpoint.vocab_size, checkpoint.grid_nx, checkpoint.grid_ny, checkpoint.config)
+            model = cls(checkpoint.vocab_size, checkpoint.grid_nx, checkpoint.grid_ny, checkpoint.max_topics)
             model.n_topics = checkpoint.n_topics
             model.labels = checkpoint.labels
             model._next_label = checkpoint.next_label
@@ -395,9 +395,8 @@ class TopicModel:
             ):
                 if values and not 0 <= min(values) <= max(values) < bound:
                     raise ValueError(f"token {name} index outside [0, {bound})")
-            kmax = model.config.max_topics
-            model._word_topic = _count_rows(model._tok_word, model._tok_topic, model.vocab_size, kmax)
-            model._cell_topic = _count_rows(model._tok_cell, model._tok_topic, model.n_cells, kmax)
+            model._word_topic = _count_rows(model._tok_word, model._tok_topic, model.vocab_size, model.max_topics)
+            model._cell_topic = _count_rows(model._tok_cell, model._tok_topic, model.n_cells, model.max_topics)
             model._topic_total = [float(sum(column)) for column in zip(*model._word_topic)]
             model._word_posterior = None
             model.validate_counts()

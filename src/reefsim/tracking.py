@@ -7,6 +7,8 @@ grows in the image pushes the vehicle back and one that shrinks pulls it
 forward.  The tracker stand-in perturbs the true projected box with pixel
 noise, drops frames at a configured probability, and can lock onto an
 offset companion "distractor" for exponentially distributed stretches.
+The servo's gains (``K_YAW``, ``K_HEAVE``, ``K_SURGE``) and timers (``HOLD_S``,
+``LOST_AFTER_S``) are the method's constants, not config keys.
 
 Camera: forward-looking pinhole at the vehicle origin, level with the
 horizon; image x runs to starboard, image y down.  A target is rendered as
@@ -29,10 +31,10 @@ Python floats raise where numpy scalars warned and carried an inf or NaN
 on: ``**`` overflows to ``OverflowError``, ``math.cos(inf)`` raises
 ``ValueError`` and ``x / 0.0`` ``ZeroDivisionError``.  So the config bounds
 the geometry the loop starts from (:data:`MAX_FOLLOW_RANGE_M`, and a
-positive setpoint) and the steps it runs (:data:`MAX_EPISODE_STEPS`), and
-:func:`project_target` takes a distance whose square overflows as infinite,
-as numpy did; a world file or a pair of extreme gains can still carry the
-vehicle that far from the target.
+positive setpoint), the pixel noise (:data:`MAX_IMAGE_PX`) and the steps it
+runs (:data:`MAX_EPISODE_STEPS`), and :func:`project_target` takes a
+distance whose square overflows as infinite, as numpy did; a world file can
+still carry the vehicle that far from the target.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, check_section, fields_around, write_csv, write_json_lines
+from .errors import check_section, fields_around, write_csv, write_json_lines
 from .rng import substream
 from .vehicle import Command, VehicleConfig, VehicleState, step_dynamics, wrap_angle
 
@@ -68,13 +70,19 @@ MAX_EPISODE_STEPS = 360_000
 # is a fraction of a pixel wide, or out of float range.
 MAX_FOLLOW_RANGE_M = 1e4
 
-# Upper bound on the camera's image width and height in pixels, past any
-# sensor a follow camera has.  Unbounded, an int such as 10**400 passed the
-# config check and then overflowed where it became a float.
+# Upper bound on the camera's width and height and the tracker's pixel noise,
+# past any follow camera's sensor.  Unbounded, a width of 10**400 overflowed
+# where it became a float, and a noise of 1e308 px drew infinite box widths.
 MAX_IMAGE_PX = 100_000
 
 # A frame is due once the step time is within this of its frame time.
 FRAME_TIME_TOL_S = 1e-9
+
+K_YAW = 0.8  # rad/s at one half-frame of horizontal offset
+K_HEAVE = 0.4  # m/s at one half-frame of vertical offset
+K_SURGE = 1.0  # m/s at one unit of width-ratio error
+HOLD_S = 1.0  # keep the last command this long after losing the box
+LOST_AFTER_S = 3.0  # declare LOST after this long without the target in view
 
 
 def frame_due(t: float, n_frames: int, frame_dt: float) -> bool:
@@ -168,14 +176,9 @@ class TrackingConfig:
     camera: Camera = field(default_factory=Camera)
     frame_rate_hz: float = 15.0
     dynamics_dt_s: float = 0.05
-    k_yaw: float = 0.8  # rad/s at one half-frame of horizontal offset
-    k_heave: float = 0.4  # m/s at one half-frame of vertical offset
-    k_surge: float = 1.0  # m/s at one unit of width-ratio error
     width_ratio_setpoint: float = 0.15
     pixel_noise_px: float = 2.0
     dropout_prob: float = 0.02
-    hold_s: float = 1.0  # keep last command this long after losing the box
-    lost_after_s: float = 3.0  # declare LOST after this long without the box
     target: TargetConfig = field(default_factory=TargetConfig)
 
     def __post_init__(self) -> None:
@@ -183,10 +186,8 @@ class TrackingConfig:
                       ("dynamics_dt_s", lambda: 0 < self.dynamics_dt_s <= 0.5, "must be in (0, 0.5]"),
                       ("frame_rate_hz", lambda: 1.0 / self.frame_rate_hz >= self.dynamics_dt_s - FRAME_TIME_TOL_S,
                        "must be at most one frame per dynamics step (1 / dynamics_dt_s)"),
-                      ("pixel_noise_px", lambda: self.pixel_noise_px >= 0, "must be non-negative"),
+                      ("pixel_noise_px", lambda: 0 <= self.pixel_noise_px <= MAX_IMAGE_PX, f"must be in [0, {MAX_IMAGE_PX}]"),
                       ("dropout_prob", lambda: 0 <= self.dropout_prob <= 1, "must be in [0, 1]"),
-                      ("hold_s", lambda: self.hold_s >= 0, "must be non-negative"),
-                      ("lost_after_s", lambda: self.lost_after_s >= 0, "must be non-negative"),
                       ("width_ratio_setpoint", lambda: self.width_ratio_setpoint > 0, "must be positive"),
                       ("width_ratio_setpoint", lambda: self.start_standoff_m <= MAX_FOLLOW_RANGE_M,
                        f"must put the start standoff within {MAX_FOLLOW_RANGE_M:g} m: the focal length from camera.hfov_deg "
@@ -356,14 +357,10 @@ def servo_command(bbox: BBox, config: TrackingConfig) -> Command:
     offset (a low box commands a descent; heave is positive up); surge is
     proportional to the width-ratio error, backing away when the target
     looks too large.  Clamping to actuator limits happens in the dynamics.
-    A gain so large that a command overflows raises :class:`ConfigError`.
     """
-    yaw_rate = config.k_yaw * (bbox.cx - bbox.frame_w / 2.0) / (bbox.frame_w / 2.0)
-    heave = config.k_heave * (bbox.frame_h / 2.0 - bbox.cy) / (bbox.frame_h / 2.0)
-    surge = config.k_surge * (config.width_ratio_setpoint - bbox.width_ratio)
-    for key, value in (("k_yaw", yaw_rate), ("k_heave", heave), ("k_surge", surge)):
-        if not math.isfinite(value):
-            raise ConfigError(f"tracking.{key}: {getattr(config, key)} overflows the servo command")
+    yaw_rate = K_YAW * (bbox.cx - bbox.frame_w / 2.0) / (bbox.frame_w / 2.0)
+    heave = K_HEAVE * (bbox.frame_h / 2.0 - bbox.cy) / (bbox.frame_h / 2.0)
+    surge = K_SURGE * (config.width_ratio_setpoint - bbox.width_ratio)
     return Command(surge=float(surge), heave=float(heave), yaw_rate=float(yaw_rate))
 
 
@@ -438,8 +435,8 @@ def run_tracking_episode(
     start position around the target (0 = directly behind it, 90 = abeam,
     viewing the body broadside).  Perception and control run at the tracker
     frame rate; dynamics integrate at their own step with zero-order-hold
-    commands.  After ``hold_s`` without a box the command zeroes; after
-    ``lost_after_s`` without the target in view, frames are marked lost
+    commands.  After ``HOLD_S`` without a box the command zeroes; after
+    ``LOST_AFTER_S`` without the target in view, frames are marked lost
     until the target comes back into view.  A body the camera has
     closed inside of is out of view for that frame.
     """
@@ -496,13 +493,13 @@ def run_tracking_episode(
             if observed is not None:
                 command = servo_command(observed, tracking_config)
                 last_box_time = t
-            elif t - last_box_time > tracking_config.hold_s:
+            elif t - last_box_time > HOLD_S:
                 command = Command()
 
             if true_box is not None:
                 last_seen_time = t
                 lost = False
-            elif t - last_seen_time > tracking_config.lost_after_s:
+            elif t - last_seen_time > LOST_AFTER_S:
                 lost = True
 
             log.frames.append(

@@ -27,6 +27,10 @@ moves it only to second order, where the short form ``P - K C^T`` moves to
 first order and can lose definiteness.  The two functions are the only
 implementation: they take arrays or floats at their boundary and work on
 floats inside.
+
+The guidance and altitude-hold constants, ``CRUISE_SPEED_MPS``,
+``CAPTURE_RADIUS_M``, ``K_WAYPOINT_YAW``, ``K_WAYPOINT_SURGE`` and
+``K_ALTITUDE``, are the method's; :class:`VehicleConfig` holds the plant.
 """
 
 from __future__ import annotations
@@ -50,6 +54,12 @@ TWO_PI = 2.0 * np.pi
 # by nearly 300 orders of magnitude.
 MAX_SPEED_LIMIT_MPS = 1e6
 
+CRUISE_SPEED_MPS = 0.5
+CAPTURE_RADIUS_M = 0.5  # a waypoint this close or closer is reached
+K_WAYPOINT_YAW = 1.0  # yaw rate per rad of bearing error
+K_WAYPOINT_SURGE = 0.5  # surge per meter of distance
+K_ALTITUDE = 1.0  # heave per meter of altitude error
+
 
 def wrap_angle(angle: float) -> float:
     """Wrap an angle to (-pi, pi].  Angles already in range pass through
@@ -66,11 +76,6 @@ class VehicleConfig:
     v_max_mps: float = 1.0  # per-axis speed clamp (surge/sway)
     heave_max_mps: float = 0.5
     yaw_rate_max: float = 1.0
-    cruise_speed_mps: float = 0.5
-    capture_radius_m: float = 0.5
-    k_waypoint_yaw: float = 1.0  # yaw rate per rad of bearing error
-    k_waypoint_surge: float = 0.5  # surge per meter of distance
-    k_altitude: float = 1.0  # heave per meter of altitude error
 
     def __post_init__(self) -> None:
         check_section(self, ("tau_s", lambda: self.tau_s > 0, "must be positive"),
@@ -405,17 +410,15 @@ def ekf_update(est: EkfEstimate, kind: str, value, r: float) -> EkfEstimate:
     return EkfEstimate(tuple(mean), cov)
 
 
-def altitude_hold_command(altitude: float, valid: bool, setpoint: float, config: VehicleConfig) -> tuple[float, bool]:
-    """Proportional altitude hold.
-
-    Returns (heave setpoint, fallback flag).  When the altitude estimate is
-    invalid (DVL out of range) the controller falls back to holding depth:
-    zero heave with the flag set.
+def altitude_hold_command(altitude: float, valid: bool, setpoint: float, config: VehicleConfig) -> float:
+    """Proportional altitude hold: the heave setpoint.  When the altitude
+    estimate is invalid (DVL out of range) the controller falls back to
+    holding depth: zero heave.
     """
     if not valid or not math.isfinite(altitude):
-        return 0.0, True
-    heave = config.k_altitude * (setpoint - altitude)
-    return float(_clip(heave, -config.heave_max_mps, config.heave_max_mps)), False
+        return 0.0
+    heave = K_ALTITUDE * (setpoint - altitude)
+    return float(_clip(heave, -config.heave_max_mps, config.heave_max_mps))
 
 
 def waypoint_command(est_mean: np.ndarray, waypoint: tuple[float, float], config: VehicleConfig) -> tuple[Command, bool]:
@@ -429,11 +432,11 @@ def waypoint_command(est_mean: np.ndarray, waypoint: tuple[float, float], config
     dx = waypoint[0] - est_mean[0]
     dy = waypoint[1] - est_mean[1]
     distance = float(np.hypot(dx, dy))
-    if distance <= config.capture_radius_m:
+    if distance <= CAPTURE_RADIUS_M:
         return Command(), True
 
     bearing_error = wrap_angle(np.arctan2(dy, dx) - est_mean[3])
-    yaw_rate = float(_clip(config.k_waypoint_yaw * bearing_error, -config.yaw_rate_max, config.yaw_rate_max))
-    surge = float(_clip(config.k_waypoint_surge * distance, 0.0, config.cruise_speed_mps))
+    yaw_rate = float(_clip(K_WAYPOINT_YAW * bearing_error, -config.yaw_rate_max, config.yaw_rate_max))
+    surge = float(_clip(K_WAYPOINT_SURGE * distance, 0.0, CRUISE_SPEED_MPS))
     surge *= max(0.0, float(np.cos(bearing_error)))
     return Command(surge=surge, yaw_rate=yaw_rate), False

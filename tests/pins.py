@@ -36,7 +36,7 @@ from reefsim.acoustics import detect_snaps_in_window
 from reefsim.cli import main
 from reefsim.mission import MissionConfig, execute, plan_lawnmower, save_log
 from reefsim.rng import substream
-from reefsim.topics import TopicModel, TopicsConfig
+from reefsim.topics import TopicModel
 from reefsim.tracking import TargetConfig, TrackingConfig, run_tracking_episode, save_track_log
 from reefsim.vehicle import NoiseConfig, VehicleConfig
 from reefsim.world import GridWorld, _block_appearance, synthesize_audio
@@ -189,7 +189,7 @@ def golden_run(max_topics: int) -> tuple[TopicModel, str]:
     appearance = _block_appearance(3, 24, 0.05)
     truth = striped_world(6, 6)
     rng = substream(21, "golden")
-    model = TopicModel(24, 6, 6, TopicsConfig(max_topics=max_topics))
+    model = TopicModel(24, 6, 6, max_topics)
     survey_pass(model, truth, appearance, rng, images_per_cell=2)
     model.gibbs_refine(5, rng)
     return model, _digest([model._tok_topic, model.labels, model.n_topics, rng.random().hex()])

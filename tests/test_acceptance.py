@@ -43,7 +43,7 @@ from reefsim.config import load_config
 from reefsim.errors import SaturatedWindowError
 from reefsim.mission import execute
 from reefsim.rng import substream
-from reefsim.topics import TopicModel, TopicsConfig, match_accuracy
+from reefsim.topics import TopicModel, match_accuracy
 from reefsim.tracking import Camera, TargetConfig, TrackingConfig, run_tracking_episode
 from reefsim.vehicle import EkfEstimate, NoiseConfig, VehicleConfig
 from reefsim.world import WorldConfig, _block_appearance, generate_world, synthesize_audio
@@ -179,7 +179,7 @@ class TestCriterion3TopicRecovery:
         # 1e5 operations with the count invariants checked after every one.
         n_ops = 100_000
         rng = substream(0, "fuzz")
-        model = TopicModel(10, 5, 5, TopicsConfig(max_topics=8))
+        model = TopicModel(10, 5, 5, max_topics=8)
         appearance = _block_appearance(3, 10, 0.05)
         violations = 0
         for op in range(n_ops):

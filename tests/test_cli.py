@@ -536,8 +536,6 @@ class TestSurveyAnalyzeTrack:
             ("track", "tracking", "target", {"distractor": {"mean_lock_s": -1}}),
             ("world-gen", "world", "background_sigma", -1.0),
             ("analyze", "acoustics", "window", 65536),
-            ("track", "tracking", "k_yaw", 1.7e308),
-            ("track", "tracking", "k_heave", 1.7e308),
             ("survey", "noise", "depth_sigma", 1.0e-200),
             ("survey", "noise", "usbl_sigma", 1.0e-170),
             ("survey", "noise", "heading_sigma", 1.0e200),
@@ -552,8 +550,9 @@ class TestSurveyAnalyzeTrack:
             pytest.param("survey", "mission", "current_mps", [1e308, 0.0], id="survey-mission-current_mps-1e308"),
             ("track", "tracking", "dropout_prob", 2.0),
             ("track", "tracking", "pixel_noise_px", -5.0),
-            ("track", "tracking", "hold_s", -1.0),
-            ("track", "tracking", "lost_after_s", -1.0),
+            ("track", "tracking", "pixel_noise_px", 1e308),
+            ("survey", "mission", "waypoint_timeout_s", -1e308),
+            ("survey", "mission", "waypoint_timeout_s", 0),
             ("track", "episode", "duration_s", 1e308),
             ("track", "episode", "duration_s", 1e300),
             ("track", "tracking", "dynamics_dt_s", 1e-300),
@@ -632,12 +631,23 @@ class TestSurveyAnalyzeTrack:
             ("topics", "alpha", 0.1),
             ("topics", "beta", 0.5),
             ("topics", "gamma", 0.05),
+            ("vehicle", "cruise_speed_mps", 0.5),
+            ("vehicle", "capture_radius_m", 0.5),
+            ("vehicle", "k_waypoint_yaw", 1.0),
+            ("vehicle", "k_waypoint_surge", 0.5),
+            ("vehicle", "k_altitude", 1.0),
+            ("tracking", "k_yaw", 0.8),
+            ("tracking", "k_heave", 0.4),
+            ("tracking", "k_surge", 1.0),
+            ("tracking", "hold_s", 1.0),
+            ("tracking", "lost_after_s", 3.0),
         ],
     )
     def test_removed_usbl_enabled_key_is_config_error(self, workspace, tmp_path, section, key, value) -> None:
         """A removed key is an unknown key, even at its old default.  USBL is
-        off only at ``noise.usbl_period_s: 0``, and the analysis method's
-        constants live in code; the ``analysis`` section went with its keys."""
+        off only at ``noise.usbl_period_s: 0``, and the analysis method's and
+        the control laws' constants live in code; the ``analysis`` section
+        went with its keys."""
         config = write_config(tmp_path, {**SMALL_CONFIG, section: {**SMALL_CONFIG.get(section, {}), key: value}})
         result = CliRunner().invoke(main, ["world-gen", "--config", str(config), "--seed", "0", "--out", str(tmp_path / "o")])
         assert result.exit_code == 2, result.output

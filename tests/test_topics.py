@@ -382,10 +382,10 @@ class TestCheckpoint:
         [
             lambda payload: [payload],
             lambda payload: {k: v for k, v in payload.items() if k != "tokens"},
-            lambda payload: {**payload, "config": {**payload["config"], "sweeps": 3}},
+            lambda payload: {**payload, "config": {"max_topics": payload["max_topics"], "gibbs_sweeps": 10}},
             lambda payload: {**payload, "tokens": {**payload["tokens"], "word": [99] * len(payload["tokens"]["word"])}},
             lambda payload: {**payload, "n_topics": "many"},
-            lambda payload: {**payload, "config": {**payload["config"], "gibbs_sweeps": -1}},
+            lambda payload: {**payload, "max_topics": 0},
             lambda payload: {**payload, "tokens": {**payload["tokens"], "word": [-1, *payload["tokens"]["word"][1:]]}},
             lambda payload: {**payload, "tokens": {**payload["tokens"], "cell": [-3, *payload["tokens"]["cell"][1:]]}},
             lambda payload: {**payload, "labels": payload["labels"][:-1]},
@@ -395,7 +395,9 @@ class TestCheckpoint:
             lambda payload: {**payload, "tokens": {**payload["tokens"], "topic": [False, *payload["tokens"]["topic"][1:]]}},
             lambda payload: {**payload, "next_label": max(payload["labels"])},
             lambda payload: {**payload, "labels": [payload["labels"][0]] * len(payload["labels"])},
-            lambda payload: {**payload, "format": "reefsim-topic-model-v1", "config": {**payload["config"], "alpha": 0.1, "beta": 0.5, "gamma": 0.05}},
+            lambda payload: {**payload, "format": "reefsim-topic-model-v1", "config": {"max_topics": 20, "alpha": 0.1, "beta": 0.5, "gamma": 0.05}},
+            lambda payload: {**{k: v for k, v in payload.items() if k != "max_topics"}, "format": "reefsim-topic-model-v2",
+                             "config": {"max_topics": payload["max_topics"], "gibbs_sweeps": 10}},
         ],
         ids=[
             "not-a-mapping",
@@ -414,6 +416,7 @@ class TestCheckpoint:
             "next-label-in-use",
             "duplicate-labels",
             "v1-checkpoint",
+            "v2-checkpoint",
         ],
     )
     def test_malformed_checkpoint_is_data_error(self, tmp_path, edit) -> None:
@@ -424,8 +427,9 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         model.save(path)
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-        with pytest.raises(DataError, match="topic model checkpoint"):
+        with pytest.raises(DataError, match="topic model checkpoint") as caught:
             TopicModel.load(path)
+        assert "\n" not in str(caught.value)
 
 
 class TestMatchAccuracy:

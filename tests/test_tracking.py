@@ -127,7 +127,7 @@ class TestServoCommand:
         config = TrackingConfig()
         bbox = BBox(cx=640.0, cy=180.0, w=96.0, h=54.0, frame_w=640, frame_h=360)
         command = servo_command(bbox, config)
-        assert command.yaw_rate == pytest.approx(config.k_yaw)
+        assert command.yaw_rate == pytest.approx(tracking.K_YAW)
 
     def test_oversized_box_commands_backing_away(self) -> None:
         config = TrackingConfig()

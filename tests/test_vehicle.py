@@ -10,6 +10,8 @@ from scipy.stats import chi2
 
 from reefsim.rng import substream
 from reefsim.vehicle import (
+    CAPTURE_RADIUS_M,
+    CRUISE_SPEED_MPS,
     Command,
     EkfEstimate,
     NoiseConfig,
@@ -323,16 +325,15 @@ class TestFilterConsistency:
 
 class TestAltitudeHold:
     def test_at_setpoint_commands_zero(self) -> None:
-        heave, fallback = altitude_hold_command(1.0, True, 1.0, CFG)
-        assert heave == 0.0 and not fallback
+        assert altitude_hold_command(1.0, True, 1.0, CFG) == 0.0
 
     def test_below_setpoint_commands_ascent(self) -> None:
-        heave, fallback = altitude_hold_command(0.5, True, 1.0, CFG)
-        assert heave > 0.0 and not fallback
+        assert altitude_hold_command(0.5, True, 1.0, CFG) > 0.0
 
     def test_invalid_altitude_falls_back_to_depth_hold(self) -> None:
-        heave, fallback = altitude_hold_command(2.5, False, 1.0, CFG)
-        assert heave == 0.0 and fallback
+        # Valid, 2.5 m would command a descent; invalid, the hold commands none.
+        assert altitude_hold_command(2.5, True, 1.0, CFG) < 0.0
+        assert altitude_hold_command(2.5, False, 1.0, CFG) == 0.0
 
 
 class TestWaypointCommand:
@@ -342,13 +343,13 @@ class TestWaypointCommand:
         assert command == Command()
 
     def test_capture_boundary_counts_as_arrived(self) -> None:
-        _, arrived = waypoint_command(np.array([0.0, 0.0, 0.0, 0.0]), (CFG.capture_radius_m, 0.0), CFG)
+        _, arrived = waypoint_command(np.array([0.0, 0.0, 0.0, 0.0]), (CAPTURE_RADIUS_M, 0.0), CFG)
         assert arrived
 
     def test_waypoint_dead_ahead_commands_full_cruise_no_yaw(self) -> None:
         command, arrived = waypoint_command(np.array([0.0, 0.0, 0.0, 0.0]), (100.0, 0.0), CFG)
         assert not arrived
-        assert command.surge == pytest.approx(CFG.cruise_speed_mps)
+        assert command.surge == pytest.approx(CRUISE_SPEED_MPS)
         assert command.yaw_rate == 0.0
 
     def test_waypoint_behind_commands_maximal_turn(self) -> None:
