@@ -38,6 +38,21 @@ from reefsim.tracking import TrackFrame, TrackLog
 from reefsim.world import GridWorld
 
 
+# The control-law constants that left the vehicle and tracking sections, at
+# their old defaults.  A config that still sets one is refused.
+RETIRED_LAW_KEYS = {
+    ("vehicle", "cruise_speed_mps"): 0.5,
+    ("vehicle", "capture_radius_m"): 0.5,
+    ("vehicle", "k_waypoint_yaw"): 1.0,
+    ("vehicle", "k_waypoint_surge"): 0.5,
+    ("vehicle", "k_altitude"): 1.0,
+    ("tracking", "k_yaw"): 0.8,
+    ("tracking", "k_heave"): 0.4,
+    ("tracking", "k_surge"): 1.0,
+    ("tracking", "hold_s"): 1.0,
+    ("tracking", "lost_after_s"): 3.0,
+}
+
 
 def write_config(tmp_path: Path, data: dict | None = None) -> Path:
     path = tmp_path / "config.yaml"
@@ -631,16 +646,7 @@ class TestSurveyAnalyzeTrack:
             ("topics", "alpha", 0.1),
             ("topics", "beta", 0.5),
             ("topics", "gamma", 0.05),
-            ("vehicle", "cruise_speed_mps", 0.5),
-            ("vehicle", "capture_radius_m", 0.5),
-            ("vehicle", "k_waypoint_yaw", 1.0),
-            ("vehicle", "k_waypoint_surge", 0.5),
-            ("vehicle", "k_altitude", 1.0),
-            ("tracking", "k_yaw", 0.8),
-            ("tracking", "k_heave", 0.4),
-            ("tracking", "k_surge", 1.0),
-            ("tracking", "hold_s", 1.0),
-            ("tracking", "lost_after_s", 3.0),
+            *[(section, key, value) for (section, key), value in RETIRED_LAW_KEYS.items()],
         ],
     )
     def test_removed_usbl_enabled_key_is_config_error(self, workspace, tmp_path, section, key, value) -> None:
@@ -877,6 +883,13 @@ def track_sweep_config(path: tuple, value: float | int) -> dict:
 
 
 TRACK_SWEEP = [(path, value) for kind, values in TRACK_SWEEP_VALUES.items() for path in track_leaves(kind) for value in values]
+TRACK_SWEEP += [(path, value) for path in RETIRED_LAW_KEYS for value in TRACK_SWEEP_VALUES[float]]
+
+
+def assert_retired_key_refused(path: tuple, output: str) -> None:
+    """A retired control-law key, at any value, is an unknown key."""
+    if path in RETIRED_LAW_KEYS:
+        assert output == f"error: {path[0]}: unknown keys ['{path[1]}']\n", output
 
 
 def sweep_id(path: tuple, value: float | int) -> str:
@@ -889,7 +902,7 @@ def test_track_extreme_float_leaf_exits_cleanly(workspace, tmp_path, path, value
     """Every extreme float or int leaf ``track`` reads ends in an exit code
     of the contract, with one line of output, within its alarm, with no
     numpy warning (each is an error here) and no NaN or Infinity in the
-    log."""
+    log.  A retired control-law key at the same values is refused."""
     _, _, world_out, _ = workspace
     config = write_config(tmp_path, track_sweep_config(path, value))
     out = tmp_path / "o"
@@ -908,6 +921,7 @@ def test_track_extreme_float_leaf_exits_cleanly(workspace, tmp_path, path, value
         signal.signal(signal.SIGALRM, previous)
     assert result.exit_code in (0, 2, 3), f"{result.output}{result.exception!r}"
     assert result.output.count("\n") == 1, result.output
+    assert_retired_key_refused(path, result.output)
     if (out / "track_log.jsonl").exists():
         text = (out / "track_log.jsonl").read_text()
         assert "NaN" not in text and "Infinity" not in text
@@ -961,6 +975,7 @@ SWEEP_TREES = {"world-gen": {"world": DEFAULT_TREE["world"], "seed": DEFAULT_TRE
                "analyze": {section: DEFAULT_TREE[section] for section in ("acoustics", "topics")}}
 CHILD_SWEEP = [(command, path, value) for command, tree in SWEEP_TREES.items() for kind, values in TRACK_SWEEP_VALUES.items()
                for path in leaf_paths(tree) if type(leaf(tree, path)) is kind for value in values]
+CHILD_SWEEP += [("survey", path, value) for path in RETIRED_LAW_KEYS if path[0] == "vehicle" for value in TRACK_SWEEP_VALUES[float]]
 CHILD_SWEEP.append(("analyze", ("acoustics", "window"), 2**30))
 
 
@@ -968,11 +983,13 @@ CHILD_SWEEP.append(("analyze", ("acoustics", "window"), 2**30))
 def test_extreme_leaf_exits_cleanly(workspace, tmp_path, command, path, value) -> None:
     """Every extreme float or int leaf ``world-gen``, ``survey`` or
     ``analyze`` reads ends in an exit code of the contract, with one line of
-    output and no warning, in a child process with bounded memory and time."""
+    output and no warning, in a child process with bounded memory and time.
+    A retired vehicle control-law key at the same values is refused."""
     config = write_config(tmp_path, replace_leaf(SWEEP_TREES[command], path, value))
     code, output = run_cli_in_child([command, *command_inputs(command, workspace), "--config", str(config), "--out", str(tmp_path / "o")], tmp_path)
     assert code in (0, 2, 3), output
     assert output.count("\n") == 1, output
+    assert_retired_key_refused(path, output)
 
 
 @pytest.mark.parametrize(
