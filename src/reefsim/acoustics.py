@@ -1,11 +1,12 @@
 """Spectrograms and the snapping-shrimp snap detector.
 
-The detector front-end is a Hann-windowed magnitude-squared STFT.  Per-frame
-energy in the snap band ``SNAP_BAND_HZ`` (2-24 kHz, the band snaps are
-rendered in) feeds a transient-spike rule: candidate frames are local maxima
-whose energy exceeds ``mean + THRESHOLD_SIGMA * std`` of the window's own
-band-energy series, with maxima closer than ``REFRACTORY_S`` merged into the
-larger peak.
+The detector front-end is the per-frame energy of a Hann-windowed
+magnitude-squared STFT in the snap band ``SNAP_BAND_HZ`` (2-24 kHz, the band
+snaps are rendered in), computed by :func:`band_energy` without holding the
+spectrogram.  It feeds a transient-spike rule: candidate frames are local
+maxima whose energy exceeds ``mean + THRESHOLD_SIGMA * std`` of the window's
+own band-energy series, with maxima closer than ``REFRACTORY_S`` merged into
+the larger peak.
 
 The relative threshold is deliberately low (``THRESHOLD_SIGMA`` = 0.1),
 which on featureless noise would fire on roughly half of all local maxima.
@@ -15,18 +16,12 @@ the series (a robust background level even when most frames contain snaps).
 Both conditions are invariant under global gain scaling of the audio.  These
 constants are the method, calibrated with the acceptance criteria; the
 config sets only the transform's ``window`` and ``hop``
-(:class:`AcousticsConfig`).
+(:class:`AcousticsConfig`).  The kept peaks are timed together, each branch
+of the timing rule an elementwise array expression.
 
-:func:`stft` transforms the frames in blocks of ``STFT_BLOCK_SAMPLES``
-worth of samples (64 frames of 512).  Each block is windowed, transformed
-and squared through two reused buffers straight into its rows of the
-spectrogram, so no frame copy or whole-window spectrum is ever built.  The
-result is byte-identical to transforming all frames at once: the window
-product, modulus and square are elementwise and the real FFT works row by
-row, so a frame's bits do not depend on the block that holds it, and a
-float32 recording widens to float64 exactly inside the multiply.  The kept
-peaks are timed together, each branch of the timing rule an elementwise
-array expression.
+:func:`stft` computes the whole spectrogram at once; it is the reference
+:func:`band_energy` is tested against, and the transform criterion 6a checks
+by Parseval's identity.
 
 :func:`snap_rate_series` returns one :class:`SnapRate` row per drift window,
 in log order; a saturated window's row names the reason it was skipped.
@@ -47,15 +42,14 @@ THRESHOLD_SIGMA = 0.1
 MIN_PEAK_RATIO = 2.0
 BACKGROUND_QUANTILE = 0.1
 REFRACTORY_S = 0.005
-STFT_BLOCK_SAMPLES = 32_768  # each transform block holds this many samples' worth of frames, at least one
+STFT_BLOCK_SAMPLES = 32_768  # each band-energy block holds this many samples' worth of frames, at least two
 
-# Upper bound on one drift window's spectrogram, frames x bins, which is held
-# whole while that window is detected.  The largest any test, benchmark or
-# example makes is the criterion-1 site's (perfbench/site.yaml,
-# example_config.yaml): a 10 s, 96 kHz window at a 512-sample window and
-# 256-sample hop, 3,749 frames of 257 bins, 963,493 entries.  This allows
-# about 100 times that, 0.8 GB of float64; a 1-sample hop on a 1024-sample
-# window would ask for 3.9 GB.
+# Upper bound on one drift window's transform work, frames x bins: every bin
+# of every frame is computed, a block at a time, before the band is summed.
+# The largest any test, benchmark or example makes is the criterion-1 site's
+# (perfbench/site.yaml, example_config.yaml): a 10 s, 96 kHz window at a
+# 512-sample window and 256-sample hop, 3,749 frames of 257 bins, 963,493
+# entries.  This allows about 100 times that.
 MAX_SPECTROGRAM_ENTRIES = 96_400_000
 
 
@@ -65,7 +59,7 @@ class AcousticsConfig:
     hop: int = 512
 
     def __post_init__(self) -> None:
-        # The rules of :func:`stft`.
+        # The rules of :func:`_frames`.
         check_section(self, ("window", lambda: self.window >= 64 and not self.window & (self.window - 1), "must be a power of two >= 64"),
                       ("hop", lambda: 0 < self.hop <= self.window, "must be in (0, window]"))
 
@@ -87,11 +81,6 @@ class Spectrogram:
     def n_bins(self) -> int:
         return self.power.shape[1]
 
-    @property
-    def frame_times(self) -> np.ndarray:
-        """Frame center times in seconds."""
-        return (np.arange(self.n_frames) * self.hop + self.window / 2) / self.fs
-
     def frame_energy(self) -> np.ndarray:
         """Per-frame time-domain energy of the windowed signal, recovered
         from the spectrum (Parseval): DC and Nyquist bins count once, all
@@ -105,38 +94,25 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
 
 
-def stft(samples: np.ndarray, fs: int, window: int = AcousticsConfig.window, hop: int = AcousticsConfig.hop) -> Spectrogram:
-    """Hann-windowed magnitude-squared STFT.
-
-    Frames start every ``hop`` samples; the count is
-    ``floor((n - window) / hop) + 1`` and trailing samples that do not fill
-    a frame are dropped.  The frames are transformed ``STFT_BLOCK_SAMPLES /
-    window`` at a time (see the module docstring).
-    """
+def _frames(samples: np.ndarray, window: int, hop: int) -> np.ndarray:
+    """A view of the ``floor((n - window) / hop) + 1`` frames of ``samples``;
+    trailing samples that fill no frame are dropped.  A float32 recording
+    stays float32: it widens exactly inside the window product."""
     if window < 64 or window & (window - 1):
         raise ValueError("window must be a power of two >= 64")
     if not 0 < hop <= window:
         raise ValueError("hop must be in (0, window]")
     samples = np.asarray(samples)
-    if samples.dtype != np.float32:  # float32 widens exactly inside the multiply
+    if samples.dtype != np.float32:
         samples = np.asarray(samples, dtype=np.float64)
-    n = len(samples)
-    if n < window:
-        raise ValueError(f"need at least {window} samples, got {n}")
+    if len(samples) < window:
+        raise ValueError(f"need at least {window} samples, got {len(samples)}")
+    return np.lib.stride_tricks.sliding_window_view(samples, window)[::hop]
 
-    frames = np.lib.stride_tricks.sliding_window_view(samples, window)[::hop]
-    taper = hann_window(window)
-    block = max(STFT_BLOCK_SAMPLES // window, 1)
-    windowed = np.empty((block, window))
-    spectrum = np.empty((block, window // 2 + 1), dtype=np.complex128)
-    power = np.empty((len(frames), window // 2 + 1))
-    for start in range(0, len(frames), block):
-        rows = power[start : start + block]
-        m = len(rows)
-        np.multiply(frames[start : start + m], taper, out=windowed[:m])
-        np.fft.rfft(windowed[:m], axis=1, out=spectrum[:m])
-        np.abs(spectrum[:m], out=rows)
-        np.square(rows, out=rows)
+
+def stft(samples: np.ndarray, fs: int, window: int = AcousticsConfig.window, hop: int = AcousticsConfig.hop) -> Spectrogram:
+    """Hann-windowed magnitude-squared STFT of the frames of :func:`_frames`."""
+    power = np.abs(np.fft.rfft(_frames(samples, window, hop) * hann_window(window), axis=1)) ** 2
     return Spectrogram(power=power, fs=fs, window=window, hop=hop)
 
 
@@ -147,17 +123,39 @@ def band_bins(fs: int, window: int, f_lo: float, f_hi: float) -> np.ndarray:
     return (freqs >= f_lo) & (freqs <= f_hi)
 
 
-def band_energy(spec: Spectrogram, f_lo: float = SNAP_BAND_HZ[0], f_hi: float = SNAP_BAND_HZ[1]) -> np.ndarray:
-    """Per-frame sum of magnitude-squared over bins with center frequency
-    in [f_lo, f_hi]."""
-    if not f_lo < f_hi:
-        raise ValueError("need f_lo < f_hi")
-    if f_hi > spec.fs / 2:
-        raise ValueError("f_hi must not exceed Nyquist")
-    mask = band_bins(spec.fs, spec.window, f_lo, f_hi)
-    if not mask.any():
-        raise ValueError("band contains no bins")
-    return spec.power[:, mask].sum(axis=1)
+def band_energy(samples: np.ndarray, fs: int, window: int = AcousticsConfig.window, hop: int = AcousticsConfig.hop) -> np.ndarray:
+    """Per-frame sum of :func:`stft`'s power over the bins of the snap band
+    ``SNAP_BAND_HZ``, byte for byte, with no spectrogram held.
+
+    The frames are windowed and transformed ``STFT_BLOCK_SAMPLES / window``
+    at a time through reused buffers, and only the band's bins are squared
+    and summed.  Each step works elementwise or row by row, so a frame's
+    bits do not depend on its block.  The band buffer is column-major, so
+    numpy adds a frame's bins in order, as on the spectrogram's band
+    columns; it would add a lone row pairwise, so a lone last frame joins
+    the block before it.
+    """
+    frames = _frames(samples, window, hop)
+    bins = np.flatnonzero(band_bins(fs, window, *SNAP_BAND_HZ))
+    if not len(bins):
+        raise ValueError(f"no frequency bin of a {window}-sample window at {fs} Hz lies in the snap band")
+    band = slice(bins[0], bins[-1] + 1)
+    n = len(frames)
+    block = max(STFT_BLOCK_SAMPLES // window, 2)
+    taper = hann_window(window)
+    windowed = np.empty((block + 1, window))
+    spectrum = np.empty((block + 1, window // 2 + 1), dtype=np.complex128)
+    power = np.empty((block + 1, len(bins)), order="F")
+    energy = np.empty(n)
+    for start in range(0, max(n - 1, 1), block):
+        stop = n if n - start <= block + 1 else start + block
+        m = stop - start
+        np.multiply(frames[start:stop], taper, out=windowed[:m])
+        np.fft.rfft(windowed[:m], axis=1, out=spectrum[:m])
+        np.abs(spectrum[:m, band], out=power[:m])
+        np.square(power[:m], out=power[:m])
+        power[:m].sum(axis=1, out=energy[start:stop])
+    return energy
 
 
 @dataclass
@@ -167,7 +165,7 @@ class SnapDetection:
     rate: float  # snaps / second of window duration
 
 
-def _refine_peak_times(energy: np.ndarray, peaks: np.ndarray, baseline: float, spec: Spectrogram) -> np.ndarray:
+def _refine_peak_times(energy: np.ndarray, peaks: np.ndarray, baseline: float, fs: int, window: int, hop: int) -> np.ndarray:
     """Sub-frame timing of the impulsive peak at each interior frame in
     ``peaks``, elementwise.
 
@@ -177,16 +175,16 @@ def _refine_peak_times(energy: np.ndarray, peaks: np.ndarray, baseline: float, s
     burst position.  Other hop sizes, and a peak whose neighbors both stay at
     or below ``baseline``, take the energy centroid of the three frames, each
     weight clipped at 0.  A peak that does not rise above ``baseline`` keeps
-    its frame center.
+    its frame center, ``(frame * hop + window / 2) / fs``.
     """
-    frame_times = spec.frame_times
+    frame_times = (np.arange(len(energy)) * hop + window / 2) / fs
     times = frame_times[peaks]
     e_prev, e_peak, e_next = (energy[peaks + step] - baseline for step in (-1, 0, 1))
     # The pair's left frame is the previous one when that is the larger neighbor, else the peak.
     prev_side = e_prev >= e_next
     e_left = np.where(prev_side, e_prev, e_peak)
     e_right = np.where(prev_side, e_peak, e_next)
-    closed = (e_left > 0) & (e_right > 0) & (2 * spec.hop == spec.window)
+    closed = (e_left > 0) & (e_right > 0) & (2 * hop == window)
     centroid = (e_peak > 0) & ~closed
 
     w_prev, w_peak, w_next = (np.maximum(e[centroid], 0.0) for e in (e_prev, e_peak, e_next))
@@ -196,14 +194,15 @@ def _refine_peak_times(energy: np.ndarray, peaks: np.ndarray, baseline: float, s
     sqrt_rho = np.sqrt(e_right[closed] / e_left[closed])
     cos_phi = np.clip((1.0 - sqrt_rho) / (1.0 + sqrt_rho), -1.0, 1.0)
     phi = np.arccos(cos_phi)
-    offset = spec.hop + spec.window * phi / (2.0 * np.pi)
-    times[closed] = ((peaks - prev_side)[closed] * spec.hop + offset) / spec.fs
+    offset = hop + window * phi / (2.0 * np.pi)
+    times[closed] = ((peaks - prev_side)[closed] * hop + offset) / fs
     return times
 
 
-def detect_snaps(energy: np.ndarray, spec: Spectrogram, duration: float) -> SnapDetection:
-    """Count transient spikes in a band-energy series, with the thresholds
-    and refractory gap of the module constants.
+def detect_snaps(energy: np.ndarray, fs: int, window: int, hop: int, duration: float) -> SnapDetection:
+    """Count transient spikes in a band-energy series, one value per
+    ``window``-sample frame every ``hop`` samples at ``fs`` Hz, with the
+    thresholds and refractory gap of the module constants.
 
     A constant series (std below 1e-12) yields zero snaps.  Candidates are
     interior local maxima above both the relative threshold and the
@@ -231,7 +230,7 @@ def detect_snaps(energy: np.ndarray, spec: Spectrogram, duration: float) -> Snap
     candidates = np.flatnonzero(is_peak) + 1
 
     # Merge candidates within the refractory gap, keeping the larger peak.
-    frame_period = spec.hop / spec.fs
+    frame_period = hop / fs
     kept: list[int] = []
     for c in candidates:
         if kept and (c - kept[-1]) * frame_period < REFRACTORY_S:
@@ -240,7 +239,7 @@ def detect_snaps(energy: np.ndarray, spec: Spectrogram, duration: float) -> Snap
         else:
             kept.append(c)
 
-    times = np.sort(_refine_peak_times(energy, np.array(kept, dtype=np.intp), baseline, spec))
+    times = np.sort(_refine_peak_times(energy, np.array(kept, dtype=np.intp), baseline, fs, window, hop))
     return SnapDetection(times, len(kept), len(kept) / duration)
 
 
@@ -253,8 +252,8 @@ def detect_snaps_in_window(window: AudioWindow, config: AcousticsConfig | None =
     cfg = config or AcousticsConfig()
     if window.saturated:
         raise SaturatedWindowError("window is saturated (thruster noise); detection refused")
-    spec = stft(window.samples, window.fs, cfg.window, cfg.hop)
-    return detect_snaps(band_energy(spec), spec, window.duration)
+    energy = band_energy(window.samples, window.fs, cfg.window, cfg.hop)
+    return detect_snaps(energy, window.fs, cfg.window, cfg.hop, window.duration)
 
 
 @dataclass
@@ -281,9 +280,7 @@ def snap_rate_series(log, config: AcousticsConfig | None = None) -> list[SnapRat
     drift_records = log.drift_records()
     if not drift_records:
         raise DataError("mission log contains no drift windows")
-    # The checks of stft, band_energy and detect_snaps, made once for the
-    # log's windows.  The snap band lies below the log's Nyquist frequency:
-    # its header holds at least MIN_AUDIO_FS.
+    # The checks of band_energy and detect_snaps, made once for the log's windows.
     fs, (lo, hi) = log.audio_fs_hz, SNAP_BAND_HZ
     # The frames are counted first: they bound the window by the log's
     # samples before any array of the window's length is made.

@@ -15,7 +15,7 @@ import functools
 import numpy as np
 from filter_run import filter_run
 
-from reefsim.acoustics import band_energy, detect_snaps_in_window, hann_window, stft
+from reefsim.acoustics import band_energy, detect_snaps_in_window, hann_window
 from reefsim.rng import substream
 from reefsim.tracking import Camera, DistractorConfig, TargetConfig, TrackingConfig, run_tracking_episode
 from reefsim.vehicle import NoiseConfig, VehicleConfig, wrap_angle
@@ -66,7 +66,7 @@ def snr_amplitude(target_snr_db: float, background_sigma: float, fs: int, window
     rng = substream(0, "snr-calib")
     burst_energy = np.mean([np.sum(make_snap_bursts(fs, 1, rng)[0] ** 2) for _ in range(200)])
     noise = np.random.default_rng(1).normal(0.0, background_sigma, fs)
-    bg_frame = float(np.mean(band_energy(stft(noise, fs, window=window))))
+    bg_frame = float(np.mean(band_energy(noise, fs, window=window)))
     gain = float(np.mean(hann_window(window) ** 2))
     burst_band_sum = burst_energy * gain * window / 2.0
     return float(np.sqrt(10 ** (target_snr_db / 10.0) * bg_frame / burst_band_sum))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from panels import detector_panel
@@ -7,8 +9,8 @@ from pins import detection_times, pinned
 
 from reefsim.acoustics import (
     STFT_BLOCK_SAMPLES,
-    Spectrogram,
     _refine_peak_times,
+    band_bins,
     band_energy,
     detect_snaps,
     detect_snaps_in_window,
@@ -19,14 +21,28 @@ from reefsim.acoustics import (
 )
 from reefsim.errors import SaturatedWindowError
 from reefsim.rng import substream
-from reefsim.world import WorldConfig, generate_world, synthesize_audio
+from reefsim.world import SNAP_BAND_HZ, WorldConfig, generate_world, synthesize_audio
 
 FS = 96_000
-BLOCK = STFT_BLOCK_SAMPLES // 1024  # frames per transform block at a 1024-sample window
+BLOCK = STFT_BLOCK_SAMPLES // 1024  # frames per band-energy block at a 1024-sample window
 
 
 def samples_for(n_frames: int, window: int = 1024, hop: int = 512) -> int:
     return window + (n_frames - 1) * hop
+
+
+# (n, window, hop) cases of the transform tests.
+TRANSFORM_CASES = [
+    (10_000, 1024, 512),
+    (96_000, 1024, 512),
+    (5_000, 256, 100),
+    (4_096, 1024, 1024),
+    # frame counts around the band-energy block: below, exactly, one over, and not a multiple
+    (samples_for(BLOCK - 1), 1024, 512),
+    (samples_for(BLOCK), 1024, 512),
+    (samples_for(BLOCK + 1), 1024, 512),
+    (samples_for(2 * BLOCK + 5) + 300, 1024, 512),
+]
 
 
 def white_noise(n: int, seed: int = 0) -> np.ndarray:
@@ -81,20 +97,7 @@ class TestStft:
             stft(white_noise(1000), FS, window=1024)
 
 
-    @pytest.mark.parametrize(
-        "n, window, hop",
-        [
-            (10_000, 1024, 512),
-            (96_000, 1024, 512),
-            (5_000, 256, 100),
-            (4_096, 1024, 1024),
-            # frame counts around the transform block: below, exactly, one over, and not a multiple
-            (samples_for(BLOCK - 1), 1024, 512),
-            (samples_for(BLOCK), 1024, 512),
-            (samples_for(BLOCK + 1), 1024, 512),
-            (samples_for(2 * BLOCK + 5) + 300, 1024, 512),
-        ],
-    )
+    @pytest.mark.parametrize("n, window, hop", TRANSFORM_CASES)
     def test_matches_index_gather_reference(self, n, window, hop) -> None:
         samples = white_noise(n, seed=n)
         n_frames = (n - window) // hop + 1
@@ -108,40 +111,52 @@ class TestStft:
 
 class TestBandEnergy:
     def test_sine_below_band_leaks_almost_nothing(self) -> None:
-        t = np.arange(16_384) / FS
-        spec = stft(np.sin(2 * np.pi * 1000.0 * t), FS)
-        in_band = band_energy(spec, 2000.0, 24_000.0).sum()
-        total = spec.power.sum()
-        assert in_band <= 1e-4 * total
+        samples = np.sin(2 * np.pi * 1000.0 * np.arange(16_384) / FS)
+        assert band_energy(samples, FS).sum() <= 1e-4 * stft(samples, FS).power.sum()
 
     def test_sine_inside_band_captures_nearly_everything(self) -> None:
-        t = np.arange(16_384) / FS
-        spec = stft(np.sin(2 * np.pi * 10_000.0 * t), FS)
-        in_band = band_energy(spec, 2000.0, 24_000.0).sum()
-        assert in_band >= 0.999 * spec.power.sum()
+        samples = np.sin(2 * np.pi * 10_000.0 * np.arange(16_384) / FS)
+        assert band_energy(samples, FS).sum() >= 0.999 * stft(samples, FS).power.sum()
 
     def test_matches_brute_force_bin_sum(self) -> None:
         # Oracle: independent per-frame re-summation over the band bins.
-        spec = stft(white_noise(8192, seed=1), FS)
-        energy = band_energy(spec, 2000.0, 24_000.0)
+        samples = white_noise(8192, seed=1)
+        energy = band_energy(samples, FS)
+        spec = stft(samples, FS)
         freqs = np.arange(spec.n_bins) * FS / 1024
         for i in range(spec.n_frames):
             direct = sum(float(spec.power[i, b]) for b in range(spec.n_bins) if 2000.0 <= freqs[b] <= 24_000.0)
             assert energy[i] == pytest.approx(direct, rel=1e-12)
 
-    def test_empty_band_rejected(self) -> None:
-        spec = stft(white_noise(8192), FS)
-        with pytest.raises(ValueError):
-            band_energy(spec, 25_000.0, 24_000.0)
-        with pytest.raises(ValueError):
-            band_energy(spec, 2000.0, 60_000.0)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "fs, n, window, hop",
+        [(FS, *case) for case in TRANSFORM_CASES]
+        + [
+            (FS, 1024, 1024, 512),  # a single frame, which numpy sums pairwise
+            (FS, samples_for(2 * BLOCK + 1), 1024, 512),  # a lone frame after two whole blocks
+            (48_000, 48_000, 1024, 512),
+            (48_000, samples_for(BLOCK + 1, 512, 200), 512, 200),
+            (FS, 96_000, 512, 256),
+            (FS, samples_for(7, 65_536, 32_768), 65_536, 32_768),  # blocks of at least two frames
+        ],
+    )
+    def test_matches_spectrogram_band_sum(self, fs, n, window, hop, dtype) -> None:
+        """The blocked band-only transform gives the band columns of
+        :func:`stft`'s whole spectrogram, summed, byte for byte."""
+        samples = (0.1 * white_noise(n, seed=n)).astype(dtype)
+        expected = stft(samples, fs, window, hop).power[:, band_bins(fs, window, *SNAP_BAND_HZ)].sum(axis=1)
+        assert band_energy(samples, fs, window, hop).tobytes() == expected.tobytes()
+
+    def test_band_without_a_bin_rejected(self) -> None:
+        # At 2 MHz a 64-sample window's bins are 31,250 Hz apart, none in 2-24 kHz.
+        with pytest.raises(ValueError, match="no frequency bin"):
+            band_energy(white_noise(8192), 2_000_000, 64, 32)
 
 
 class TestDetectSnaps:
     def test_constant_series_yields_zero_snaps(self) -> None:
-        spec = stft(np.zeros(96_000), FS)
-        energy = np.full(spec.n_frames, 3.7)
-        detection = detect_snaps(energy, spec, 1.0)
+        detection = detect_snaps(np.full(186, 3.7), FS, 1024, 512, 1.0)
         assert detection.count == 0
 
     def test_saturated_window_refused(self, quiet_world) -> None:
@@ -185,33 +200,47 @@ class TestDetectSnaps:
         assert total / duration <= 0.2
 
     def test_short_series_rejected(self) -> None:
-        spec = stft(np.zeros(4096), FS)
         with pytest.raises(ValueError):
-            detect_snaps(np.ones(4), spec, 1.0)
+            detect_snaps(np.ones(4), FS, 1024, 512, 1.0)
+
+    def test_detection_holds_no_spectrogram(self, default_world) -> None:
+        """Detecting on a 10 s, 96 kHz window allocates well under its
+        spectrogram's 7.7 MB: only blocks of frames and the band energy."""
+        window = synthesize_audio(default_world, 6.0, 6.0, 10.0, FS, False, substream(4, "memory"))
+        tracemalloc.start()
+        try:
+            detect_snaps_in_window(window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_pinned_detection_times(self, default_world) -> None:
         """Faster framing or peak timing must not move a single detection."""
         assert detection_times(default_world) == pinned("detection_times")
 
 
-def peak_time_reference(energy: np.ndarray, peak: int, baseline: float, spec: Spectrogram) -> float:
+def peak_time_reference(energy: np.ndarray, peak: int, baseline: float, fs: int, window: int, hop: int) -> float:
     """The sub-frame timing rule of :func:`_refine_peak_times`, written for
     one peak with scalars: the frame center unless the peak rises above the
     baseline; the closed form at 50 % overlap when the peak and its larger
     neighbor (the previous frame on a tie) both rise; otherwise the energy
     centroid of the three frames, weights clipped at 0."""
-    t = spec.frame_times
+
+    def t(frame: int) -> float:
+        return (frame * hop + window / 2) / fs
+
     e_prev, e_peak, e_next = (energy[peak + step] - baseline for step in (-1, 0, 1))
     if e_peak <= 0:
-        return float(t[peak])
+        return float(t(peak))
     left = peak - 1 if e_prev >= e_next else peak
     e_left, e_right = energy[left] - baseline, energy[left + 1] - baseline
-    if 2 * spec.hop == spec.window and e_left > 0 and e_right > 0:
+    if 2 * hop == window and e_left > 0 and e_right > 0:
         sqrt_rho = np.sqrt(e_right / e_left)
         phi = np.arccos(np.clip((1.0 - sqrt_rho) / (1.0 + sqrt_rho), -1.0, 1.0))
-        return float((left * spec.hop + (spec.hop + spec.window * phi / (2.0 * np.pi))) / spec.fs)
+        return float((left * hop + (hop + window * phi / (2.0 * np.pi))) / fs)
     w_prev, w_peak, w_next = (max(e, 0.0) for e in (e_prev, e_peak, e_next))
-    return float((w_prev * t[peak - 1] + w_peak * t[peak] + w_next * t[peak + 1]) / (w_prev + w_peak + w_next))
+    return float((w_prev * t(peak - 1) + w_peak * t(peak) + w_next * t(peak + 1)) / (w_prev + w_peak + w_next))
 
 
 class TestPeakTiming:
@@ -222,10 +251,9 @@ class TestPeakTiming:
         rng = np.random.default_rng(hop + window)
         n, baseline = 2_000, 0.5
         energy = np.round(rng.exponential(1.0, n), 1)  # rounding makes ties and values at the baseline common
-        spec = Spectrogram(np.zeros((n, 1)), FS, window, hop)
         peaks = np.arange(1, n - 1)
-        expected = np.array([peak_time_reference(energy, p, baseline, spec) for p in peaks])
-        assert np.array_equal(_refine_peak_times(energy, peaks, baseline, spec), expected)
+        expected = np.array([peak_time_reference(energy, p, baseline, FS, window, hop) for p in peaks])
+        assert np.array_equal(_refine_peak_times(energy, peaks, baseline, FS, window, hop), expected)
 
         e_prev, e_peak, e_next = energy[:-2] - baseline, energy[1:-1] - baseline, energy[2:] - baseline
         rising = e_peak > 0
@@ -239,13 +267,11 @@ class TestPeakTiming:
         becomes a candidate and none reaches the timing."""
         energy = np.round(np.random.default_rng(0).exponential(1.0, 200), 1)
         energy[17] = np.nan
-        spec = Spectrogram(np.zeros((200, 1)), FS, 1024, 512)
-        detection = detect_snaps(energy, spec, duration=1.0)
+        detection = detect_snaps(energy, FS, 1024, 512, duration=1.0)
         assert detection.count == 0 and detection.times.shape == (0,)
 
     def test_no_peaks(self) -> None:
-        spec = Spectrogram(np.zeros((10, 1)), FS, 1024, 512)
-        times = _refine_peak_times(np.ones(10), np.empty(0, dtype=np.intp), 0.5, spec)
+        times = _refine_peak_times(np.ones(10), np.empty(0, dtype=np.intp), 0.5, FS, 1024, 512)
         assert times.dtype == np.float64 and times.shape == (0,)
 
 

@@ -530,14 +530,14 @@ class TestSurveyAnalyzeTrack:
         "command, section, key, bad",
         [
             ("survey", "vehicle", "tau_s", "abc"),
-            ("track", "vehicle", "tau_s", [1, 2]),
+            pytest.param("track", "vehicle", "tau_s", [1, 2], id="track-vehicle-tau_s-list"),
             ("survey", "vehicle", "tau_s", float("nan")),
             ("track", "vehicle", "tau_s", float("nan")),
             ("world-gen", "world", "depth_relief_m", float("nan")),
             ("survey", "world", "snap_amplitude", float("nan")),
             ("survey", "mission", "words_per_image", 2.5),
             ("survey", "mission", "words_per_image", True),
-            ("survey", "plan", "bounds", [1, 2]),
+            pytest.param("survey", "plan", "bounds", [1, 2], id="survey-plan-bounds-two-values"),
             ("track", "tracking", "frame_rate_hz", 0),
             ("survey", "vehicle", "tau_s", 0),
             ("track", "vehicle", "tau_s", 0),
@@ -545,10 +545,10 @@ class TestSurveyAnalyzeTrack:
             ("analyze", "acoustics", "hop", 0),
             ("track", "tracking", "dynamics_dt_s", 0),
             ("track", "tracking", "dynamics_dt_s", 0.6),
-            ("track", "tracking", "camera", {"width_px": 1}),
-            ("track", "tracking", "camera", {"hfov_deg": -1e6}),
-            ("track", "tracking", "target", {"kind": "fish"}),
-            ("track", "tracking", "target", {"distractor": {"mean_lock_s": -1}}),
+            pytest.param("track", "tracking", "camera", {"width_px": 1}, id="track-tracking-camera-width_px-1"),
+            pytest.param("track", "tracking", "camera", {"hfov_deg": -1e6}, id="track-tracking-camera-hfov_deg--1e6"),
+            pytest.param("track", "tracking", "target", {"kind": "fish"}, id="track-tracking-target-kind-fish"),
+            pytest.param("track", "tracking", "target", {"distractor": {"mean_lock_s": -1}}, id="track-tracking-target-distractor-mean_lock_s--1"),
             ("world-gen", "world", "background_sigma", -1.0),
             ("analyze", "acoustics", "window", 65536),
             ("survey", "noise", "depth_sigma", 1.0e-200),
@@ -574,8 +574,10 @@ class TestSurveyAnalyzeTrack:
             ("track", "tracking", "frame_rate_hz", 30.0),
             ("track", "tracking", "width_ratio_setpoint", 0.0),
             ("track", "tracking", "width_ratio_setpoint", 1e-300),
-            ("track", "tracking", "target", {"distractor": {"offset_m": 1e308}}),
-            ("track", "tracking", "target", {"distractor": {"offset_m": -1e308}}),
+            pytest.param("track", "tracking", "target", {"distractor": {"offset_m": 1e308}}, id="track-tracking-target-distractor-offset_m-1e308"),
+            pytest.param(
+                "track", "tracking", "target", {"distractor": {"offset_m": -1e308}}, id="track-tracking-target-distractor-offset_m--1e308"
+            ),
         ],
     )
     def test_bad_config_value_names_its_key(self, workspace, tmp_path, command, section, key, bad) -> None:
